@@ -7,17 +7,21 @@ Mode labels:
     e, f   vacuum ports of the external loss beamsplitters
     g, h   local oscillators of the probe and conjugate homodyne detectors
 
-Each builder returns (J, state): the joint rotated quadrature operator
+Each builder returns (J, dJ, state): the joint rotated quadrature operator
 J = af'.af - an'.an + bf'.bf - bn'.bn summed over both homodyne detectors,
-and the coherent assignment of the seeded modes.
+its exact derivative dJ/dphi with respect to the sample phase, and the
+coherent assignment of the seeded modes.  The sample phase enters only as
+e^{i phi} on the sampled-arm forms, so dJ follows by the product rule
+through the linear chain after the sample; vacuum ports and local
+oscillators contribute nothing to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from mpmath import cosh, exp, mpc, mpf, sinh, sqrt, workdps
+from mpmath import cosh, exp, isfinite, mpc, mpf, sinh, sqrt, workdps
 
-from .algebra import DEFAULT_DPS, OperatorExpr, ladder, adjoint, mul
+from .algebra import DEFAULT_DPS, OperatorExpr, adjoint, ladder, mul, zero
 from .jones import sampling_phase
 
 ARMS_BOTH = "both"
@@ -63,7 +67,10 @@ class InterferometerParams:
             for name in ("r", "s", "alpha", "beta", "gamma", "kappa",
                          "eta_p1", "eta_c1", "eta_p2", "eta_c2", "eta_p3", "eta_c3",
                          "theta_f", "phi_p", "phi_c"):
-                object.__setattr__(self, name, mpf(getattr(self, name)))
+                v = mpf(getattr(self, name))
+                if not isfinite(v):
+                    raise ValueError(f"{name} = {v} is not finite")
+                object.__setattr__(self, name, v)
         if self.r < 0 or self.s < 0:
             raise ValueError("squeezing parameters r, s must be nonnegative")
         for name in ("eta_p1", "eta_c1", "eta_p2", "eta_c2", "eta_p3", "eta_c3"):
@@ -81,38 +88,39 @@ class InterferometerParams:
         return replace(self, **changes)
 
 
-def _i(dps):
-    return mpc(0, 1)
-
-
-def _homodyne_difference(sig: OperatorExpr, lo: OperatorExpr, eta3) -> OperatorExpr:
+def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr, eta3):
     """Balanced-detector difference af'.af - an'.an for one homodyne.
 
-    af = sig*sqrt(eta3) + i*lo*sqrt(1-eta3); an = lo*sqrt(eta3) + i*sig*sqrt(1-eta3).
+    af = sig*t + i*lo*l and an = lo*t + i*sig*l with t = sqrt(eta3) and
+    l = sqrt(1-eta3) reduce to (t^2-l^2)(sig'.sig - lo'.lo) + 2itl(sig'.lo
+    - lo'.sig), so a balanced splitter needs no sig'.sig product.  Returns
+    (J, dJ), where dJ follows from the signal derivative ``dsig``.
     """
-    dps = sig.dps
-    with workdps(dps):
+    with workdps(sig.dps):
         t, l = sqrt(eta3), sqrt(1 - mpf(eta3))
-        i = _i(dps)
-        af = sig * t + lo * (i * l)
-        an = lo * t + sig * (i * l)
-        return mul(adjoint(af), af) - mul(adjoint(an), an)
+        cross = mul(adjoint(sig), lo) * mpc(0, 2 * t * l)
+        dcross = mul(adjoint(dsig), lo) * mpc(0, 2 * t * l)
+        J, dJ = cross + adjoint(cross), dcross + adjoint(dcross)
+        if t != l:
+            k = t * t - l * l
+            dn = mul(adjoint(dsig), sig)
+            J = J + (mul(adjoint(sig), sig) - mul(adjoint(lo), lo)) * k
+            dJ = dJ + (dn + adjoint(dn)) * k
+        return J, dJ
 
 
-def build_su11_J(p: InterferometerParams, phi=None, dps: int | None = None):
+def build_su11_J(p: InterferometerParams):
     """Full SU(1,1) chain a,b -> u,v -> w,z -> x,y -> m,n -> homodynes.
 
-    ``phi`` overrides the sampled-arm phase (used for numerical phase
-    derivatives); it defaults to the transduced rotation.  Returns the
-    operator J and the coherent assignment {a, b, g, h}.
+    Returns (J, dJ, state): the operator J, its derivative with respect
+    to the sampled-arm phase (the transduced rotation) and the coherent
+    assignment {a, b, g, h}.
     """
-    dps = dps or p.precision
+    dps = p.precision
     with workdps(dps):
-        i = _i(dps)
-        if phi is None:
-            phi = sampling_phase(p.theta_f, dps)
-        phi_u = phi
-        phi_v = phi if p.arms == ARMS_BOTH else mpf(0)
+        i = mpc(0, 1)
+        phi = sampling_phase(p.theta_f, dps)
+        both = p.arms == ARMS_BOTH
 
         def op(m):
             return ladder(m, False, 1, dps)
@@ -120,80 +128,71 @@ def build_su11_J(p: InterferometerParams, phi=None, dps: int | None = None):
         a, b, c, d, e_, f = (op(m) for m in "abcdef")
         u = a * cosh(p.r) + adjoint(b) * sinh(p.r)
         v = adjoint(a) * sinh(p.r) + b * cosh(p.r)
-        w = c * (i * sqrt(1 - p.eta_p1)) + u * (exp(i * phi_u) * sqrt(p.eta_p1))
-        z = d * (i * sqrt(1 - p.eta_c1)) + v * (exp(i * phi_v) * sqrt(p.eta_c1))
+        eu = exp(i * phi) * sqrt(p.eta_p1)
+        ev = (exp(i * phi) if both else mpf(1)) * sqrt(p.eta_c1)
+        w = c * (i * sqrt(1 - p.eta_p1)) + u * eu
+        z = d * (i * sqrt(1 - p.eta_c1)) + v * ev
+        dw, dz = u * (i * eu), (v * (i * ev) if both else zero(dps))
         x = w * cosh(p.s) + adjoint(z) * sinh(p.s)
         y = adjoint(w) * sinh(p.s) + z * cosh(p.s)
+        dx = dw * cosh(p.s) + adjoint(dz) * sinh(p.s)
+        dy = adjoint(dw) * sinh(p.s) + dz * cosh(p.s)
         m_ = x * sqrt(p.eta_p2) + e_ * (i * sqrt(1 - p.eta_p2))
         n_ = y * sqrt(p.eta_c2) + f * (i * sqrt(1 - p.eta_c2))
-        g_lo = op("g") * exp(i * p.phi_p)
-        h_lo = op("h") * exp(i * p.phi_c)
-        J = _homodyne_difference(m_, g_lo, p.eta_p3) + _homodyne_difference(
-            n_, h_lo, p.eta_c3
-        )
+        Jm, dJm = _homodyne_difference(m_, dx * sqrt(p.eta_p2), op("g") * exp(i * p.phi_p),
+                                       p.eta_p3)
+        Jn, dJn = _homodyne_difference(n_, dy * sqrt(p.eta_c2), op("h") * exp(i * p.phi_c),
+                                       p.eta_c3)
         state = {"a": mpc(p.alpha), "b": mpc(p.beta), "g": mpc(p.gamma), "h": mpc(p.kappa)}
-    return J, state
+    return Jm + Jn, dJm + dJn, state
 
 
-def build_tsu11_J(p: InterferometerParams, phi=None, dps: int | None = None):
+def build_tsu11_J(p: InterferometerParams):
     """Truncated SU(1,1): second amplifier removed, dual homodyne readout.
 
     Forces s = 0, unit external transmissions and balanced homodyne
     splitters; eta_p1, eta_c1 keep their given values as the internal
-    losses.
+    losses.  Returns (J, dJ, state).
     """
-    q = p.replace(s=0, eta_p2=1, eta_c2=1, eta_p3=0.5, eta_c3=0.5)
-    return build_su11_J(q, phi=phi, dps=dps)
+    return build_su11_J(p.replace(s=0, eta_p2=1, eta_c2=1, eta_p3=0.5, eta_c3=0.5))
 
 
-def build_vacuum_J(p: InterferometerParams, phi=None, dps: int | None = None):
-    """Two-mode squeezed vacuum sensing: same circuit, no seeds."""
+def build_vacuum_J(p: InterferometerParams):
+    """Two-mode squeezed vacuum sensing: same circuit, no seeds.
+
+    Returns (J, dJ, state).
+    """
     if p.alpha != 0 or p.beta != 0:
         raise ValueError("vacuum circuit requires alpha = beta = 0")
-    return build_tsu11_J(p, phi=phi, dps=dps)
+    return build_tsu11_J(p)
 
 
-def build_classical_J(p: InterferometerParams, phi=None, dps: int | None = None):
+def build_classical_J(p: InterferometerParams):
     """Photon-matched classical benchmark interferometer.
 
     Seeds are rescaled to alpha*sqrt(eta)*cosh(r) and alpha*sqrt(eta)*sinh(r)
     so the photon numbers on the sampled arms match the squeezed circuit,
     then each arm meets its LO on a balanced beamsplitter read out by a
-    balanced detector pair.
+    balanced detector pair.  Returns (J, dJ, state).
     """
-    dps = dps or p.precision
+    dps = p.precision
     with workdps(dps):
-        i = _i(dps)
-        if phi is None:
-            phi = sampling_phase(p.theta_f, dps)
-        phi_a = phi
-        phi_b = phi if p.arms == ARMS_BOTH else mpf(0)
-        rt2 = 1 / sqrt(2)
-
-        def op(m):
-            return ladder(m, False, 1, dps)
-
-        a, b, g, h = (op(m) for m in "abgh")
-        af = (a * exp(i * phi_a) + g * (i * exp(i * p.phi_p))) * rt2
-        an = (a * (i * exp(i * phi_a)) + g * exp(i * p.phi_p)) * rt2
-        bf = (b * exp(i * phi_b) + h * (i * exp(i * p.phi_c))) * rt2
-        # the second detector pair mirrors the probe pair: each homodyne
-        # contributes the difference of its own two ports
-        bn = (b * (i * exp(i * phi_b)) + h * exp(i * p.phi_c)) * rt2
-        J = (
-            mul(adjoint(af), af)
-            - mul(adjoint(an), an)
-            + mul(adjoint(bf), bf)
-            - mul(adjoint(bn), bn)
-        )
+        i = mpc(0, 1)
+        both = p.arms == ARMS_BOTH
+        ea = exp(i * sampling_phase(p.theta_f, dps))
+        eb = ea if both else mpf(1)
+        a, b, g, h = (ladder(m, False, 1, dps) for m in "abgh")
+        db = b * (i * eb) if both else zero(dps)
+        Ja, dJa = _homodyne_difference(a * ea, a * (i * ea), g * exp(i * p.phi_p), 0.5)
+        Jb, dJb = _homodyne_difference(b * eb, db, h * exp(i * p.phi_c), 0.5)
         alpha_eff = p.alpha * sqrt(p.eta_p1) * cosh(p.r)
         beta_eff = p.alpha * sqrt(p.eta_c1) * sinh(p.r)
         state = {"a": mpc(alpha_eff), "b": mpc(beta_eff),
                  "g": mpc(p.gamma), "h": mpc(p.kappa)}
-    return J, state
+    return Ja + Jb, dJa + dJb, state
 
 
-#: circuit name -> builder(p, phi=None, dps=None) -> (J, state)
+#: circuit name -> builder(p) -> (J, dJ/dphi, state)
 CIRCUITS = {
     "classical": build_classical_J,
     "tsu11": build_tsu11_J,

@@ -88,10 +88,6 @@ def _build_params(args) -> InterferometerParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _nstr(x, n):
-    return mp.nstr(x, n)
-
-
 def _db4(x):
     """Human summary style: dB rounded to 4 decimals."""
     return "undefined" if x is None else f"{float(x):.4f}"
@@ -108,7 +104,7 @@ def _write_outputs(args, rows, header, sidecar, p):
     sidecar = dict(sidecar)
     sidecar["engine_version"] = __version__
     sidecar["parameters"] = {
-        f.name: (_nstr(getattr(p, f.name), p.precision)
+        f.name: (mp.nstr(getattr(p, f.name), p.precision)
                  if f.name not in ("arms", "precision") else getattr(p, f.name))
         for f in fields(InterferometerParams)
     }
@@ -141,9 +137,9 @@ def cmd_lod(args) -> int:
     rep = report(circuit, p)
     print(f"circuit        : {circuit}")
     with workdps(p.precision):
-        print(f"mean_j         : {_nstr(rep.mean_j, 12)}")
-        print(f"variance       : {_nstr(rep.variance.real, 12)}")
-        print(f"dj_dphi_sq     : {_nstr(rep.dj_dphi_sq, 12)}")
+        print(f"mean_j         : {mp.nstr(rep.mean_j, 12)}")
+        print(f"variance       : {mp.nstr(rep.variance.real, 12)}")
+        print(f"dj_dphi_sq     : {mp.nstr(rep.dj_dphi_sq, 12)}")
     if rep.lod_db is None:
         print("lod_db         : undefined (phase derivative of <J> vanishes)")
         _maybe_write_report(args, rep, circuit, p)
@@ -155,9 +151,9 @@ def cmd_lod(args) -> int:
 def _maybe_write_report(args, rep, circuit, p) -> int:
     rows = [[
         circuit,
-        _nstr(rep.variance.real, p.precision),
-        _nstr(rep.dj_dphi_sq, p.precision),
-        _nstr(rep.lod_db, p.precision) if rep.lod_db is not None else "undefined",
+        mp.nstr(rep.variance.real, p.precision),
+        mp.nstr(rep.dj_dphi_sq, p.precision),
+        mp.nstr(rep.lod_db, p.precision) if rep.lod_db is not None else "undefined",
     ]]
     sidecar = {"command": "lod", "circuit": circuit, "report": rep.to_json_dict()}
     return _write_outputs(args, rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"],
@@ -171,9 +167,9 @@ def cmd_lodi(args) -> int:
     print(f"lod_classical  : {_db4(rep.lod_classical_db)}")
     print(f"lodi_db        : {_db4(rep.lodi_db)}")
     rows = [[
-        _nstr(rep.lod_tsu11_db, p.precision),
-        _nstr(rep.lod_classical_db, p.precision),
-        _nstr(rep.lodi_db, p.precision),
+        mp.nstr(rep.lod_tsu11_db, p.precision),
+        mp.nstr(rep.lod_classical_db, p.precision),
+        mp.nstr(rep.lodi_db, p.precision),
     ]]
     sidecar = {"command": "lodi", **rep.to_json_dict()}
     return _write_outputs(args, rows, ["lod_tsu11_db", "lod_classical_db", "lodi_db"],
@@ -183,16 +179,18 @@ def cmd_lodi(args) -> int:
 def cmd_optimize(args) -> int:
     p = _build_params(args)
     target = args.target or "lodi"
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
     result = optimize_phases(p, target=target, circuit=args.circuit or "tsu11",
                              grid_n=args.grid)
-    print(f"phi_p          : {_nstr(result.phi_p, 8)}")
-    print(f"phi_c          : {_nstr(result.phi_c, 8)}")
+    print(f"phi_p          : {mp.nstr(result.phi_p, 8)}")
+    print(f"phi_c          : {mp.nstr(result.phi_c, 8)}")
     print(f"{target}_db        : {_db4(result.value_db)}")
     print(f"converged      : {result.converged}")
     rows = [[
-        _nstr(result.phi_p, p.precision),
-        _nstr(result.phi_c, p.precision),
-        _nstr(result.value_db, p.precision),
+        mp.nstr(result.phi_p, p.precision),
+        mp.nstr(result.phi_c, p.precision),
+        mp.nstr(result.value_db, p.precision),
     ]]
     sidecar = {
         "command": "optimize",
@@ -200,7 +198,7 @@ def cmd_optimize(args) -> int:
         **result.to_json_dict(p.precision),
     }
     if target == "lodi":
-        sidecar["lodi_db"] = _nstr(result.value_db, p.precision)
+        sidecar["lodi_db"] = mp.nstr(result.value_db, p.precision)
     return _write_outputs(args, rows, ["phi_p", "phi_c", f"{target}_db"], sidecar, p)
 
 
@@ -232,8 +230,8 @@ def cmd_sweep(args) -> int:
     header = [ax.name for ax in axes] + [grid.target, "error"]
     rows = []
     for row in rows_raw:
-        cells = [_nstr(row[ax.name], p.precision) for ax in axes]
-        cells.append("" if row["value"] is None else _nstr(row["value"], p.precision))
+        cells = [mp.nstr(row[ax.name], p.precision) for ax in axes]
+        cells.append("" if row["value"] is None else mp.nstr(row["value"], p.precision))
         cells.append(row["error"])
         rows.append(cells)
     sidecar = {"command": "sweep", "target": grid.target, "circuit": grid.circuit,
@@ -256,15 +254,15 @@ def cmd_vacuum(args) -> int:
         return EXIT_CONFIG
     header = [axes[0].name, axes[1].name, "variance", "error"]
     rows = [
-        [_nstr(r[axes[0].name], p.precision), _nstr(r[axes[1].name], p.precision),
-         _nstr(r["value"], p.precision), r["error"]]
+        [mp.nstr(r[axes[0].name], p.precision), mp.nstr(r[axes[1].name], p.precision),
+         mp.nstr(r["value"], p.precision), r["error"]]
         for r in rows_raw
     ]
     sidecar = {
         "command": "vacuum",
         "axes": [vars(ax) for ax in axes],
         "minima": [
-            {k: _nstr(v, p.precision) for k, v in m.items()} for m in minima
+            {k: mp.nstr(v, p.precision) for k, v in m.items()} for m in minima
         ],
     }
     return _write_outputs(args, rows, header, sidecar, p)

@@ -137,10 +137,9 @@ def factored_expectation(x: OperatorExpr, cutoff: int, state) -> complex:
 # -- high-precision variant for tight operator-identity checks --------------
 
 
-def matrix_of_mp(x: OperatorExpr, cfg: FockConfig, dps: int | None = None):
+def matrix_of_mp(x: OperatorExpr, cfg: FockConfig):
     """Arbitrary-precision matrix of an expression (small instances only)."""
-    dps = dps or x.dps
-    with workdps(dps):
+    with workdps(x.dps):
         dim = cfg.dim
         total = [[mpc(0) for _ in range(dim)] for _ in range(dim)]
         for factors, coeff in x.terms():
@@ -154,10 +153,9 @@ def matrix_of_mp(x: OperatorExpr, cfg: FockConfig, dps: int | None = None):
         return total
 
 
-def apply_mp(x: OperatorExpr, cfg: FockConfig, vec, dps: int | None = None):
+def apply_mp(x: OperatorExpr, cfg: FockConfig, vec):
     """Apply an expression to a vector in arbitrary precision."""
-    dps = dps or x.dps
-    with workdps(dps):
+    with workdps(x.dps):
         out = [mpc(0)] * cfg.dim
         for factors, coeff in x.terms():
             w = [mpc(v) for v in vec]

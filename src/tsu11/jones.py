@@ -39,7 +39,7 @@ def qwp_minus45(dps: int = DEFAULT_DPS) -> matrix:
 def rotator(theta, dps: int = DEFAULT_DPS) -> matrix:
     """Polarization rotation by theta radians."""
     with workdps(dps):
-        t = mpf(theta) if not isinstance(theta, str) else mpf(theta)
+        t = mpf(theta)
         return matrix([[cos(t), sin(t)], [-sin(t), cos(t)]])
 
 

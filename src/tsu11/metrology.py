@@ -17,11 +17,6 @@ from .algebra import OperatorExpr, coherent_expectation, mul
 from .circuits import CIRCUITS, InterferometerParams
 from .jones import sampling_phase
 
-#: extra decimal digits used inside the finite-difference stencil so the
-#: subtraction leaves the full working precision intact
-DERIV_GUARD_DPS = 30
-
-
 class UndefinedLodError(ArithmeticError):
     """The phase derivative of <J> vanishes, so the LOD is undefined."""
 
@@ -84,8 +79,8 @@ class LodiReport:
         }
 
 
-def variance(J: OperatorExpr, state) -> mpc:
-    """<J^2> - <J>^2 with an audit of the imaginary residue.
+def _moments(J: OperatorExpr, state):
+    """(<J>, <J^2>, <J^2> - <J>^2) with an audit of the imaginary residue.
 
     The residue bound is relative to the largest intermediate moment: the
     subtraction cancels magnitudes far above the variance itself.
@@ -99,36 +94,25 @@ def variance(J: OperatorExpr, state) -> mpc:
             raise ConsistencyError(
                 f"variance has imaginary residue {var.imag} at {J.dps} digits"
             )
-        return var
+        return m1, m2, var
 
 
-def _mean_at_phi(builder, p: InterferometerParams, phi, dps):
-    J, state = builder(p, phi=phi, dps=dps)
-    return coherent_expectation(J, state)
+def variance(J: OperatorExpr, state) -> mpc:
+    """<J^2> - <J>^2 with an audit of the imaginary residue."""
+    return _moments(J, state)[2]
 
 
 def dj_dphi_sq(builder, p: InterferometerParams):
-    """|d<J>/dphi|^2 by a five-point central difference at high precision.
+    """|d<J>/dphi|^2 = |<dJ/dphi>|^2 from the builder's exact derivative.
 
-    The step is 10**(-precision/3); the stencil runs with guard digits so
-    the finite-difference cancellation does not consume the working
-    precision.  The transduction slope has unit magnitude, so this also
-    equals |d<J>/dtheta_f|^2.
+    The transduction slope has unit magnitude, so this also equals
+    |d<J>/dtheta_f|^2.
     """
     if isinstance(builder, str):
         builder = CIRCUITS[builder]
-    n = p.precision
-    hi = n + DERIV_GUARD_DPS
-    with workdps(hi):
-        h = mpf(10) ** (-(n // 3))
-        phi0 = sampling_phase(p.theta_f, hi)
-        f1 = _mean_at_phi(builder, p, phi0 + h, hi)
-        f_1 = _mean_at_phi(builder, p, phi0 - h, hi)
-        f2 = _mean_at_phi(builder, p, phi0 + 2 * h, hi)
-        f_2 = _mean_at_phi(builder, p, phi0 - 2 * h, hi)
-        d = (8 * (f1 - f_1) - (f2 - f_2)) / (12 * h)
-    with workdps(n):
-        return abs(d) ** 2
+    _, dJ, state = builder(p)
+    with workdps(p.precision):
+        return abs(coherent_expectation(dJ, state)) ** 2
 
 
 def report(builder, p: InterferometerParams) -> MetrologyReport:
@@ -136,14 +120,9 @@ def report(builder, p: InterferometerParams) -> MetrologyReport:
     if isinstance(builder, str):
         builder = CIRCUITS[builder]
     with workdps(p.precision):
-        J, state = builder(p)
-        m1 = coherent_expectation(J, state)
-        m2 = coherent_expectation(mul(J, J), state)
-        var = m2 - m1 * m1
-        scale = max(abs(m2), abs(m1) ** 2, mpf(1))
-        if abs(var.imag) > scale * mpf(10) ** (-(p.precision - 10)):
-            raise ConsistencyError(f"variance has imaginary residue {var.imag}")
-        dsq = dj_dphi_sq(builder, p)
+        J, dJ, state = builder(p)
+        m1, m2, var = _moments(J, state)
+        dsq = abs(coherent_expectation(dJ, state)) ** 2
         lod = None
         if dsq > 0:
             lod = 10 * log10(sqrt(var.real / dsq))
@@ -170,7 +149,8 @@ def lod_db(builder, p: InterferometerParams):
 
 
 def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport:
-    """Analytic-route report for the canonical circuits (b unseeded).
+    """Analytic-route report for the canonical circuits (b unseeded, and
+    eta_p1 == eta_c1 for the squeezed circuits).
 
     Independent of the operator engine; used to cross-check it.
     """
@@ -179,6 +159,8 @@ def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport
 
     if p.beta != 0:
         raise ValueError("closed forms assume an unseeded conjugate input")
+    if circuit in ("tsu11", "vacuum") and p.eta_p1 != p.eta_c1:
+        raise ValueError("squeezed-circuit closed forms assume eta_p1 == eta_c1")
     with workdps(p.precision):
         phi = sampling_phase(p.theta_f, p.precision)
         if circuit == "classical":

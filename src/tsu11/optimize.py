@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import log10, mp, mpf, pi, sqrt, workdps
+from mpmath import mp, mpf, pi, workdps
 
-from .algebra import coherent_expectation, mul
 from .circuits import CIRCUITS, InterferometerParams
-from .jones import sampling_phase
 from .metrology import (
     UndefinedLodError,
     classical_reference,
@@ -123,32 +121,11 @@ def _lod_objective(p: InterferometerParams, circuit: str, dps: int):
     return f
 
 
-def _lod_objective_coarse(p: InterferometerParams, circuit: str, dps: int):
-    """Grid-seeding objective: three-point derivative, no guard digits.
-
-    Accurate to far below a grid cell's value contrast; the simplex
-    refinement reruns the full-precision route.
-    """
-    builder = CIRCUITS[circuit]
-
-    def f(x):
-        q = p.replace(phi_p=x[0], phi_c=x[1], precision=dps)
-        with workdps(dps):
-            J, state = builder(q, dps=dps)
-            m1 = coherent_expectation(J, state)
-            m2 = coherent_expectation(mul(J, J), state)
-            var = (m2 - m1 * m1).real
-            h = mpf(10) ** (-(dps // 3))
-            phi0 = sampling_phase(q.theta_f, dps)
-            f1, _ = builder(q, phi=phi0 + h, dps=dps)
-            f_1, _ = builder(q, phi=phi0 - h, dps=dps)
-            d = (coherent_expectation(f1, state) - coherent_expectation(f_1, state)) / (2 * h)
-            dsq = abs(d) ** 2
-            if dsq == 0:
-                return mpf("inf")
-            return 10 * log10(sqrt(var / dsq))
-
-    return f
+def _lod_objective_coarse(p: InterferometerParams, circuit: str):
+    """Grid-seeding objective: the LOD at reduced precision, far below a
+    grid cell's value contrast; the simplex refinement reruns at full
+    precision."""
+    return _lod_objective(p, circuit, min(GRID_DPS, p.precision))
 
 
 def optimize_phases(
@@ -168,12 +145,15 @@ def optimize_phases(
     """
     if target not in ("lod", "lodi"):
         raise ValueError(f"unknown optimization target {target!r}")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     offset = mpf(0)
     if target == "lodi":
         ref = classical_reference(p)
-        offset = -ref.lod_db
+        with workdps(p.precision):
+            offset = -ref.lod_db
 
-    coarse = _lod_objective_coarse(p, circuit, min(GRID_DPS, p.precision))
+    coarse = _lod_objective_coarse(p, circuit)
     with workdps(p.precision):
         lo, hi = -pi, pi
         cell = (hi - lo) / grid_n
@@ -276,7 +256,7 @@ def _evaluate_target(grid: SweepGrid, p: InterferometerParams):
         return lod_db(grid.circuit, p)
     if grid.target == "lodi":
         return lodi_db(p).lodi_db
-    J, state = CIRCUITS[grid.circuit](p)
+    J, _, state = CIRCUITS[grid.circuit](p)
     return variance(J, state).real
 
 
@@ -336,7 +316,7 @@ def vacuum_noise_map(
         best = None
         for sv in scan.points(p.precision):
             q = at(at(p, group.name, gv), scan.name, sv)
-            J, state = CIRCUITS["vacuum"](q)
+            J, _, state = CIRCUITS["vacuum"](q)
             var = variance(J, state).real
             rows.append({scan.name: sv, group.name: gv, "value": var, "error": ""})
             if best is None or var < best["value"]:

@@ -173,7 +173,7 @@ def test_criterion_4_closed_form_equivalence():
             p = draw(beta_zero=True)
             phi = sampling_phase(p.theta_f, 60)
 
-            J, state = build_classical_J(p)
+            J, _, state = build_classical_J(p)
             worst = max(worst, rel_diff(
                 coherent_expectation(J, state),
                 classical_mean(state["a"].real, state["b"].real, p.gamma,
@@ -188,7 +188,7 @@ def test_criterion_4_closed_form_equivalence():
                                         p.gamma, p.kappa, phi, phi,
                                         p.phi_p, p.phi_c)))
 
-            J, state = build_tsu11_J(p)
+            J, _, state = build_tsu11_J(p)
             worst = max(worst, rel_diff(coherent_expectation(J, state),
                                         tsu11_mean(p, phi)))
             worst = max(worst, rel_diff(variance(J, state).real,
@@ -197,7 +197,7 @@ def test_criterion_4_closed_form_equivalence():
                                         tsu11_derivative_sq(p, phi)))
 
             pv = p.replace(alpha=0, beta=0)
-            J, state = build_vacuum_J(pv)
+            J, _, state = build_vacuum_J(pv)
             assert coherent_expectation(J, state) == 0
             assert dj_dphi_sq("vacuum", pv) == 0
             worst = max(worst, rel_diff(variance(J, state).real,
@@ -237,7 +237,7 @@ def test_criterion_5_oracle_equivalence():
         eta_p1="0.9", eta_c1="0.9", theta_f="0.02",
         phi_p="0.05", phi_c="-0.03", precision=40,
     )
-    J, state = build_tsu11_J(p)
+    J, _, state = build_tsu11_J(p)
     worst_mini = 0.0
     worst_mini_robust = 0.0
     for expr in (J, mul(J, J)):
@@ -270,7 +270,7 @@ def test_criterion_6_structural_identities():
     with workdps(60):
         # unseeded circuit: expectation vanishes identically
         pv = make_params("paper-start", alpha=0, beta=0)
-        J, state = build_vacuum_J(pv)
+        J, _, state = build_vacuum_J(pv)
         checks.append(("vacuum <J> = 0", coherent_expectation(J, state) == 0))
 
         # classical variance ignores all three phases
@@ -282,7 +282,7 @@ def test_criterion_6_structural_identities():
                 phi_p=str(rng.uniform(-3, 3)),
                 phi_c=str(rng.uniform(-3, 3)),
             )
-            Jc, sc = build_classical_J(p)
+            Jc, _, sc = build_classical_J(p)
             vals.append(variance(Jc, sc).real)
         spread = (max(vals) - min(vals)) / min(vals)
         checks.append(("classical variance phase-free", spread < mpf("1e-40")))

@@ -89,7 +89,7 @@ class TestClassicalCircuit:
         rng = random.Random(41)
         for _ in range(20):
             p = random_params(rng)
-            J, state = build_classical_J(p)
+            J, _, state = build_classical_J(p)
             engine = coherent_expectation(J, state)
             with workdps(p.precision):
                 phi = sampling_phase(p.theta_f, p.precision)
@@ -111,7 +111,7 @@ class TestClassicalCircuit:
                 phi_c=str(rng.uniform(-3, 3)),
                 theta_f=str(rng.uniform(-3, 3)),
             )
-            J, state = build_classical_J(p)
+            J, _, state = build_classical_J(p)
             values.append(variance(J, state).real)
         with workdps(60):
             ref = classical_variance(
@@ -128,7 +128,7 @@ class TestClassicalCircuit:
         # photon-number pieces cancel and only cross beats survive
         p = InterferometerParams(r="0.5", alpha=10, gamma=100, kappa=100,
                                  theta_f="0.01")
-        J, _ = build_classical_J(p)
+        J, _, _ = build_classical_J(p)
         for factors, _c in normal_order(J).terms():
             modes = [m for m, _ in factors]
             assert len(set(modes)) == len(modes), f"diagonal term {factors}"
@@ -136,7 +136,7 @@ class TestClassicalCircuit:
     def test_rescaled_seeds(self):
         p = InterferometerParams(r="0.88", alpha="2e6", gamma="2e8", kappa="2e8",
                                  eta_p1="0.8", eta_c1="0.8")
-        _, state = build_classical_J(p)
+        _, _, state = build_classical_J(p)
         with workdps(60):
             assert rel_diff(state["a"], mpf("2e6") * sqrt(mpf("0.8")) * cosh(mpf("0.88"))) < mpf("1e-50")
             assert rel_diff(state["b"], mpf("2e6") * sqrt(mpf("0.8")) * sinh(mpf("0.88"))) < mpf("1e-50")
@@ -147,7 +147,7 @@ class TestSqueezedCircuit:
         rng = random.Random(47)
         for _ in range(20):
             p = random_params(rng)
-            J, state = build_tsu11_J(p)
+            J, _, state = build_tsu11_J(p)
             engine = coherent_expectation(J, state)
             with workdps(p.precision):
                 ref = tsu11_mean(p, sampling_phase(p.theta_f, p.precision))
@@ -157,7 +157,7 @@ class TestSqueezedCircuit:
         rng = random.Random(53)
         for _ in range(20):
             p = random_params(rng)
-            J, state = build_tsu11_J(p)
+            J, _, state = build_tsu11_J(p)
             engine = variance(J, state)
             with workdps(p.precision):
                 ref = tsu11_variance(p, sampling_phase(p.theta_f, p.precision))
@@ -167,7 +167,7 @@ class TestSqueezedCircuit:
         rng = random.Random(59)
         for _ in range(10):
             p = random_params(rng, arms="probe-only")
-            J, state = build_tsu11_J(p)
+            J, _, state = build_tsu11_J(p)
             with workdps(p.precision):
                 phi = sampling_phase(p.theta_f, p.precision)
                 assert rel_diff(coherent_expectation(J, state), tsu11_mean(p, phi)) < mpf("1e-40")
@@ -177,7 +177,7 @@ class TestSqueezedCircuit:
         rng = random.Random(61)
         for _ in range(5):
             p = random_params(rng, beta_zero=False)
-            J, state = build_su11_J(p.replace(s="0.3", eta_p2="0.9", eta_c2="0.85"))
+            J, _, state = build_su11_J(p.replace(s="0.3", eta_p2="0.9", eta_c2="0.85"))
             assert expr_close(J, adjoint(J), tol="1e-50")
             mean = coherent_expectation(J, state)
             with workdps(p.precision):
@@ -188,8 +188,8 @@ class TestSqueezedCircuit:
             r="0.7", s=0, alpha=100, beta=3, gamma=500, kappa=400,
             eta_p1="0.85", eta_c1="0.85", theta_f="0.2", phi_p="0.3", phi_c="-0.4",
         )
-        J_full, _ = build_su11_J(p)
-        J_trunc, _ = build_tsu11_J(p)
+        J_full, _, _ = build_su11_J(p)
+        J_trunc, _, _ = build_tsu11_J(p)
         assert expr_close(J_full, J_trunc, tol="1e-50")
 
     def test_r0_eta1_matches_classical_unscaled(self):
@@ -199,8 +199,8 @@ class TestSqueezedCircuit:
             r=0, alpha=250, beta=0, gamma=900, kappa=700,
             theta_f="0.15", phi_p="0.2", phi_c="-0.1",
         )
-        J_q, state_q = build_tsu11_J(p)
-        J_c, state_c = build_classical_J(p)
+        J_q, _, state_q = build_tsu11_J(p)
+        J_c, _, state_c = build_classical_J(p)
         assert state_c["a"] == state_q["a"]
         assert state_c["b"] == 0
         with workdps(60):
@@ -213,11 +213,11 @@ class TestSqueezedCircuit:
         # eta = 1: no vacuum-port operators appear
         p = InterferometerParams(r="0.6", alpha=10, gamma=100, kappa=100,
                                  theta_f="0.01")
-        J, _ = build_tsu11_J(p)
+        J, _, _ = build_tsu11_J(p)
         assert set(J.modes()) <= {"a", "b", "g", "h"}
         # eta = 0: the seeded squeezed modes never reach the detectors
         p0 = p.replace(eta_p1=0, eta_c1=0)
-        J0, state0 = build_tsu11_J(p0)
+        J0, _, state0 = build_tsu11_J(p0)
         assert "a" not in J0.modes() and "b" not in J0.modes()
         assert coherent_expectation(J0, state0) == 0
 
@@ -241,7 +241,7 @@ class TestSqueezedCircuit:
         # classical arms after rescaling carry eta alpha^2 cosh^2 r and
         # eta alpha^2 sinh^2 r
         q = p.replace(eta_p1="0.8", eta_c1="0.8")
-        _, state = build_classical_J(q)
+        _, _, state = build_classical_J(q)
         with workdps(60):
             assert rel_diff(state["a"] ** 2, mpf("0.8") * q.alpha**2 * cosh(q.r) ** 2) < mpf("1e-45")
             assert rel_diff(state["b"] ** 2, mpf("0.8") * q.alpha**2 * sinh(q.r) ** 2) < mpf("1e-45")
@@ -252,14 +252,14 @@ class TestVacuumCircuit:
         rng = random.Random(67)
         for _ in range(10):
             p = random_params(rng).replace(alpha=0, beta=0)
-            J, state = build_vacuum_J(p)
+            J, _, state = build_vacuum_J(p)
             assert coherent_expectation(J, state) == 0
 
     def test_variance_matches_reference(self):
         rng = random.Random(71)
         for _ in range(20):
             p = random_params(rng).replace(alpha=0, beta=0)
-            J, state = build_vacuum_J(p)
+            J, _, state = build_vacuum_J(p)
             engine = variance(J, state)
             with workdps(p.precision):
                 ref = vacuum_variance(p, sampling_phase(p.theta_f, p.precision))

@@ -37,6 +37,19 @@ class TestLodCommand:
         assert code == EXIT_CONFIG
 
 
+class TestBadInput:
+    def test_non_finite_parameter_exit_2(self, capsys):
+        for flag, value in (("--r", "nan"), ("--alpha", "inf")):
+            code, _, err = run_cli(capsys, "lod", "--preset", "paper-start", flag, value)
+            assert code == EXIT_CONFIG
+            assert "is not finite" in err
+
+    def test_empty_optimize_grid_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--preset", "paper-start", "--grid", "0")
+        assert code == EXIT_CONFIG
+        assert "--grid must be >= 1" in err
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

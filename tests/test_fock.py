@@ -143,7 +143,7 @@ class TestFactoredOracle:
             eta_p1="0.9", eta_c1="0.9", theta_f="0.02",
             phi_p="0.05", phi_c="-0.03", precision=40,
         )
-        J, state = build_tsu11_J(p)
+        J, _, state = build_tsu11_J(p)
         JJ = mul(J, J)
         for expr in (J, JJ):
             engine = complex(coherent_expectation(expr, state))

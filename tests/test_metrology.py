@@ -9,8 +9,10 @@ from mpmath import mpf, workdps
 from tsu11 import (
     InterferometerParams,
     UndefinedLodError,
+    build_su11_J,
     build_tsu11_J,
     classical_reference,
+    coherent_expectation,
     dj_dphi_sq,
     ladder,
     lod_db,
@@ -22,7 +24,6 @@ from tsu11 import (
     variance,
 )
 from tsu11.closed_form import tsu11_derivative_sq
-from tsu11.metrology import DERIV_GUARD_DPS
 
 from conftest import rel_diff
 from test_circuits import random_params
@@ -64,7 +65,7 @@ class TestVariance:
         )
         samples = []
         for pp in ("0", "0.5", "1.1", "2.0"):
-            J, state = build_tsu11_J(base.replace(phi_p=pp))
+            J, _, state = build_tsu11_J(base.replace(phi_p=pp))
             samples.append(variance(J, state).real)
         with workdps(60):
             spread = max(samples) - min(samples)
@@ -72,7 +73,7 @@ class TestVariance:
         # and with r = 0 the same sweep is flat
         flat = []
         for pp in ("0", "0.5", "1.1", "2.0"):
-            J, state = build_tsu11_J(base.replace(r=0, phi_p=pp))
+            J, _, state = build_tsu11_J(base.replace(r=0, phi_p=pp))
             flat.append(variance(J, state).real)
         with workdps(60):
             assert max(flat) - min(flat) < mpf("1e-30")
@@ -83,10 +84,10 @@ class TestVariance:
             r="0.88", gamma="2e8", kappa="2e8", theta_f="0.001",
             eta_p1="0.9", eta_c1="0.9", phi_p="0.002", phi_c="0",
         )
-        J, state = build_tsu11_J(p)
+        J, _, state = build_tsu11_J(p)
         v_min = variance(J, state).real
         for pp in ("0.01", "-0.02", "0.3"):
-            J2, s2 = build_tsu11_J(p.replace(phi_p=pp))
+            J2, _, s2 = build_tsu11_J(p.replace(phi_p=pp))
             assert variance(J2, s2).real > v_min
 
 
@@ -100,24 +101,29 @@ class TestDerivative:
                 ref = tsu11_derivative_sq(p, sampling_phase(p.theta_f, p.precision))
                 assert rel_diff(engine, ref) < mpf("1e-40")
 
-    def test_step_halving_agreement(self):
-        # five-point stencil at h and h/2 agree far beyond precision/3 digits
-        p = make_params("paper-start")
-        base = dj_dphi_sq("tsu11", p)
+    def test_exact_derivative_matches_theta_stencil(self):
+        # full SU(1,1) chain where no closed form exists (s > 0, seeded b,
+        # unequal losses, unbalanced homodynes): the builder's exact dJ
+        # against a five-point stencil of <J> in theta_f at 90 digits
+        for arms in ("both", "probe-only"):
+            p = InterferometerParams(
+                r="0.88", s="0.3", alpha="2e6", beta="3e5", gamma="2e8", kappa="1.5e8",
+                eta_p1="0.9", eta_c1="0.75", eta_p2="0.95", eta_c2="0.85",
+                eta_p3="0.6", eta_c3="0.45", theta_f="0.001", phi_p="0.3",
+                phi_c="-0.2", arms=arms,
+            )
+            exact = dj_dphi_sq("su11", p)
 
-        from tsu11.circuits import CIRCUITS
-        from tsu11.metrology import _mean_at_phi
+            def mean_at(theta):
+                J, _, state = build_su11_J(p.replace(theta_f=theta, precision=90))
+                return coherent_expectation(J, state)
 
-        n = p.precision
-        with workdps(n + DERIV_GUARD_DPS):
-            h = mpf(10) ** (-(n // 3)) / 2
-            phi0 = sampling_phase(p.theta_f, n + DERIV_GUARD_DPS)
-            builder = CIRCUITS["tsu11"]
-            f = lambda x: _mean_at_phi(builder, p, x, n + DERIV_GUARD_DPS)
-            d = (8 * (f(phi0 + h) - f(phi0 - h)) - (f(phi0 + 2 * h) - f(phi0 - 2 * h))) / (12 * h)
-        with workdps(n):
-            halved = abs(d) ** 2
-            assert rel_diff(base, halved) < mpf(10) ** (-(n // 3))
+            with workdps(90):
+                h = mpf("1e-20")
+                t = p.theta_f
+                d = (8 * (mean_at(t + h) - mean_at(t - h))
+                     - (mean_at(t + 2 * h) - mean_at(t - 2 * h))) / (12 * h)
+                assert rel_diff(exact, abs(d) ** 2) < mpf("1e-50")
 
     def test_vacuum_derivative_zero(self):
         p = make_params("paper-start", alpha=0, beta=0)
@@ -212,6 +218,15 @@ class TestLodi:
         with workdps(60):
             eng = report("vacuum", pv)
             assert rel_diff(eng.variance.real, ana.variance.real) < mpf("1e-40")
+
+    def test_closed_form_refuses_unequal_internal_losses(self):
+        # the squeezed-circuit closed forms use eta_p1 for both arms
+        from tsu11 import closed_form_report
+
+        p = make_params("paper-start", eta_p1="0.9", eta_c1="0.5")
+        for circuit, q in (("tsu11", p), ("vacuum", p.replace(alpha=0))):
+            with pytest.raises(ValueError, match="eta_p1 == eta_c1"):
+                closed_form_report(circuit, q)
 
     def test_classical_reference_phase_choice(self):
         # reference evaluates at phi_p = phi_c = phi, where its derivative

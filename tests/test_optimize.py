@@ -9,6 +9,7 @@ from tsu11 import (
     AxisSpec,
     SweepGrid,
     lod_db,
+    lodi_db,
     make_params,
     nelder_mead,
     optimize_phases,
@@ -43,6 +44,22 @@ def test_optimize_finds_phase_matched_minimum():
 def test_optimize_rejects_unknown_target():
     with pytest.raises(ValueError):
         optimize_phases(make_params("paper-start"), target="variance")
+
+
+def test_optimize_rejects_empty_grid():
+    with pytest.raises(ValueError, match="grid_n"):
+        optimize_phases(make_params("paper-start"), grid_n=0)
+
+
+def test_lodi_value_is_engine_lodi_at_returned_phases():
+    # the classical offset is taken at the working precision, whatever
+    # the caller's ambient precision (the test suite otherwise runs at 60)
+    p = make_params("paper-start")
+    with workdps(15):
+        res = optimize_phases(p, target="lodi", grid_n=4)
+    rep = lodi_db(p.replace(phi_p=res.phi_p, phi_c=res.phi_c))
+    with workdps(p.precision):
+        assert abs(res.value_db - rep.lodi_db) < mpf("1e-40")
 
 
 def test_objective_mirror_symmetry_at_zero_rotation():
