@@ -30,7 +30,6 @@ from .circuits import (
     build_tsu11_J,
     build_vacuum_J,
 )
-from .fock import FockConfig, factored_expectation, matrix_of, oracle_expectation
 from .jones import jones_pipeline, sampling_phase, transduce
 from .metrology import (
     ConsistencyError,
@@ -55,6 +54,18 @@ from .optimize import (
     vacuum_noise_map,
 )
 from .presets import PRESETS, make_params
+
+#: names served by the test-only Fock oracle, which needs numpy; loaded on
+#: first use so that ``import tsu11`` does not import numpy
+_FOCK_NAMES = ("FockConfig", "factored_expectation", "matrix_of", "oracle_expectation")
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DEFAULT_DPS",

@@ -167,13 +167,22 @@ def build_vacuum_J(p: InterferometerParams):
     return build_tsu11_J(p)
 
 
+def classical_seeds(p: InterferometerParams):
+    """Photon-matched classical seeds alpha*sqrt(eta_p1)*cosh(r) and
+    alpha*sqrt(eta_c1)*sinh(r): the mean fields the squeezed circuit puts
+    on its sampled arms."""
+    with workdps(p.precision):
+        return (p.alpha * sqrt(p.eta_p1) * cosh(p.r),
+                p.alpha * sqrt(p.eta_c1) * sinh(p.r))
+
+
 def build_classical_J(p: InterferometerParams):
     """Photon-matched classical benchmark interferometer.
 
-    Seeds are rescaled to alpha*sqrt(eta)*cosh(r) and alpha*sqrt(eta)*sinh(r)
-    so the photon numbers on the sampled arms match the squeezed circuit,
-    then each arm meets its LO on a balanced beamsplitter read out by a
-    balanced detector pair.  Returns (J, dJ, state).
+    Seeds are rescaled by ``classical_seeds`` so the photon numbers on the
+    sampled arms match the squeezed circuit, then each arm meets its LO on
+    a balanced beamsplitter read out by a balanced detector pair.  Returns
+    (J, dJ, state).
     """
     dps = p.precision
     with workdps(dps):
@@ -185,8 +194,7 @@ def build_classical_J(p: InterferometerParams):
         db = b * (i * eb) if both else zero(dps)
         Ja, dJa = _homodyne_difference(a * ea, a * (i * ea), g * exp(i * p.phi_p), 0.5)
         Jb, dJb = _homodyne_difference(b * eb, db, h * exp(i * p.phi_c), 0.5)
-        alpha_eff = p.alpha * sqrt(p.eta_p1) * cosh(p.r)
-        beta_eff = p.alpha * sqrt(p.eta_c1) * sinh(p.r)
+        alpha_eff, beta_eff = classical_seeds(p)
         state = {"a": mpc(alpha_eff), "b": mpc(beta_eff),
                  "g": mpc(p.gamma), "h": mpc(p.kappa)}
     return Ja + Jb, dJa + dJb, state

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from mpmath import log10, mp, mpc, mpf, sqrt, workdps
 
 from .algebra import OperatorExpr, coherent_expectation, mul
-from .circuits import CIRCUITS, InterferometerParams
+from .circuits import ARMS_BOTH, CIRCUITS, InterferometerParams, classical_seeds
 from .jones import sampling_phase
 
 class UndefinedLodError(ArithmeticError):
@@ -155,7 +155,6 @@ def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport
     Independent of the operator engine; used to cross-check it.
     """
     from . import closed_form as cf
-    from .circuits import ARMS_BOTH
 
     if p.beta != 0:
         raise ValueError("closed forms assume an unseeded conjugate input")
@@ -164,10 +163,7 @@ def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport
     with workdps(p.precision):
         phi = sampling_phase(p.theta_f, p.precision)
         if circuit == "classical":
-            from mpmath import cosh, sinh
-
-            a_eff = p.alpha * mp.sqrt(p.eta_p1) * cosh(p.r)
-            b_eff = p.alpha * mp.sqrt(p.eta_c1) * sinh(p.r)
+            a_eff, b_eff = classical_seeds(p)
             phi_b = phi if p.arms == ARMS_BOTH else mpf(0)
             mean = cf.classical_mean(a_eff, b_eff, p.gamma, p.kappa,
                                      phi, phi_b, p.phi_p, p.phi_c)

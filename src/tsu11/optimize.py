@@ -2,18 +2,24 @@
 
 The LOD landscape over the two LO phases is multimodal with shallow
 basins, so optimization seeds a Nelder-Mead simplex from the best cell of
-a coarse grid.  Sweeps evaluate a target quantity over a deterministic
-cartesian grid and never abort on per-point failures.
+a coarse grid.  Both run on an exact interpolant of the landscape: each
+LO mode reaches the detectors only as an annihilator carrying e^{i phi_p}
+or e^{i phi_c} and never passes a squeezer, so var(J) and |d<J>/dphi|^2
+are real trigonometric polynomials of degree <= 2 in each LO phase, fixed
+by engine reports on a 5 x 5 grid of phases.  Sweeps evaluate a target
+quantity over a deterministic cartesian grid and never abort on
+per-point failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, pi, workdps
+from mpmath import log10, mp, mpf, pi, workdps
 
 from .circuits import CIRCUITS, InterferometerParams
 from .metrology import (
+    ConsistencyError,
     UndefinedLodError,
     classical_reference,
     lod_db,
@@ -22,9 +28,16 @@ from .metrology import (
     variance,
 )
 
-#: precision used for coarse-grid seeding; basins are resolved far above
-#: this accuracy and refinement reruns at full precision
-GRID_DPS = 30
+#: digits below the working precision at which the interpolant is trusted;
+#: the engine's <J^2> - <J>^2 cancels about 13 of them at the presets
+CHECK_MARGIN = 15
+
+#: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
+CHECK_PHASES = (1, 2)
+
+
+def _tolerance(dps: int):
+    return mpf(10) ** (CHECK_MARGIN - dps)
 
 
 @dataclass
@@ -36,6 +49,11 @@ class OptResult:
     iterations: int
     evaluations: int
     converged: bool
+    #: what the grid and simplex searched: the engine-checked interpolant
+    route: str = "interpolant"
+    #: -log10 of the relative gap between interpolant and engine LOD at
+    #: the returned phases, capped at the working precision
+    check_digits: float | None = None
 
     def to_json_dict(self, precision: int) -> dict:
         return {
@@ -46,6 +64,8 @@ class OptResult:
             "iterations": self.iterations,
             "evaluations": self.evaluations,
             "converged": self.converged,
+            "route": self.route,
+            "check_digits": self.check_digits,
         }
 
 
@@ -108,12 +128,81 @@ def nelder_mead(f, x0, step, tol=1e-8, max_iter=500):
     return pts[best], vals[best], iters, evals, converged
 
 
-def _lod_objective(p: InterferometerParams, circuit: str, dps: int):
+def _trig_basis(x):
+    """(1, cos x, sin x, cos 2x, sin 2x): the real basis of degree <= 2."""
+    c, s = mp.cos_sin(x)
+    return (mpf(1), c, s, 2 * c * c - 1, 2 * s * c)
+
+
+class PhaseLandscape:
+    """Exact interpolant of var(J) and |d<J>/dphi|^2 over (phi_p, phi_c).
+
+    Engine reports at the 5 x 5 equispaced LO-phase nodes give the
+    coefficients of both trigonometric polynomials by an exact 2-D DFT
+    (5 nodes per axis alias no frequency of degree <= 2).  One report at
+    ``CHECK_PHASES`` must agree with the interpolant to
+    10^-(dps - CHECK_MARGIN) of each quantity's node scale, or
+    ``ConsistencyError`` is raised.
+    """
+
+    def __init__(self, p: InterferometerParams, circuit: str):
+        builder = CIRCUITS[circuit]
+        self.dps = dps = p.precision
+        self.tol = _tolerance(dps)
+        with workdps(dps):
+            nodes = [2 * pi * k / 5 for k in range(5)]
+            reps = [[report(builder, p.replace(phi_p=x, phi_c=y)) for y in nodes]
+                    for x in nodes]
+            # projection of node values onto the basis: rows (1/5, 2/5 ...)
+            weights = (mpf(1) / 5,) + (mpf(2) / 5,) * 4
+            proj = [[w * b for b in col]
+                    for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
+            self._var = self._fit(proj, [[r.variance.real for r in row] for row in reps])
+            self._dsq = self._fit(proj, [[r.dj_dphi_sq for r in row] for row in reps])
+            # the engine rounds var relative to <J^2>, not to var itself
+            flat = [r for row in reps for r in row]
+            self.var_scale = max([abs(r.second_moment) for r in flat] + [mpf(1)])
+            self.dsq_scale = max([r.dj_dphi_sq for r in flat] + [mpf(1)])
+            xc, yc = CHECK_PHASES
+            check = report(builder, p.replace(phi_p=xc, phi_c=yc))
+            var, dsq = self.at(mpf(xc), mpf(yc))
+            gap = max(abs(var - check.variance.real) / self.var_scale,
+                      abs(dsq - check.dj_dphi_sq) / self.dsq_scale)
+            if gap > self.tol:
+                raise ConsistencyError(
+                    f"LO-phase interpolant misses the engine by {mp.nstr(gap, 3)} of "
+                    f"the node scale at phases {CHECK_PHASES} ({dps} digits)"
+                )
+
+    @staticmethod
+    def _fit(proj, values):
+        """Coefficients proj . values . proj^T of the real 2-D basis."""
+        half = [[mp.fdot(row, col) for col in zip(*values)] for row in proj]
+        return [[mp.fdot(h, row) for row in proj] for h in half]
+
+    def at(self, phi_p, phi_c):
+        """(var(J), |d<J>/dphi|^2) at the LO phases."""
+        with workdps(self.dps):
+            u, v = _trig_basis(phi_p), _trig_basis(phi_c)
+            return tuple(mp.fdot(u, [mp.fdot(row, v) for row in coef])
+                         for coef in (self._var, self._dsq))
+
+    def lod(self, x):
+        """LOD in dB at x = (phi_p, phi_c); inf where the derivative is at
+        or below the rounding floor of the largest node derivative."""
+        var, dsq = self.at(*x)
+        if dsq <= self.tol * self.dsq_scale:
+            return mpf("inf")
+        with workdps(self.dps):
+            return 5 * log10(var / dsq)
+
+
+def _lod_objective(p: InterferometerParams, circuit: str):
+    """The engine's LOD at x = (phi_p, phi_c), inf where undefined."""
     builder = CIRCUITS[circuit]
 
     def f(x):
-        q = p.replace(phi_p=x[0], phi_c=x[1], precision=dps)
-        rep = report(builder, q)
+        rep = report(builder, p.replace(phi_p=x[0], phi_c=x[1]))
         if rep.lod_db is None:
             return mpf("inf")
         return rep.lod_db
@@ -122,10 +211,9 @@ def _lod_objective(p: InterferometerParams, circuit: str, dps: int):
 
 
 def _lod_objective_coarse(p: InterferometerParams, circuit: str):
-    """Grid-seeding objective: the LOD at reduced precision, far below a
-    grid cell's value contrast; the simplex refinement reruns at full
-    precision."""
-    return _lod_objective(p, circuit, min(GRID_DPS, p.precision))
+    """Grid and simplex objective: the LOD on the engine-checked
+    interpolant of the LO-phase landscape."""
+    return PhaseLandscape(p, circuit).lod
 
 
 def optimize_phases(
@@ -139,9 +227,13 @@ def optimize_phases(
     """Minimize LOD or LODI over the LO phases (phi_p, phi_c).
 
     A ``grid_n`` x ``grid_n`` coarse grid over [-pi, pi)^2 picks the start
-    cell (evaluated at reduced precision), then a full-precision simplex
-    refines it.  For target "lodi" the classical reference is phase
-    independent, so the same sweep shifted by a constant is optimized.
+    cell and a simplex refines it, both on the interpolated landscape;
+    the engine re-evaluates the chosen cell and the returned phases.
+    Balanced detectors make the landscape invariant under a joint shift
+    of both phases by pi (J -> -J), so grid cells within the interpolant's
+    tolerance of the best one resolve to the smallest |phi_p| + |phi_c|.
+    For target "lodi" the classical reference is phase independent, so
+    the same landscape shifted by a constant is optimized.
     """
     if target not in ("lod", "lodi"):
         raise ValueError(f"unknown optimization target {target!r}")
@@ -157,34 +249,33 @@ def optimize_phases(
     with workdps(p.precision):
         lo, hi = -pi, pi
         cell = (hi - lo) / grid_n
-        best_val, best_xy = None, None
-        evals = 0
-        for i in range(grid_n):
-            x = lo + cell * i
-            for j in range(grid_n):
-                y = lo + cell * j
-                v = coarse((x, y))
-                evals += 1
-                if best_val is None or v < best_val:
-                    best_val, best_xy = v, (x, y)
+        axis = [lo + cell * i for i in range(grid_n)]
+        grid = {(x, y): coarse((x, y)) for x in axis for y in axis}
+        best = min(grid.values())
+        tie = best + _tolerance(p.precision) * abs(best)
+        best_xy = min((xy for xy, v in grid.items() if v <= tie),
+                      key=lambda xy: abs(xy[0]) + abs(xy[1]))
 
-        fine = _lod_objective(p, circuit, p.precision)
-        grid_value = fine(best_xy) + offset
+        fine = _lod_objective(p, circuit)
+        grid_lod = fine(best_xy)
         xy, val, iters, ev2, converged = nelder_mead(
-            fine, best_xy, step=cell, tol=tol, max_iter=max_iter
+            coarse, best_xy, step=cell, tol=tol, max_iter=max_iter
         )
-        value = val + offset
+        lod = fine(xy)
         # refinement starts from the best grid vertex and only improves it
-        if value > grid_value:
-            xy, value = best_xy, grid_value
+        if lod > grid_lod:
+            xy, val, lod = best_xy, grid[best_xy], grid_lod
+        gap = abs(val - lod) / max(abs(lod), 1) if val != lod else 0
+        digits = min(p.precision, -log10(gap)) if gap else p.precision
         return OptResult(
             phi_p=xy[0],
             phi_c=xy[1],
-            value_db=value,
-            grid_value_db=grid_value,
+            value_db=lod + offset,
+            grid_value_db=grid_lod + offset,
             iterations=iters,
-            evaluations=evals + ev2 + 1,
+            evaluations=grid_n * grid_n + ev2 + 1,
             converged=converged,
+            check_digits=round(float(digits), 1),
         )
 
 

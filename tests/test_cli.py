@@ -156,16 +156,23 @@ class TestSweepCommand:
 
 class TestOptimizeCommand:
     def test_sidecar_keys(self, capsys, tmp_path):
-        out = tmp_path / "opt.csv"
-        code, stdout, _ = run_cli(
-            capsys, "optimize", "--preset", "paper-start", "--precision", "40",
-            "--grid", "8", "--out", str(out),
-        )
-        assert code == EXIT_OK
+        blobs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code, stdout, _ = run_cli(
+                capsys, "optimize", "--preset", "paper-start", "--precision", "40",
+                "--grid", "8", "--out", str(out),
+            )
+            assert code == EXIT_OK
+            blobs.append(out.read_bytes() + out.with_suffix(".csv.json").read_bytes())
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
         for key in ("phi_p", "phi_c", "lodi_db", "converged"):
             assert key in sidecar
         assert "converged" in stdout
+        # how the optimum was found, deterministic like every sidecar value
+        assert sidecar["route"] == "interpolant"
+        assert 25 <= sidecar["check_digits"] <= 40
+        assert blobs[0] == blobs[1]
 
 
 class TestVacuumCommand:

@@ -1,6 +1,8 @@
 """Truncated-Fock oracle: matrix representation against the algebra."""
 
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,3 +193,17 @@ class TestHighPrecisionRoute:
     def test_coherent_vector_normalized(self):
         v = coherent_vector(0.9, 25)
         assert abs(np.linalg.norm(v) - 1) < 1e-14
+
+
+def test_oracle_loads_lazily():
+    # numpy is a test-only dependency: importing the package must not
+    # load it, and the oracle's names still resolve from the package
+    code = (
+        "import sys, tsu11\n"
+        "assert 'numpy' not in sys.modules, 'import tsu11 loaded numpy'\n"
+        "from tsu11 import FockConfig\n"
+        "import tsu11.fock\n"
+        "assert FockConfig is tsu11.fock.FockConfig\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,19 +3,23 @@
 import random
 
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mpf, pi, workdps
 
+import tsu11.optimize
 from tsu11 import (
     AxisSpec,
+    ConsistencyError,
     SweepGrid,
     lod_db,
     lodi_db,
     make_params,
     nelder_mead,
     optimize_phases,
+    report,
     run_sweep,
     vacuum_noise_map,
 )
+from tsu11.optimize import PhaseLandscape
 
 from test_metrology import LODI_OPT_ETA1
 
@@ -39,6 +43,81 @@ def test_optimize_finds_phase_matched_minimum():
         assert res.converged
         # never worse than the seeding cell
         assert res.value_db <= res.grid_value_db
+
+
+def test_basin_choice_independent_of_precision():
+    # the landscape is invariant under (phi_p, phi_c) -> (phi_p + pi,
+    # phi_c + pi); rounding dust must not pick the far basin
+    values = {}
+    for dps in (30, 40, 60):
+        p = make_params("paper-start", precision=dps)
+        res = optimize_phases(p, target="lodi", grid_n=16)
+        with workdps(dps):
+            assert abs(res.phi_p - p.theta_f) < mpf("1e-4")
+            assert abs(res.phi_c - p.theta_f) < mpf("1e-4")
+        values[dps] = res.value_db
+    for dps in (30, 40):
+        assert abs(values[dps] - values[60]) < mpf(10) ** (15 - dps)
+
+
+#: parameter points covering every circuit and both arms settings; the
+#: su11 point has s > 0, an unbalanced homodyne, beta != 0 and
+#: eta_p1 != eta_c1
+LANDSCAPE_POINTS = [
+    ("classical", {"arms": "both"}),
+    ("tsu11", {"eta_p1": "0.9", "eta_c1": "0.7", "arms": "probe-only"}),
+    ("su11", {"s": "0.4", "eta_p1": "0.93", "eta_c1": "0.81", "eta_p2": "0.9",
+              "eta_c2": "0.95", "eta_p3": "0.4", "eta_c3": "0.55", "beta": "3e5",
+              "theta_f": "0.3"}),
+    ("su11", {"s": "0.2", "eta_p3": "0.6", "beta": "-2e5", "eta_p1": "0.85",
+              "arms": "probe-only"}),
+    ("vacuum", {"alpha": "0", "eta": "0.9"}),
+]
+
+
+@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
+def test_landscape_is_exact_off_nodes(circuit, overrides):
+    p = make_params("paper-start", **overrides)
+    land = PhaseLandscape(p, circuit)
+    rng = random.Random(11)
+    with workdps(p.precision):
+        for _ in range(5):
+            pp, pc = mpf(rng.uniform(-3, 3)), mpf(rng.uniform(-3, 3))
+            rep = report(circuit, p.replace(phi_p=pp, phi_c=pc))
+            var, dsq = land.at(pp, pc)
+            assert abs(var - rep.variance.real) <= mpf("1e-40") * land.var_scale
+            assert abs(dsq - rep.dj_dphi_sq) <= mpf("1e-40") * land.dsq_scale
+
+
+def test_lod_target_value_is_engine_lod_at_returned_phases():
+    overrides = dict(LANDSCAPE_POINTS[2][1])
+    p = make_params("paper-start", **overrides)
+    res = optimize_phases(p, target="lod", circuit="su11", grid_n=8)
+    rep = report("su11", p.replace(phi_p=res.phi_p, phi_c=res.phi_c))
+    with workdps(p.precision):
+        assert res.value_db == rep.lod_db
+        assert res.value_db <= res.grid_value_db
+    assert res.route == "interpolant" and res.check_digits > 40
+
+
+def test_perturbed_node_raises_consistency_error(monkeypatch):
+    calls = []
+
+    def perturbed_once(builder, q):
+        rep = report(builder, q)
+        if not calls:
+            with workdps(q.precision):
+                rep.variance *= 1 + mpf("1e-20")
+        calls.append(q)
+        return rep
+
+    monkeypatch.setattr(tsu11.optimize, "report", perturbed_once)
+    with pytest.raises(ConsistencyError, match="interpolant"):
+        optimize_phases(make_params("paper-start"), grid_n=4)
+    # the failure comes from the self-check, before any grid evaluation
+    assert len(calls) == 5 * 5 + 1
+    with workdps(60):
+        assert {q.phi_p for q in calls[:25]} == {2 * pi * k / 5 for k in range(5)}
 
 
 def test_optimize_rejects_unknown_target():
