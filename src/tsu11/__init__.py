@@ -14,6 +14,7 @@ from .algebra import (
     PrecisionMismatch,
     adjoint,
     coherent_expectation,
+    coherent_moments,
     identity,
     ladder,
     mul,
@@ -73,6 +74,7 @@ __all__ = [
     "PrecisionMismatch",
     "adjoint",
     "coherent_expectation",
+    "coherent_moments",
     "identity",
     "ladder",
     "mul",

@@ -18,18 +18,22 @@ points.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Mapping
 
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mp, mpc, workdps
 
 #: (mode label, dagger flag); dagger=True is a creation operator.
 Factor = tuple[str, bool]
 
 DEFAULT_DPS = 60
 
-# Coefficients smaller than max|c| * 10**(-dps + ZERO_MARGIN) are rounding
-# dust from cancellations and are dropped during canonical merge.
+# Coefficients more than dps - ZERO_MARGIN decimal digits below the largest
+# one are rounding dust from cancellations and are dropped during canonical
+# merge (see _merge).
 ZERO_MARGIN = 5
+_LOG2_10 = math.log2(10)
+_NO_BITS = float("-inf")
 
 
 class PrecisionMismatch(ValueError):
@@ -65,22 +69,27 @@ def _reorder(factors: tuple[Factor, ...]) -> tuple[tuple[tuple[Factor, ...], int
     return ((ordered, 1),)
 
 
-def _mag(c: mpc):
-    # magnitude proxy within sqrt(2) of |c|; avoids a square root per
-    # coefficient and is plenty accurate for rounding-dust removal
-    return abs(c.real) + abs(c.imag)
+def _top_bit(c: mpc):
+    """Binary exponent of the leading bit of max(|re|, |im|); -inf for 0."""
+    # an mpf tuple is (sign, mantissa, exponent, bit count of the mantissa)
+    (_, re_man, re_exp, re_bc), (_, im_man, im_exp, im_bc) = c._mpc_
+    top = re_exp + re_bc if re_man else _NO_BITS
+    if im_man and im_exp + im_bc > top:
+        top = im_exp + im_bc
+    return top
 
 
 def _merge(raw: dict[tuple[Factor, ...], mpc], dps: int) -> dict[tuple[Factor, ...], mpc]:
-    """Drop negligible coefficients relative to the largest one."""
-    if not raw:
+    """Drop coefficients whose leading bit lies more than
+    (dps - ZERO_MARGIN) decimal digits' worth of bits below the largest
+    one's, and exact zeros.  Reads the binary exponents of the mpmath
+    values directly, so no arithmetic is done."""
+    tops = [_top_bit(c) for c in raw.values()]
+    largest = max(tops, default=_NO_BITS)
+    if largest == _NO_BITS:
         return {}
-    with workdps(dps):
-        largest = max(_mag(c) for c in raw.values())
-        if largest == 0:
-            return {}
-        floor = largest * mpf(10) ** (-dps + ZERO_MARGIN)
-        return {k: c for k, c in raw.items() if _mag(c) > floor}
+    cut = largest - int((dps - ZERO_MARGIN) * _LOG2_10)
+    return {k: c for (k, c), top in zip(raw.items(), tops) if top >= cut}
 
 
 class OperatorExpr:
@@ -284,3 +293,67 @@ def coherent_expectation(x: OperatorExpr, state: Mapping[str, object]) -> mpc:
             if val is not None:
                 total += val
         return total
+
+
+@functools.lru_cache(maxsize=None)
+def _fock_norm(modes: tuple[str, ...]) -> int:
+    """<0| a^M a'^M |0> = prod over modes m of n_m! for a mode multiset M."""
+    return math.prod(math.factorial(modes.count(m)) for m in set(modes))
+
+
+def _displace(table: dict, ops: tuple[str, ...], weight: mpc, amp: Mapping[str, mpc]) -> None:
+    """Add weight * prod over ops of (op + amp[op]) to ``table``, keyed by
+    the sorted labels of the operators kept; absent modes have amplitude 0."""
+    partial = {(): weight}
+    for m in ops:
+        a = amp.get(m)
+        nxt: dict[tuple[str, ...], mpc] = {}
+        for key, w in partial.items():
+            kept = key + (m,)
+            nxt[kept] = nxt[kept] + w if kept in nxt else w
+            if a:
+                nxt[key] = nxt[key] + w * a if key in nxt else w * a
+        partial = nxt
+    for key, w in partial.items():
+        table[key] = table[key] + w if key in table else w
+
+
+def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc, mpc]:
+    """(<x>, <x.x> - <x>^2) over a product of coherent states, exactly.
+
+    The displacement a -> a + state[a] maps the coherent state to the
+    vacuum.  Each normal-ordered term c * (creators)(annihilators) of x
+    then feeds two tables keyed by mode multisets M: ``cre[M]``, with
+    every annihilator replaced by its amplitude and each subset M of the
+    creators kept as operators (the other creators become conjugate
+    amplitudes), and ``ann[M]``, its mirror image.  On the vacuum only the
+    pure-annihilation part of the left x and the pure-creation part of
+    the right x survive in x.x, and distinct creation monomials are
+    orthogonal Fock states, so
+
+        <x> = cre[()],   var = sum over M != () of cre[M] ann[M] prod n_m!.
+
+    No product x.x is formed and nothing cancels; Hermiticity is not
+    assumed.  ``state`` maps mode labels to amplitudes, absent modes are
+    vacuum.
+    """
+    with workdps(x.dps):
+        amp = {m: mpc(v) for m, v in state.items()}
+        amp_conj = {m: a.conjugate() for m, a in amp.items()}
+        cre: dict[tuple[str, ...], mpc] = {}
+        ann: dict[tuple[str, ...], mpc] = {}
+        for fac, c in normal_order(x).terms():
+            n_cre = sum(d for _, d in fac)
+            creators = tuple(m for m, _ in fac[:n_cre])
+            annihilators = tuple(m for m, _ in fac[n_cre:])
+            to_cre = math.prod((amp.get(m, 0) for m in annihilators), start=c)
+            to_ann = math.prod((amp_conj.get(m, 0) for m in creators), start=c)
+            if to_cre:
+                _displace(cre, creators, to_cre, amp_conj)
+            if to_ann:
+                _displace(ann, annihilators, to_ann, amp)
+        var = mpc(0)
+        for key, c in cre.items():
+            if key and key in ann:
+                var += c * ann[key] * _fock_norm(key)
+        return cre.get((), mpc(0)), var

@@ -33,6 +33,9 @@ EXIT_UNDEFINED = 3
 
 _PARAM_FIELDS = tuple(f.name for f in fields(InterferometerParams))
 
+OPTIMIZE_TARGETS = ("lod", "lodi")
+SWEEP_TARGETS = ("lod", "lodi", "variance")
+
 
 class ConfigError(Exception):
     pass
@@ -179,10 +182,16 @@ def cmd_lodi(args) -> int:
 def cmd_optimize(args) -> int:
     p = _build_params(args)
     target = args.target or "lodi"
+    circuit = args.circuit or "tsu11"
+    if circuit not in CIRCUITS:
+        raise ConfigError(f"unknown circuit {circuit!r}")
+    if target not in OPTIMIZE_TARGETS:
+        raise ConfigError(f"optimize target must be one of {OPTIMIZE_TARGETS}, got {target!r}")
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    result = optimize_phases(p, target=target, circuit=args.circuit or "tsu11",
-                             grid_n=args.grid)
+    if circuit == "vacuum":
+        p = p.replace(alpha=0, beta=0)
+    result = optimize_phases(p, target=target, circuit=circuit, grid_n=args.grid)
     print(f"phi_p          : {mp.nstr(result.phi_p, 8)}")
     print(f"phi_c          : {mp.nstr(result.phi_c, 8)}")
     print(f"{target}_db        : {_db4(result.value_db)}")
@@ -303,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=extra)
         _add_common(sub)
         if name in ("optimize", "sweep"):
-            sub.add_argument("--target", choices=["lod", "lodi", "variance"],
+            sub.add_argument("--target",
+                             choices=OPTIMIZE_TARGETS if name == "optimize" else SWEEP_TARGETS,
                              help="quantity to optimize or sweep")
         if name == "optimize":
             sub.add_argument("--grid", type=int, default=64,

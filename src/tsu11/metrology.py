@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from mpmath import log10, mp, mpc, mpf, sqrt, workdps
 
-from .algebra import OperatorExpr, coherent_expectation, mul
+from .algebra import OperatorExpr, coherent_expectation, coherent_moments
+# the benchmark's tracer self-test checks that this binding is restored
+from .algebra import mul  # noqa: F401
 from .circuits import ARMS_BOTH, CIRCUITS, InterferometerParams, classical_seeds
 from .jones import sampling_phase
 
@@ -80,15 +82,16 @@ class LodiReport:
 
 
 def _moments(J: OperatorExpr, state):
-    """(<J>, <J^2>, <J^2> - <J>^2) with an audit of the imaginary residue.
+    """(<J>, <J^2>, var J) with an audit of the imaginary residue of var J.
 
-    The residue bound is relative to the largest intermediate moment: the
-    subtraction cancels magnitudes far above the variance itself.
+    ``coherent_moments`` takes var J on the displaced vacuum, so nothing
+    cancels and <J^2> = var J + <J>^2 is formed only for the report.  The
+    residue bound is relative to <J^2>, which for Hermitian J is the sum
+    of the magnitudes the kernel adds.
     """
     with workdps(J.dps):
-        m1 = coherent_expectation(J, state)
-        m2 = coherent_expectation(mul(J, J), state)
-        var = m2 - m1 * m1
+        m1, var = coherent_moments(J, state)
+        m2 = var + m1 * m1
         scale = max(abs(m2), abs(m1) ** 2, mpf(1))
         if abs(var.imag) > scale * mpf(10) ** (-(J.dps - 10)):
             raise ConsistencyError(
@@ -98,7 +101,8 @@ def _moments(J: OperatorExpr, state):
 
 
 def variance(J: OperatorExpr, state) -> mpc:
-    """<J^2> - <J>^2 with an audit of the imaginary residue."""
+    """var J = <J.J> - <J>^2 from the displaced vacuum, without forming
+    J.J, with an audit of the imaginary residue."""
     return _moments(J, state)[2]
 
 

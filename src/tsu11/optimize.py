@@ -28,8 +28,8 @@ from .metrology import (
     variance,
 )
 
-#: digits below the working precision at which the interpolant is trusted;
-#: the engine's <J^2> - <J>^2 cancels about 13 of them at the presets
+#: digits below the working precision at which the interpolant is trusted:
+#: room for the rounding of the DFT and of the engine's own node values
 CHECK_MARGIN = 15
 
 #: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
@@ -159,7 +159,8 @@ class PhaseLandscape:
                     for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
             self._var = self._fit(proj, [[r.variance.real for r in row] for row in reps])
             self._dsq = self._fit(proj, [[r.dj_dphi_sq for r in row] for row in reps])
-            # the engine rounds var relative to <J^2>, not to var itself
+            # var is checked relative to the largest node <J^2> = var + <J>^2,
+            # a scale at least that of the largest node var
             flat = [r for row in reps for r in row]
             self.var_scale = max([abs(r.second_moment) for r in flat] + [mpf(1)])
             self.dsq_scale = max([r.dj_dphi_sq for r in flat] + [mpf(1)])
@@ -233,7 +234,9 @@ def optimize_phases(
     of both phases by pi (J -> -J), so grid cells within the interpolant's
     tolerance of the best one resolve to the smallest |phi_p| + |phi_c|.
     For target "lodi" the classical reference is phase independent, so
-    the same landscape shifted by a constant is optimized.
+    the same landscape shifted by a constant is optimized.  Raises
+    ``UndefinedLodError`` when the classical reference or the engine LOD
+    at the chosen cell is undefined.
     """
     if target not in ("lod", "lodi"):
         raise ValueError(f"unknown optimization target {target!r}")
@@ -242,6 +245,9 @@ def optimize_phases(
     offset = mpf(0)
     if target == "lodi":
         ref = classical_reference(p)
+        if ref.lod_db is None:
+            raise UndefinedLodError("classical reference LOD undefined: the phase "
+                                    "derivative of its <J> vanishes")
         with workdps(p.precision):
             offset = -ref.lod_db
 
@@ -258,6 +264,11 @@ def optimize_phases(
 
         fine = _lod_objective(p, circuit)
         grid_lod = fine(best_xy)
+        if grid_lod == mpf("inf"):
+            raise UndefinedLodError(
+                f"{circuit} LOD undefined at the best grid cell: the phase "
+                "derivative of <J> vanishes"
+            )
         xy, val, iters, ev2, converged = nelder_mead(
             coarse, best_xy, step=cell, tol=tol, max_iter=max_iter
         )

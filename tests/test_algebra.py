@@ -1,21 +1,29 @@
 """Unit tests for the ladder-operator algebra."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpc, mpf, workdps
+from mpmath import mpc, mpf, sqrt, workdps
 
 from tsu11 import (
+    ConsistencyError,
+    InterferometerParams,
     OperatorExpr,
     PrecisionMismatch,
     adjoint,
+    build_tsu11_J,
     coherent_expectation,
+    coherent_moments,
+    factored_expectation,
     identity,
     ladder,
     mul,
     normal_order,
+    variance,
 )
+from tsu11.algebra import ZERO_MARGIN
 
 from conftest import random_expr, random_state
 
@@ -148,6 +156,70 @@ class TestCoherentExpectation:
         assert abs(lhs - rhs) < mpf("1e-40")
 
 
+class TestCoherentMoments:
+    def test_squared_photon_number(self):
+        # x = (a'a)^2 on |3>: var = <n^4> - <n^2>^2 of a Poisson law with
+        # mean 9, i.e. 11511 - 90^2
+        n = mul(ladder("a", dagger=True), ladder("a"))
+        mean, var = coherent_moments(mul(n, n), {"a": 3})
+        assert mean == 90
+        assert var == 3411
+
+    def test_non_hermitian_variance_is_refused(self):
+        # x = (1+i) a'a on |2>: <x.x> - <x>^2 = (1+i)^2 * 4 = 8i
+        x = mul(ladder("a", dagger=True), ladder("a")).scaled(mpc(1, 1))
+        mean, var = coherent_moments(x, {"a": 2})
+        assert (mean, var) == (mpc(4, 4), mpc(0, 8))
+        with pytest.raises(ConsistencyError):
+            variance(x, {"a": 2})
+
+    def test_vacuum_and_absent_modes(self):
+        # a.a' = a'a + 1 has mean 1 and no fluctuation on the vacuum;
+        # b + b' of the absent mode b adds unit variance
+        x = mul(ladder("a"), ladder("a", dagger=True)) + ladder("b") + ladder("b", True)
+        assert coherent_moments(x, {}) == (1, 1)
+
+    def test_miniature_squeezed_circuit_matches_fock_oracle(self):
+        p = InterferometerParams(
+            r="0.4", alpha="0.3", beta=0, gamma="0.8", kappa="0.8",
+            eta_p1="0.9", eta_c1="0.9", theta_f="0.02",
+            phi_p="0.05", phi_c="-0.03", precision=40,
+        )
+        J, _, state = build_tsu11_J(p)
+        mean, var = coherent_moments(J, state)
+        o1 = factored_expectation(J, 26, state)
+        o2 = factored_expectation(mul(J, J), 26, state)
+        assert abs(complex(mean) - o1) < 1e-8
+        assert abs(complex(var) - (o2 - o1 * o1)) < 1e-7
+
+
+class TestDustFilter:
+    """_merge drops a coefficient whose leading bit lies more than
+    floor((dps - ZERO_MARGIN) * log2(10)) bits below the largest one's."""
+
+    @pytest.mark.parametrize("dps", [30, 40, 60])
+    def test_cut_at_the_bit_budget(self, dps):
+        bits = math.floor((dps - ZERO_MARGIN) * math.log2(10))
+        with workdps(dps):
+            big = mpf(3) * 2**10  # leading bit at 2^11
+            at_cut = mpf(2) ** (11 - bits)  # leading bit exactly `bits` below
+            below = at_cut * (1 - mpf(2) ** -20)  # one bit further down
+            for c, kept in ((at_cut, True), (below, False),
+                            (mpc(below, at_cut), True), (mpc(0, below), False)):
+                x = OperatorExpr({(): big, (("a", False),): c}, dps=dps)
+                assert (len(x) == 2) is kept, (c, kept)
+
+    def test_exact_zeros_and_cancellation_dust_dropped(self):
+        assert len(OperatorExpr({(): 1, (("a", False),): 0})) == 1
+        assert OperatorExpr({(): 0, (("a", False),): mpc(0)}).is_zero()
+        # sqrt(2) * sqrt(2) - 2 leaves a rounding residue near 1e-41
+        with workdps(40):
+            r2 = sqrt(mpf(2))
+            assert r2 * r2 != 2
+        x = ladder("a", dps=40) + identity(r2, dps=40).scaled(r2) - identity(2, dps=40)
+        assert list(term_dict(x)) == [(("a", False),)]
+
+
 # hypothesis property sweeps over machine-generated expressions
 
 factor_st = st.tuples(st.sampled_from(["a", "b"]), st.booleans())
@@ -180,6 +252,32 @@ def test_expectation_conjugation_property(x, alpha):
     lhs = coherent_expectation(adjoint(x), s)
     rhs = coherent_expectation(x, s).conjugate()
     assert abs(lhs - rhs) < mpf("1e-25")
+
+
+mode3_term_st = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.booleans()), max_size=4
+).map(tuple)
+amp_st = st.one_of(
+    st.just(0), st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(mode3_term_st, coeff_st, min_size=1, max_size=4).map(
+        lambda d: OperatorExpr(d, dps=40)),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), amp_st),
+)
+def test_coherent_moments_match_product_route_property(x, state):
+    # the displaced-vacuum kernel against <x>, <x.x> - <x>^2 taken from
+    # mul and coherent_expectation; modes missing from state are vacuum
+    mean, var = coherent_moments(x, state)
+    with workdps(40):
+        m1 = coherent_expectation(x, state)
+        m2 = coherent_expectation(mul(x, x), state)
+        scale = max(abs(m2), abs(m1) ** 2, 1)
+        assert abs(mean - m1) <= mpf("1e-30") * max(abs(m1), 1)
+        assert abs(var - (m2 - m1 * m1)) <= mpf("1e-30") * scale
 
 
 class TestSerialization:

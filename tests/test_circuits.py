@@ -6,6 +6,7 @@ import pytest
 from mpmath import cosh, mpf, sinh, sqrt, workdps
 
 from tsu11 import (
+    CIRCUITS,
     InterferometerParams,
     adjoint,
     build_classical_J,
@@ -14,6 +15,7 @@ from tsu11 import (
     build_vacuum_J,
     coherent_expectation,
     ladder,
+    make_params,
     mul,
     normal_order,
     sampling_phase,
@@ -264,3 +266,24 @@ class TestVacuumCircuit:
             with workdps(p.precision):
                 ref = vacuum_variance(p, sampling_phase(p.theta_f, p.precision))
                 assert rel_diff(engine.real, ref) < mpf("1e-40")
+
+
+#: (len(J), len(dJ)) per circuit: the terms the rounding-dust filter keeps
+TERM_COUNTS = {
+    "paper-start": {"classical": (4, 4), "tsu11": (8, 8), "su11": (8, 8), "vacuum": (8, 8)},
+    "su11-point": {"classical": (4, 4), "tsu11": (12, 8), "su11": (72, 40),
+                   "vacuum": (12, 8)},
+}
+
+
+@pytest.mark.parametrize("point", sorted(TERM_COUNTS))
+def test_term_counts_pinned(point):
+    p = make_params("paper-start")
+    if point == "su11-point":
+        p = make_params("paper-start", s="0.3", beta="1e5", eta_p1="0.9", eta_c1="0.95",
+                        eta_p2="0.93", eta_c2="0.97", eta_p3="0.45", eta_c3="0.55",
+                        phi_p="0.3", phi_c="-0.7")
+    for name, builder in CIRCUITS.items():
+        q = p.replace(alpha=0, beta=0) if name == "vacuum" else p
+        J, dJ, _ = builder(q)
+        assert (len(J), len(dJ)) == TERM_COUNTS[point][name], name

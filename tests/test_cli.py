@@ -50,6 +50,39 @@ class TestBadInput:
         assert "--grid must be >= 1" in err
 
 
+class TestOptimizeEndsCleanly:
+    """optimize exits 2 or 3 where it would end in a traceback or +inf."""
+
+    def test_vacuum_circuit_drops_preset_seeds(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--circuit", "vacuum",
+                               "--preset", "paper-start", "--grid", "2")
+        assert code == EXIT_UNDEFINED
+        assert "classical reference" in err
+
+    def test_variance_target_exit_2(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "optimize", "--preset", "paper-start",
+                             "--target", "variance", "--grid", "2")
+        assert code == EXIT_CONFIG
+        conf = tmp_path / "run.conf"
+        conf.write_text("preset = paper-start\ntarget = variance\n")
+        code, _, err = run_cli(capsys, "optimize", "--config", str(conf), "--grid", "2")
+        assert code == EXIT_CONFIG
+        assert "optimize target" in err
+
+    def test_unseeded_lodi_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--preset", "paper-start",
+                               "--alpha", "0", "--grid", "2")
+        assert code == EXIT_UNDEFINED
+        assert "classical reference LOD undefined" in err
+
+    def test_unseeded_vacuum_lod_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--circuit", "vacuum", "--alpha", "0",
+                                 "--target", "lod", "--grid", "2")
+        assert code == EXIT_UNDEFINED
+        assert "inf" not in out
+        assert "best grid cell" in err
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

@@ -12,6 +12,7 @@ from tsu11 import (
     build_su11_J,
     build_tsu11_J,
     classical_reference,
+    closed_form_report,
     coherent_expectation,
     dj_dphi_sq,
     ladder,
@@ -236,3 +237,18 @@ class TestLodi:
         for pp, pc in (("0", "0"), ("0.3", "-0.2"), ("1.0", "1.0")):
             other = report("classical", p.replace(phi_p=pp, phi_c=pc))
             assert ref.lod_db <= other.lod_db + mpf("1e-30")
+
+
+@pytest.mark.parametrize("amp, dps, tol", [
+    ("1e9", 60, "1e-55"),
+    ("1e12", 60, "1e-55"),
+    ("1e12", 30, "1e-25"),
+])
+def test_variance_keeps_full_precision_at_large_amplitudes(amp, dps, tol):
+    # seed and LO amplitudes all at amp: <J^2> - <J>^2 would cancel about
+    # 2 log10(amp) digits, the displaced-vacuum kernel cancels none
+    p = make_params("paper-start", alpha=amp, gamma=amp, kappa=amp, precision=dps)
+    J, _, state = build_tsu11_J(p)
+    got = variance(J, state)
+    want = closed_form_report("tsu11", p).variance
+    assert rel_diff(got, want) < mpf(tol)

@@ -10,6 +10,7 @@ from tsu11 import (
     AxisSpec,
     ConsistencyError,
     SweepGrid,
+    UndefinedLodError,
     lod_db,
     lodi_db,
     make_params,
@@ -123,6 +124,16 @@ def test_perturbed_node_raises_consistency_error(monkeypatch):
 def test_optimize_rejects_unknown_target():
     with pytest.raises(ValueError):
         optimize_phases(make_params("paper-start"), target="variance")
+
+
+def test_optimize_refuses_undefined_lod():
+    # unseeded: the classical reference has no LOD, nor does the vacuum
+    # circuit at any LO phases
+    p = make_params("paper-start", alpha=0, precision=30)
+    with pytest.raises(UndefinedLodError, match="classical reference"):
+        optimize_phases(p, target="lodi", grid_n=2)
+    with pytest.raises(UndefinedLodError, match="best grid cell"):
+        optimize_phases(p, target="lod", circuit="vacuum", grid_n=2)
 
 
 def test_optimize_rejects_empty_grid():
