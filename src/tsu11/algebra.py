@@ -302,8 +302,9 @@ def _fock_norm(modes: tuple[str, ...]) -> int:
 
 
 def _displace(table: dict, ops: tuple[str, ...], weight: mpc, amp: Mapping[str, mpc]) -> None:
-    """Add weight * prod over ops of (op + amp[op]) to ``table``, keyed by
-    the sorted labels of the operators kept; absent modes have amplitude 0."""
+    """Add the operator part of weight * prod over ops of (op + amp[op]) to
+    ``table``, keyed by the sorted labels of the operators kept (at least
+    one); absent modes have amplitude 0."""
     partial = {(): weight}
     for m in ops:
         a = amp.get(m)
@@ -315,7 +316,8 @@ def _displace(table: dict, ops: tuple[str, ...], weight: mpc, amp: Mapping[str, 
                 nxt[key] = nxt[key] + w * a if key in nxt else w * a
         partial = nxt
     for key, w in partial.items():
-        table[key] = table[key] + w if key in table else w
+        if key:
+            table[key] = table[key] + w if key in table else w
 
 
 def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc, mpc]:
@@ -323,19 +325,20 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc,
 
     The displacement a -> a + state[a] maps the coherent state to the
     vacuum.  Each normal-ordered term c * (creators)(annihilators) of x
-    then feeds two tables keyed by mode multisets M: ``cre[M]``, with
-    every annihilator replaced by its amplitude and each subset M of the
-    creators kept as operators (the other creators become conjugate
+    then feeds two tables keyed by non-empty mode multisets M: ``cre[M]``,
+    with every annihilator replaced by its amplitude and each subset M of
+    the creators kept as operators (the other creators become conjugate
     amplitudes), and ``ann[M]``, its mirror image.  On the vacuum only the
     pure-annihilation part of the left x and the pure-creation part of
     the right x survive in x.x, and distinct creation monomials are
     orthogonal Fock states, so
 
-        <x> = cre[()],   var = sum over M != () of cre[M] ann[M] prod n_m!.
+        var = sum over M of cre[M] ann[M] prod n_m!.
 
-    No product x.x is formed and nothing cancels; Hermiticity is not
-    assumed.  ``state`` maps mode labels to amplitudes, absent modes are
-    vacuum.
+    The constant term left out of both tables is <x>, which is taken by
+    ``coherent_expectation``, the engine's one route to a mean.  No
+    product x.x is formed and nothing cancels; Hermiticity is not assumed.
+    ``state`` maps mode labels to amplitudes, absent modes are vacuum.
     """
     with workdps(x.dps):
         amp = {m: mpc(v) for m, v in state.items()}
@@ -354,6 +357,6 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc,
                 _displace(ann, annihilators, to_ann, amp)
         var = mpc(0)
         for key, c in cre.items():
-            if key and key in ann:
+            if key in ann:
                 var += c * ann[key] * _fock_norm(key)
-        return cre.get((), mpc(0)), var
+        return coherent_expectation(x, state), var

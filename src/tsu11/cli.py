@@ -24,7 +24,15 @@ from mpmath import mp, workdps
 from . import __version__
 from .circuits import CIRCUITS, InterferometerParams
 from .metrology import UndefinedLodError, lodi_db, report
-from .optimize import AxisSpec, SweepGrid, optimize_phases, run_sweep, vacuum_noise_map
+from .optimize import (
+    OPTIMIZE_TARGETS,
+    SWEEP_TARGETS,
+    AxisSpec,
+    SweepGrid,
+    optimize_phases,
+    run_sweep,
+    vacuum_noise_map,
+)
 from .presets import PARAM_ALIASES, PRESETS, make_params
 
 EXIT_OK = 0
@@ -32,9 +40,6 @@ EXIT_CONFIG = 2
 EXIT_UNDEFINED = 3
 
 _PARAM_FIELDS = tuple(f.name for f in fields(InterferometerParams))
-
-OPTIMIZE_TARGETS = ("lod", "lodi")
-SWEEP_TARGETS = ("lod", "lodi", "variance")
 
 
 class ConfigError(Exception):
@@ -127,16 +132,19 @@ def _write_outputs(args, rows, header, sidecar, p):
     return EXIT_OK
 
 
+def _unseed_vacuum(p: InterferometerParams, circuit: str) -> InterferometerParams:
+    """The vacuum circuit is by definition unseeded; presets may carry
+    nonzero seeds for the other circuits."""
+    return p.replace(alpha=0, beta=0) if circuit == "vacuum" else p
+
+
 def cmd_lod(args) -> int:
     p = _build_params(args)
     circuit = args.circuit or "tsu11"
     if circuit not in CIRCUITS:
         print(f"error: unknown circuit {circuit!r}", file=sys.stderr)
         return EXIT_CONFIG
-    if circuit == "vacuum":
-        # the vacuum circuit is by definition unseeded; presets may carry
-        # nonzero seeds for the other circuits
-        p = p.replace(alpha=0, beta=0)
+    p = _unseed_vacuum(p, circuit)
     rep = report(circuit, p)
     print(f"circuit        : {circuit}")
     with workdps(p.precision):
@@ -189,8 +197,7 @@ def cmd_optimize(args) -> int:
         raise ConfigError(f"optimize target must be one of {OPTIMIZE_TARGETS}, got {target!r}")
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    if circuit == "vacuum":
-        p = p.replace(alpha=0, beta=0)
+    p = _unseed_vacuum(p, circuit)
     result = optimize_phases(p, target=target, circuit=circuit, grid_n=args.grid)
     print(f"phi_p          : {mp.nstr(result.phi_p, 8)}")
     print(f"phi_c          : {mp.nstr(result.phi_c, 8)}")

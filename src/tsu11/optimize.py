@@ -32,6 +32,9 @@ from .metrology import (
 #: room for the rounding of the DFT and of the engine's own node values
 CHECK_MARGIN = 15
 
+OPTIMIZE_TARGETS = ("lod", "lodi")
+SWEEP_TARGETS = ("lod", "lodi", "variance")
+
 #: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
 CHECK_PHASES = (1, 2)
 
@@ -238,7 +241,7 @@ def optimize_phases(
     ``UndefinedLodError`` when the classical reference or the engine LOD
     at the chosen cell is undefined.
     """
-    if target not in ("lod", "lodi"):
+    if target not in OPTIMIZE_TARGETS:
         raise ValueError(f"unknown optimization target {target!r}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -332,11 +335,11 @@ class SweepGrid:
 
     axes: tuple[AxisSpec, ...]
     base: InterferometerParams
-    target: str = "lod"  # lod | lodi | variance
+    target: str = "lod"  # one of SWEEP_TARGETS
     circuit: str = "tsu11"
 
     def __post_init__(self):
-        if self.target not in ("lod", "lodi", "variance"):
+        if self.target not in SWEEP_TARGETS:
             raise ValueError(f"unknown sweep target {self.target!r}")
         for ax in self.axes:
             if ax.name not in AXIS_FIELDS and ax.name not in {
