@@ -7,6 +7,9 @@ Mode labels:
     e, f   vacuum ports of the external loss beamsplitters
     g, h   local oscillators of the probe and conjugate homodyne detectors
 
+Every circuit is one optical chain, the SU(1,1) one, with other settings
+(see each builder); stages at their identity setting are skipped.
+
 Each builder returns (J, dJ, state): the joint rotated quadrature operator
 J = af'.af - an'.an + bf'.bf - bn'.bn summed over both homodyne detectors,
 its exact derivative dJ/dphi with respect to the sample phase, and the
@@ -18,7 +21,7 @@ oscillators contribute nothing to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from mpmath import cosh, exp, isfinite, mpc, mpf, sinh, sqrt, workdps
 
 from .algebra import DEFAULT_DPS, OperatorExpr, adjoint, ladder, mul, zero
@@ -64,9 +67,7 @@ class InterferometerParams:
         if self.arms not in (ARMS_BOTH, ARMS_PROBE):
             raise ValueError(f"arms must be '{ARMS_BOTH}' or '{ARMS_PROBE}'")
         with workdps(self.precision):
-            for name in ("r", "s", "alpha", "beta", "gamma", "kappa",
-                         "eta_p1", "eta_c1", "eta_p2", "eta_c2", "eta_p3", "eta_c3",
-                         "theta_f", "phi_p", "phi_c"):
+            for name in NUMERIC_FIELDS:
                 v = mpf(getattr(self, name))
                 if not isfinite(v):
                     raise ValueError(f"{name} = {v} is not finite")
@@ -88,6 +89,11 @@ class InterferometerParams:
         return replace(self, **changes)
 
 
+#: the numeric parameters: every field but ``arms`` and ``precision``
+NUMERIC_FIELDS = tuple(f.name for f in fields(InterferometerParams)
+                       if f.name not in ("arms", "precision"))
+
+
 def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr, eta3):
     """Balanced-detector difference af'.af - an'.an for one homodyne.
 
@@ -97,7 +103,7 @@ def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr
     (J, dJ), where dJ follows from the signal derivative ``dsig``.
     """
     with workdps(sig.dps):
-        t, l = sqrt(eta3), sqrt(1 - mpf(eta3))
+        t, l = sqrt(eta3), sqrt(1 - eta3)
         cross = mul(adjoint(sig), lo) * mpc(0, 2 * t * l)
         dcross = mul(adjoint(dsig), lo) * mpc(0, 2 * t * l)
         J, dJ = cross + adjoint(cross), dcross + adjoint(dcross)
@@ -109,13 +115,17 @@ def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr
         return J, dJ
 
 
-def build_su11_J(p: InterferometerParams):
-    """Full SU(1,1) chain a,b -> u,v -> w,z -> x,y -> m,n -> homodynes.
+def _squeeze(x: OperatorExpr, y: OperatorExpr, r):
+    """Two-mode squeezer: x -> x cosh r + y' sinh r, y -> x' sinh r + y cosh r."""
+    return x * cosh(r) + adjoint(y) * sinh(r), adjoint(x) * sinh(r) + y * cosh(r)
 
-    Returns (J, dJ, state): the operator J, its derivative with respect
-    to the sampled-arm phase (the transduced rotation) and the coherent
-    assignment {a, b, g, h}.
-    """
+
+def _chain(p: InterferometerParams):
+    """(J, dJ) of a, b through squeezer r, the sample phase and internal
+    loss, squeezer s, external loss and the two homodynes.  A stage at r = 0,
+    s = 0 or eta = 1 would add only exact zeros, which ``_merge`` drops, so
+    skipping it keeps J and dJ bit for bit while the order of operations
+    is kept."""
     dps = p.precision
     with workdps(dps):
         i = mpc(0, 1)
@@ -125,26 +135,42 @@ def build_su11_J(p: InterferometerParams):
         def op(m):
             return ladder(m, False, 1, dps)
 
-        a, b, c, d, e_, f = (op(m) for m in "abcdef")
-        u = a * cosh(p.r) + adjoint(b) * sinh(p.r)
-        v = adjoint(a) * sinh(p.r) + b * cosh(p.r)
+        u, v = op("a"), op("b")
+        if p.r:
+            u, v = _squeeze(u, v, p.r)
         eu = exp(i * phi) * sqrt(p.eta_p1)
         ev = (exp(i * phi) if both else mpf(1)) * sqrt(p.eta_c1)
-        w = c * (i * sqrt(1 - p.eta_p1)) + u * eu
-        z = d * (i * sqrt(1 - p.eta_c1)) + v * ev
+        w, z = u * eu, v * ev
         dw, dz = u * (i * eu), (v * (i * ev) if both else zero(dps))
-        x = w * cosh(p.s) + adjoint(z) * sinh(p.s)
-        y = adjoint(w) * sinh(p.s) + z * cosh(p.s)
-        dx = dw * cosh(p.s) + adjoint(dz) * sinh(p.s)
-        dy = adjoint(dw) * sinh(p.s) + dz * cosh(p.s)
-        m_ = x * sqrt(p.eta_p2) + e_ * (i * sqrt(1 - p.eta_p2))
-        n_ = y * sqrt(p.eta_c2) + f * (i * sqrt(1 - p.eta_c2))
-        Jm, dJm = _homodyne_difference(m_, dx * sqrt(p.eta_p2), op("g") * exp(i * p.phi_p),
-                                       p.eta_p3)
-        Jn, dJn = _homodyne_difference(n_, dy * sqrt(p.eta_c2), op("h") * exp(i * p.phi_c),
-                                       p.eta_c3)
-        state = {"a": mpc(p.alpha), "b": mpc(p.beta), "g": mpc(p.gamma), "h": mpc(p.kappa)}
-    return Jm + Jn, dJm + dJn, state
+        if p.eta_p1 != 1:
+            w = op("c") * (i * sqrt(1 - p.eta_p1)) + w
+        if p.eta_c1 != 1:
+            z = op("d") * (i * sqrt(1 - p.eta_c1)) + z
+        if p.s:
+            (w, z), (dw, dz) = _squeeze(w, z, p.s), _squeeze(dw, dz, p.s)
+        if p.eta_p2 != 1:
+            w = w * sqrt(p.eta_p2) + op("e") * (i * sqrt(1 - p.eta_p2))
+            dw = dw * sqrt(p.eta_p2)
+        if p.eta_c2 != 1:
+            z = z * sqrt(p.eta_c2) + op("f") * (i * sqrt(1 - p.eta_c2))
+            dz = dz * sqrt(p.eta_c2)
+        Jm, dJm = _homodyne_difference(w, dw, op("g") * exp(i * p.phi_p), p.eta_p3)
+        Jn, dJn = _homodyne_difference(z, dz, op("h") * exp(i * p.phi_c), p.eta_c3)
+    return Jm + Jn, dJm + dJn
+
+
+def _state(p: InterferometerParams, alpha, beta):
+    """Coherent assignment: seeds alpha, beta on a, b and the LOs on g, h."""
+    with workdps(p.precision):
+        return {"a": mpc(alpha), "b": mpc(beta), "g": mpc(p.gamma), "h": mpc(p.kappa)}
+
+
+def build_su11_J(p: InterferometerParams):
+    """Full SU(1,1) chain: both squeezers, internal and external loss.
+
+    Returns (J, dJ, state), the state assigning {a, b, g, h}.
+    """
+    return (*_chain(p), _state(p, p.alpha, p.beta))
 
 
 def build_tsu11_J(p: InterferometerParams):
@@ -179,25 +205,14 @@ def classical_seeds(p: InterferometerParams):
 def build_classical_J(p: InterferometerParams):
     """Photon-matched classical benchmark interferometer.
 
-    Seeds are rescaled by ``classical_seeds`` so the photon numbers on the
-    sampled arms match the squeezed circuit, then each arm meets its LO on
-    a balanced beamsplitter read out by a balanced detector pair.  Returns
-    (J, dJ, state).
+    The chain with no squeezing and no loss: each seeded arm meets its LO
+    on a balanced beamsplitter read out by a balanced detector pair.  The
+    seeds are rescaled by ``classical_seeds`` so the photon numbers on the
+    sampled arms match the squeezed circuit at p.  Returns (J, dJ, state).
     """
-    dps = p.precision
-    with workdps(dps):
-        i = mpc(0, 1)
-        both = p.arms == ARMS_BOTH
-        ea = exp(i * sampling_phase(p.theta_f, dps))
-        eb = ea if both else mpf(1)
-        a, b, g, h = (ladder(m, False, 1, dps) for m in "abgh")
-        db = b * (i * eb) if both else zero(dps)
-        Ja, dJa = _homodyne_difference(a * ea, a * (i * ea), g * exp(i * p.phi_p), 0.5)
-        Jb, dJb = _homodyne_difference(b * eb, db, h * exp(i * p.phi_c), 0.5)
-        alpha_eff, beta_eff = classical_seeds(p)
-        state = {"a": mpc(alpha_eff), "b": mpc(beta_eff),
-                 "g": mpc(p.gamma), "h": mpc(p.kappa)}
-    return Ja + Jb, dJa + dJb, state
+    J, dJ = _chain(p.replace(r=0, s=0, eta_p1=1, eta_c1=1, eta_p2=1, eta_c2=1,
+                             eta_p3=0.5, eta_c3=0.5))
+    return J, dJ, _state(p, *classical_seeds(p))
 
 
 #: circuit name -> builder(p) -> (J, dJ/dphi, state)

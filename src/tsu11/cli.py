@@ -5,8 +5,8 @@ as CSV plus a JSON sidecar carrying the fixed parameters and engine
 version; numbers are decimal strings at the working precision and output
 is byte-identical across runs of the same configuration.
 
-Exit codes: 0 ok, 2 usage or configuration error, 3 undefined result
-(e.g. vacuum-seeded LOD).
+Exit codes: 0 ok, 2 usage or configuration error (including a bad sweep
+axis, target or circuit), 3 undefined result (e.g. vacuum-seeded LOD).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from mpmath import mp, workdps
 
 from . import __version__
-from .circuits import CIRCUITS, InterferometerParams
+from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
 from .metrology import UndefinedLodError, lodi_db, report
 from .optimize import (
     OPTIMIZE_TARGETS,
@@ -33,21 +33,31 @@ from .optimize import (
     run_sweep,
     vacuum_noise_map,
 )
-from .presets import PARAM_ALIASES, PRESETS, make_params
+from .presets import PRESETS, make_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNDEFINED = 3
 
 _PARAM_FIELDS = tuple(f.name for f in fields(InterferometerParams))
+#: parameter flags; the eta shorthand is applied after the fields
+_PARAM_FLAGS = NUMERIC_FIELDS + ("eta",)
 
 
 class ConfigError(Exception):
     pass
 
 
-#: non-parameter keys a config file may carry
-_OPTION_KEYS = ("preset", "circuit", "target")
+_CIRCUIT = (tuple(sorted(CIRCUITS)), "tsu11")
+#: the circuit and target each command reads, as (choices, default)
+_COMMAND_OPTIONS = {
+    "lod": {"circuit": _CIRCUIT},
+    "optimize": {"circuit": _CIRCUIT, "target": (OPTIMIZE_TARGETS, "lodi")},
+    "sweep": {"circuit": _CIRCUIT, "target": (SWEEP_TARGETS, "lod")},
+}
+
+#: keys a config file may carry
+_CONFIG_KEYS = frozenset(_PARAM_FIELDS + _PARAM_FLAGS + ("preset", "circuit", "target"))
 
 
 def _parse_config_file(path: str) -> dict:
@@ -64,26 +74,38 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _PARAM_FIELDS and key not in PARAM_ALIASES and key not in _OPTION_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val
     return values
 
 
+def _resolve_options(args, file_values: dict) -> None:
+    """Set the circuit and target a command reads from flag, else config
+    file, else default; a bad value or one the command does not read is a
+    ConfigError."""
+    options = _COMMAND_OPTIONS.get(args.command, {})
+    for key in ("circuit", "target"):
+        from_file = file_values.pop(key, None)
+        if key not in options:
+            if from_file is not None:
+                raise ConfigError(f"{args.command} takes no {key}")
+            continue
+        choices, default = options[key]
+        value = getattr(args, key) or from_file or default
+        if value not in choices:
+            raise ConfigError(f"{args.command} {key} must be one of "
+                              f"{', '.join(choices)}; got {value!r}")
+        setattr(args, key, value)
+
+
 def _build_params(args) -> InterferometerParams:
-    overrides: dict = {}
-    preset = args.preset
-    if args.config:
-        file_values = _parse_config_file(args.config)
-        preset = file_values.pop("preset", preset)
-        # flags win over file-provided command options
-        for key in ("circuit", "target"):
-            val = file_values.pop(key, None)
-            if val is not None and getattr(args, key, None) is None:
-                setattr(args, key, val)
-        overrides.update(file_values)
-    for name in _PARAM_FIELDS + tuple(PARAM_ALIASES):
-        flag = getattr(args, name, None)
+    file_values = _parse_config_file(args.config) if args.config else {}
+    preset = file_values.pop("preset", args.preset)
+    _resolve_options(args, file_values)
+    overrides = dict(file_values)
+    for name in _PARAM_FLAGS:
+        flag = getattr(args, name)
         if flag is not None:
             overrides[name] = flag
     if args.precision is not None:
@@ -140,10 +162,7 @@ def _unseed_vacuum(p: InterferometerParams, circuit: str) -> InterferometerParam
 
 def cmd_lod(args) -> int:
     p = _build_params(args)
-    circuit = args.circuit or "tsu11"
-    if circuit not in CIRCUITS:
-        print(f"error: unknown circuit {circuit!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    circuit = args.circuit
     p = _unseed_vacuum(p, circuit)
     rep = report(circuit, p)
     print(f"circuit        : {circuit}")
@@ -189,12 +208,7 @@ def cmd_lodi(args) -> int:
 
 def cmd_optimize(args) -> int:
     p = _build_params(args)
-    target = args.target or "lodi"
-    circuit = args.circuit or "tsu11"
-    if circuit not in CIRCUITS:
-        raise ConfigError(f"unknown circuit {circuit!r}")
-    if target not in OPTIMIZE_TARGETS:
-        raise ConfigError(f"optimize target must be one of {OPTIMIZE_TARGETS}, got {target!r}")
+    target, circuit = args.target, args.circuit
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
     p = _unseed_vacuum(p, circuit)
@@ -234,46 +248,42 @@ def _parse_axis(spec: str) -> AxisSpec:
         raise ConfigError(f"bad axis spec {spec!r}: {exc}") from exc
 
 
+def _sweep_cells(rows, axes, precision) -> list[list[str]]:
+    """CSV cells of sweep rows: axis values, value ("" if none), error."""
+    return [[mp.nstr(row[ax.name], precision) for ax in axes]
+            + ["" if row["value"] is None else mp.nstr(row["value"], precision),
+               row["error"]]
+            for row in rows]
+
+
 def cmd_sweep(args) -> int:
     p = _build_params(args)
     if not args.axis:
-        print("error: sweep requires at least one --axis", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep requires at least one --axis")
     axes = tuple(_parse_axis(a) for a in args.axis)
-    grid = SweepGrid(axes=axes, base=p, target=args.target or "lod",
-                     circuit=args.circuit or "tsu11")
-    rows_raw = run_sweep(grid)
+    try:
+        grid = SweepGrid(axes=axes, base=p, target=args.target, circuit=args.circuit)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     header = [ax.name for ax in axes] + [grid.target, "error"]
-    rows = []
-    for row in rows_raw:
-        cells = [mp.nstr(row[ax.name], p.precision) for ax in axes]
-        cells.append("" if row["value"] is None else mp.nstr(row["value"], p.precision))
-        cells.append(row["error"])
-        rows.append(cells)
+    rows = _sweep_cells(run_sweep(grid), axes, p.precision)
     sidecar = {"command": "sweep", "target": grid.target, "circuit": grid.circuit,
                "axes": [vars(ax) for ax in axes], "points": len(rows)}
     return _write_outputs(args, rows, header, sidecar, p)
 
 
 def cmd_vacuum(args) -> int:
-    p = _build_params(args)
-    p = p.replace(alpha=0, beta=0)
+    p = _build_params(args).replace(alpha=0, beta=0)
     axis_specs = args.axis or ["phi:-0.05:0.05:41", "phi_p:-0.05:0.05:5"]
     if len(axis_specs) != 2:
-        print("error: vacuum expects exactly two --axis specs", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("vacuum expects exactly two --axis specs")
     axes = tuple(_parse_axis(a) for a in axis_specs)
     try:
         rows_raw, minima = vacuum_noise_map(p, axes)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     header = [axes[0].name, axes[1].name, "variance", "error"]
-    rows = [
-        [mp.nstr(r[axes[0].name], p.precision), mp.nstr(r[axes[1].name], p.precision),
-         mp.nstr(r["value"], p.precision), r["error"]]
-        for r in rows_raw
-    ]
+    rows = _sweep_cells(rows_raw, axes, p.precision)
     sidecar = {
         "command": "vacuum",
         "axes": [vars(ax) for ax in axes],
@@ -287,17 +297,11 @@ def cmd_vacuum(args) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="flat key = value configuration file")
     sub.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
-    sub.add_argument("--circuit", choices=sorted(CIRCUITS),
-                     help="circuit to evaluate (default tsu11)")
     sub.add_argument("--out", help="CSV output path (JSON sidecar written alongside)")
     sub.add_argument("--precision", type=int, help="working precision in digits")
     sub.add_argument("--arms", choices=["probe", "both"],
                      help="which squeezed beams pass the sample")
-    sub.add_argument("--axis", action="append",
-                     help="sweep axis NAME:MIN:MAX:COUNT[:log] (repeatable)")
-    for name in ("r", "s", "alpha", "beta", "gamma", "kappa", "eta", "theta_f",
-                 "phi_p", "phi_c", "eta_p1", "eta_c1", "eta_p2", "eta_c2",
-                 "eta_p3", "eta_c3"):
+    for name in _PARAM_FLAGS:
         sub.add_argument(f"--{name}", dest=name, help=f"override parameter {name}")
 
 
@@ -318,10 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = subs.add_parser(name, help=extra)
         _add_common(sub)
-        if name in ("optimize", "sweep"):
-            sub.add_argument("--target",
-                             choices=OPTIMIZE_TARGETS if name == "optimize" else SWEEP_TARGETS,
-                             help="quantity to optimize or sweep")
+        for key, (choices, default) in _COMMAND_OPTIONS.get(name, {}).items():
+            sub.add_argument(f"--{key}", help=f"{', '.join(choices)} (default {default})")
+        if name in ("sweep", "vacuum"):
+            sub.add_argument("--axis", action="append",
+                             help="sweep axis NAME:MIN:MAX:COUNT[:log] (repeatable)")
         if name == "optimize":
             sub.add_argument("--grid", type=int, default=64,
                              help="coarse grid resolution per phase axis")

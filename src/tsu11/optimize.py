@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from mpmath import log10, mp, mpf, pi, workdps
 
-from .circuits import CIRCUITS, InterferometerParams
+from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
 from .metrology import (
     ConsistencyError,
     UndefinedLodError,
@@ -27,6 +27,7 @@ from .metrology import (
     report,
     variance,
 )
+from .presets import PARAM_ALIASES
 
 #: digits below the working precision at which the interpolant is trusted:
 #: room for the rounding of the DFT and of the engine's own node values
@@ -225,8 +226,6 @@ def optimize_phases(
     target: str = "lodi",
     circuit: str = "tsu11",
     grid_n: int = 64,
-    tol=1e-8,
-    max_iter: int = 500,
 ) -> OptResult:
     """Minimize LOD or LODI over the LO phases (phi_p, phi_c).
 
@@ -272,9 +271,7 @@ def optimize_phases(
                 f"{circuit} LOD undefined at the best grid cell: the phase "
                 "derivative of <J> vanishes"
             )
-        xy, val, iters, ev2, converged = nelder_mead(
-            coarse, best_xy, step=cell, tol=tol, max_iter=max_iter
-        )
+        xy, val, iters, ev2, converged = nelder_mead(coarse, best_xy, step=cell)
         lod = fine(xy)
         # refinement starts from the best grid vertex and only improves it
         if lod > grid_lod:
@@ -322,13 +319,6 @@ class AxisSpec:
             return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-#: axis aliases: one sweep name may drive several parameter fields
-AXIS_FIELDS = {
-    "eta": ("eta_p1", "eta_c1"),
-    "gamma_kappa": ("gamma", "kappa"),
-}
-
-
 @dataclass
 class SweepGrid:
     """Cartesian sweep specification over interferometer parameters."""
@@ -341,19 +331,15 @@ class SweepGrid:
     def __post_init__(self):
         if self.target not in SWEEP_TARGETS:
             raise ValueError(f"unknown sweep target {self.target!r}")
+        if self.circuit not in CIRCUITS:
+            raise ValueError(f"unknown circuit {self.circuit!r}")
         for ax in self.axes:
-            if ax.name not in AXIS_FIELDS and ax.name not in {
-                "r", "s", "alpha", "beta", "gamma", "kappa", "theta_f",
-                "phi_p", "phi_c", "eta_p1", "eta_c1", "eta_p2", "eta_c2",
-                "eta_p3", "eta_c3",
-            }:
+            if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
                 raise ValueError(f"unknown sweep axis {ax.name!r}")
 
 
 def _apply_axis(p: InterferometerParams, name: str, value):
-    for f in AXIS_FIELDS.get(name, (name,)):
-        p = p.replace(**{f: value})
-    return p
+    return p.replace(**{f: value for f in PARAM_ALIASES.get(name, (name,))})
 
 
 def _evaluate_target(grid: SweepGrid, p: InterferometerParams):
@@ -399,32 +385,21 @@ def vacuum_noise_map(
     """Tabulate the vacuum-seeded variance over two phase axes.
 
     Axis names may be phi (the sample phase, via theta_f), phi_p or phi_c.
-    Returns (rows, minima) where minima holds, per value of the second
-    axis, the first-axis point minimizing the variance.
+    Returns (rows, minima): the ``run_sweep`` rows, second axis outer, and
+    per value of the second axis the first-axis point minimizing the
+    variance among the points that have a value.
     """
     if p.alpha != 0 or p.beta != 0:
         raise ValueError("vacuum noise map requires alpha = beta = 0")
-    names = {ax.name for ax in axes}
-    if not names <= {"phi", "phi_p", "phi_c"}:
+    if not {ax.name for ax in axes} <= {"phi", "phi_p", "phi_c"}:
         raise ValueError("vacuum map axes must be phi, phi_p or phi_c")
-
-    def at(p0, name, v):
-        if name == "phi":
-            # positive-slope transduction: theta_f equals the arm phase
-            return p0.replace(theta_f=v)
-        return p0.replace(**{name: v})
-
-    rows = []
-    minima = []
     scan, group = axes
-    for gv in group.points(p.precision):
-        best = None
-        for sv in scan.points(p.precision):
-            q = at(at(p, group.name, gv), scan.name, sv)
-            J, _, state = CIRCUITS["vacuum"](q)
-            var = variance(J, state).real
-            rows.append({scan.name: sv, group.name: gv, "value": var, "error": ""})
-            if best is None or var < best["value"]:
-                best = {scan.name: sv, group.name: gv, "value": var}
-        minima.append(best)
+    rows = run_sweep(SweepGrid(axes=(group, scan), base=p, target="variance",
+                               circuit="vacuum"))
+    minima = []
+    for k in range(0, len(rows), scan.count):
+        valued = [r for r in rows[k:k + scan.count] if r["value"] is not None]
+        if valued:
+            best = min(valued, key=lambda r: r["value"])
+            minima.append({name: best[name] for name in (scan.name, group.name, "value")})
     return rows, minima

@@ -50,16 +50,19 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-#: shorthand keys accepted by config files and flags
+#: shorthand names, each setting several fields at once; "phi" is the
+#: sample phase, equal to theta_f under the positive-slope transduction
 PARAM_ALIASES = {
     "eta": ("eta_p1", "eta_c1"),
+    "gamma_kappa": ("gamma", "kappa"),
+    "phi": ("theta_f",),
 }
 
 
 def make_params(preset: str | None = None, **overrides) -> InterferometerParams:
     """Build params from an optional preset plus field overrides.
 
-    Overrides may use the alias "eta" to set both internal transmissions.
+    Overrides may use the shorthand names of ``PARAM_ALIASES``.
     """
     values: dict = {}
     if preset is not None:

@@ -201,15 +201,12 @@ class TestSqueezedCircuit:
             r=0, alpha=250, beta=0, gamma=900, kappa=700,
             theta_f="0.15", phi_p="0.2", phi_c="-0.1",
         )
-        J_q, _, state_q = build_tsu11_J(p)
-        J_c, _, state_c = build_classical_J(p)
+        J_q, dJ_q, state_q = build_tsu11_J(p)
+        J_c, dJ_c, state_c = build_classical_J(p)
         assert state_c["a"] == state_q["a"]
         assert state_c["b"] == 0
-        with workdps(60):
-            assert rel_diff(
-                coherent_expectation(J_q, state_q),
-                coherent_expectation(J_c, state_c),
-            ) < mpf("1e-50")
+        assert J_c.to_text() == J_q.to_text()
+        assert dJ_c.to_text() == dJ_q.to_text()
 
     def test_loss_unitarity(self):
         # eta = 1: no vacuum-port operators appear
@@ -287,3 +284,34 @@ def test_term_counts_pinned(point):
         q = p.replace(alpha=0, beta=0) if name == "vacuum" else p
         J, dJ, _ = builder(q)
         assert (len(J), len(dJ)) == TERM_COUNTS[point][name], name
+
+
+#: 1 - 1e-90, exact at 100 digits: a loss splitter there mixes in its
+#: vacuum port with amplitude sqrt(1 - eta) = 1e-45
+NEAR_ONE = "0." + "9" * 90
+
+#: stage -> (its identity setting, a setting that mixes by 1e-45)
+SKIPPED_STAGES = {
+    "r": ({"r": 0}, {"r": "1e-45"}),
+    "s": ({"s": 0}, {"s": "1e-45"}),
+    "eta1": ({"eta_p1": 1, "eta_c1": 1}, {"eta_p1": NEAR_ONE, "eta_c1": NEAR_ONE}),
+    "eta2": ({"eta_p2": 1, "eta_c2": 1}, {"eta_p2": NEAR_ONE, "eta_c2": NEAR_ONE}),
+}
+
+
+@pytest.mark.parametrize("arms", ["both", "probe-only"])
+@pytest.mark.parametrize("stage", sorted(SKIPPED_STAGES))
+def test_skipped_stage_is_the_identity_limit(stage, arms):
+    # a skipped stage must drop nothing but the identity: J and dJ at the
+    # identity setting agree with the stage applied 1e-45 away from it
+    base = InterferometerParams(
+        r="0.5", s="0.3", alpha=100, beta=3, gamma=500, kappa=400,
+        eta_p1="0.9", eta_c1="0.85", eta_p2="0.93", eta_c2="0.97",
+        eta_p3="0.45", eta_c3="0.55", theta_f="0.2", phi_p="0.3", phi_c="-0.4",
+        arms=arms, precision=100,
+    )
+    at, near = SKIPPED_STAGES[stage]
+    J0, dJ0, _ = build_su11_J(base.replace(**at))
+    J1, dJ1, _ = build_su11_J(base.replace(**near))
+    assert expr_close(J0, J1, tol="1e-40")
+    assert expr_close(dJ0, dJ1, tol="1e-40")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tsu11.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNDEFINED, main
 
 
@@ -48,6 +50,37 @@ class TestBadInput:
         code, _, err = run_cli(capsys, "optimize", "--preset", "paper-start", "--grid", "0")
         assert code == EXIT_CONFIG
         assert "--grid must be >= 1" in err
+
+
+#: axes each command needs to get as far as reading its circuit and target
+GOOD_AXES = {
+    "sweep": ["--axis", "r:0:1:2"],
+    "vacuum": ["--axis", "phi:-0.01:0.01:2", "--axis", "phi_p:0:0.01:2"],
+}
+BAD_VALUES = {"axis": "foo:0:1:2", "target": "foo", "circuit": "warp"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind", sorted(BAD_VALUES))
+@pytest.mark.parametrize("command", ["lod", "lodi", "optimize", "sweep", "vacuum"])
+def test_bad_axis_target_or_circuit_exit_2(capsys, tmp_path, command, kind, source):
+    # a command that does not read the option refuses it; one that does
+    # refuses the bad value; neither ends in a traceback
+    argv = [command, "--preset", "paper-start"]
+    axes = GOOD_AXES.get(command, [])
+    bad = BAD_VALUES[kind]
+    if source == "config":
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{kind} = {bad}\n")
+        argv += ["--config", str(conf)] + axes
+    elif kind == "axis":
+        argv += ["--axis", bad] + axes[2:]
+    else:
+        argv += [f"--{kind}", bad] + axes
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 class TestOptimizeEndsCleanly:
