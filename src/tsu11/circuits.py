@@ -124,8 +124,8 @@ def _chain(p: InterferometerParams):
     """(J, dJ) of a, b through squeezer r, the sample phase and internal
     loss, squeezer s, external loss and the two homodynes.  A stage at r = 0,
     s = 0 or eta = 1 would add only exact zeros, which ``_merge`` drops, so
-    skipping it keeps J and dJ bit for bit while the order of operations
-    is kept."""
+    skipping it leaves J and dJ bit for bit unchanged, provided the other
+    stages keep their order of operations."""
     dps = p.precision
     with workdps(dps):
         i = mpc(0, 1)
