@@ -56,18 +56,6 @@ from .optimize import (
 )
 from .presets import PRESETS, make_params
 
-#: names served by the test-only Fock oracle, which needs numpy; loaded on
-#: first use so that ``import tsu11`` does not import numpy
-_FOCK_NAMES = ("FockConfig", "factored_expectation", "matrix_of", "oracle_expectation")
-
-
-def __getattr__(name):
-    if name in _FOCK_NAMES:
-        from . import fock
-
-        return getattr(fock, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DEFAULT_DPS",
     "OperatorExpr",
@@ -88,10 +76,6 @@ __all__ = [
     "build_su11_J",
     "build_tsu11_J",
     "build_vacuum_J",
-    "FockConfig",
-    "factored_expectation",
-    "matrix_of",
-    "oracle_expectation",
     "jones_pipeline",
     "sampling_phase",
     "transduce",

@@ -134,9 +134,6 @@ class OperatorExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        return max((len(f) for f in self._terms), default=0)
-
     def modes(self) -> tuple[str, ...]:
         return tuple(sorted({m for fac in self._terms for (m, _) in fac}))
 
@@ -182,12 +179,6 @@ class OperatorExpr:
 
     def adjoint(self) -> "OperatorExpr":
         return adjoint(self)
-
-    def normal_order(self) -> "OperatorExpr":
-        return normal_order(self)
-
-    def expectation(self, state: Mapping[str, object]) -> mpc:
-        return coherent_expectation(self, state)
 
     # -- serialization ---------------------------------------------------
 

@@ -101,7 +101,8 @@ def _resolve_options(args, file_values: dict) -> None:
 
 def _build_params(args) -> InterferometerParams:
     file_values = _parse_config_file(args.config) if args.config else {}
-    preset = file_values.pop("preset", args.preset)
+    from_file = file_values.pop("preset", None)
+    preset = args.preset or from_file
     _resolve_options(args, file_values)
     overrides = dict(file_values)
     for name in _PARAM_FLAGS:

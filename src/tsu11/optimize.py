@@ -333,9 +333,15 @@ class SweepGrid:
             raise ValueError(f"unknown sweep target {self.target!r}")
         if self.circuit not in CIRCUITS:
             raise ValueError(f"unknown circuit {self.circuit!r}")
+        owner: dict[str, str] = {}
         for ax in self.axes:
             if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
                 raise ValueError(f"unknown sweep axis {ax.name!r}")
+            for f in PARAM_ALIASES.get(ax.name, (ax.name,)):
+                if f in owner:
+                    raise ValueError(f"sweep axes {owner[f]!r} and {ax.name!r} "
+                                     f"both set {f}")
+                owner[f] = ax.name
 
 
 def _apply_axis(p: InterferometerParams, name: str, value):

@@ -16,20 +16,17 @@ from mpmath import mp, mpf, workdps
 
 from tsu11 import (
     AxisSpec,
-    FockConfig,
     InterferometerParams,
     build_classical_J,
     build_tsu11_J,
     build_vacuum_J,
     coherent_expectation,
     dj_dphi_sq,
-    factored_expectation,
     lod_db,
     lodi_db,
     make_params,
     mul,
     optimize_phases,
-    oracle_expectation,
     sampling_phase,
     transduce,
     vacuum_noise_map,
@@ -47,6 +44,7 @@ from tsu11.closed_form import (
 )
 
 from conftest import random_expr, rel_diff
+from fock_oracle import FockConfig, factored_expectation, oracle_expectation
 
 
 def announce(cid: str, ok: bool, detail: str) -> None:

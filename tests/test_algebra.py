@@ -16,7 +16,6 @@ from tsu11 import (
     build_tsu11_J,
     coherent_expectation,
     coherent_moments,
-    factored_expectation,
     identity,
     ladder,
     mul,
@@ -26,6 +25,7 @@ from tsu11 import (
 from tsu11.algebra import ZERO_MARGIN
 
 from conftest import random_expr, random_state
+from fock_oracle import factored_expectation
 
 
 def term_dict(x):

@@ -83,6 +83,27 @@ def test_bad_axis_target_or_circuit_exit_2(capsys, tmp_path, command, kind, sour
     assert "Traceback" not in err
 
 
+#: axis pairs that set one field twice, directly or through a shorthand
+OVERLAPPING_AXES = [
+    ("vacuum", "phi:-0.05:0.05:3", "phi:-0.05:0.05:2"),
+    ("sweep", "r:0:1:2", "r:0:1:2"),
+    ("sweep", "eta:0.5:1:2", "eta_p1:0.5:1:2"),
+    ("sweep", "phi:-0.05:0.05:2", "theta_f:-0.05:0.05:2"),
+    ("sweep", "gamma_kappa:0.5:1:2", "gamma:0.5:1:2"),
+]
+
+
+@pytest.mark.parametrize("command,first,second", OVERLAPPING_AXES)
+def test_overlapping_axes_exit_2(capsys, command, first, second):
+    # the inner axis would overwrite the outer one's field, so the rows
+    # would repeat settings under distinct labels
+    code, out, err = run_cli(capsys, command, "--preset", "paper-start",
+                             "--axis", first, "--axis", second)
+    assert code == EXIT_CONFIG
+    assert "both set" in err
+    assert out == ""
+
+
 class TestOptimizeEndsCleanly:
     """optimize exits 2 or 3 where it would end in a traceback or +inf."""
 
@@ -127,6 +148,18 @@ class TestConfigFile:
         # flag wins over the file
         code, out, _ = run_cli(capsys, "lod", "--circuit", "classical",
                                "--config", str(conf), "--eta", "1")
+        assert "-68.3369" in out
+
+    def test_preset_flag_overrides_file_preset(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("preset = g15\n")
+        code, out, _ = run_cli(capsys, "lod", "--circuit", "classical",
+                               "--config", str(conf))
+        assert code == EXIT_OK
+        assert "-74.8077" in out
+        code, out, _ = run_cli(capsys, "lod", "--circuit", "classical",
+                               "--preset", "paper-start", "--config", str(conf))
+        assert code == EXIT_OK
         assert "-68.3369" in out
 
     def test_unknown_key_rejected(self, capsys, tmp_path):

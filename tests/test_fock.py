@@ -9,20 +9,23 @@ import pytest
 from mpmath import mpc, mpf, workdps
 
 from tsu11 import (
-    FockConfig,
     InterferometerParams,
     build_tsu11_J,
     coherent_expectation,
-    factored_expectation,
     ladder,
-    matrix_of,
     mul,
     normal_order,
-    oracle_expectation,
 )
-from tsu11.fock import apply_mp, coherent_vector, matrix_of_mp
 
 from conftest import random_expr
+from fock_oracle import (
+    FockConfig,
+    apply,
+    coherent_vector,
+    factored_expectation,
+    matrix_of,
+    oracle_expectation,
+)
 
 
 def interior_mask(cfg: FockConfig, margin: int) -> np.ndarray:
@@ -164,8 +167,8 @@ class TestHighPrecisionRoute:
         with workdps(60):
             for _ in range(5):
                 x = random_expr(rng, modes=("a",), dps=60)
-                m1 = matrix_of_mp(x, cfg)
-                m2 = matrix_of_mp(normal_order(x), cfg)
+                m1 = matrix_of(x, cfg, dtype=object)
+                m2 = matrix_of(normal_order(x), cfg, dtype=object)
                 for i in range(7):  # interior block: degree <= 4 shifts
                     for j in range(7):
                         assert abs(m1[i][j] - m2[i][j]) < mpf("1e-30")
@@ -185,8 +188,8 @@ class TestHighPrecisionRoute:
                     j = rng.randint(0, 4)
                     vec[i * (cfg.cutoff + 1) + j] = mpc(rng.uniform(-1, 1),
                                                         rng.uniform(-1, 1))
-                v1 = apply_mp(x, cfg, vec)
-                v2 = apply_mp(xo, cfg, vec)
+                v1 = apply(x, cfg, vec)
+                v2 = apply(xo, cfg, vec)
                 err = max(abs(a - b) for a, b in zip(v1, v2))
                 assert err < mpf("1e-30")
 
@@ -195,15 +198,17 @@ class TestHighPrecisionRoute:
         assert abs(np.linalg.norm(v) - 1) < 1e-14
 
 
-def test_oracle_loads_lazily():
-    # numpy is a test-only dependency: importing the package must not
-    # load it, and the oracle's names still resolve from the package
+def test_package_imports_without_numpy():
+    # numpy is a test-only dependency: neither the package nor any of its
+    # modules loads it, and the package exports no oracle name
     code = (
-        "import sys, tsu11\n"
-        "assert 'numpy' not in sys.modules, 'import tsu11 loaded numpy'\n"
-        "from tsu11 import FockConfig\n"
-        "import tsu11.fock\n"
-        "assert FockConfig is tsu11.fock.FockConfig\n"
+        "import importlib, pkgutil, sys, tsu11\n"
+        "names = [m.name for m in pkgutil.iter_modules(tsu11.__path__)]\n"
+        "assert 'cli' in names, names\n"
+        "for name in names:\n"
+        "    importlib.import_module('tsu11.' + name)\n"
+        "assert 'numpy' not in sys.modules, 'importing tsu11 loaded numpy'\n"
+        "assert not hasattr(tsu11, 'FockConfig')\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
