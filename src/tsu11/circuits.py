@@ -13,14 +13,24 @@ Every circuit is one optical chain, the SU(1,1) one, with other settings
 Each builder returns (J, dJ, state): the joint rotated quadrature operator
 J = af'.af - an'.an + bf'.bf - bn'.bn summed over both homodyne detectors,
 its exact derivative dJ/dphi with respect to the sample phase, and the
-coherent assignment of the seeded modes.  The sample phase enters only as
-e^{i phi} on the sampled-arm forms, so dJ follows by the product rule
-through the linear chain after the sample; vacuum ports and local
-oscillators contribute nothing to it.
+coherent assignment of the seeded modes and the local oscillators.  The
+sample phase enters only as e^{i phi} on the sampled-arm forms, so dJ
+follows by the product rule through the linear chain after the sample;
+vacuum ports and local oscillators contribute nothing to it.
+
+An LO phase is the phase of that LO's coherent amplitude, not a factor of
+the operator: each LO mode reaches the detectors only as g e^{i phi_p}
+(h e^{i phi_c}), so the moments of the chain with that factor on the
+state {g: gamma} equal those of the bare chain on {g: gamma e^{i phi_p}}.
+J and dJ therefore depend only on the fields outside ``STATE_FIELDS``.
+The last four (J, dJ) pairs are memoised on those fields, so a change of
+seed, LO amplitude or LO phase alone builds nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, fields, replace
 from mpmath import cosh, exp, isfinite, mpc, mpf, sinh, sqrt, workdps
 
@@ -93,6 +103,15 @@ class InterferometerParams:
 NUMERIC_FIELDS = tuple(f.name for f in fields(InterferometerParams)
                        if f.name not in ("arms", "precision"))
 
+#: the fields that enter only the coherent state, never the operators
+STATE_FIELDS = ("alpha", "beta", "gamma", "kappa", "phi_p", "phi_c")
+#: every other field, including any added later: the operator memo's key
+OPERATOR_FIELDS = tuple(f.name for f in fields(InterferometerParams)
+                        if f.name not in STATE_FIELDS)
+#: builds the key at its final size: a tuple grown from a generator is
+#: resized, and every key freed would stay on the tuple free list
+_operator_key = operator.attrgetter(*OPERATOR_FIELDS)
+
 
 def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr, eta3):
     """Balanced-detector difference af'.af - an'.an for one homodyne.
@@ -121,11 +140,21 @@ def _squeeze(x: OperatorExpr, y: OperatorExpr, r):
 
 
 def _chain(p: InterferometerParams):
+    """(J, dJ) of the chain at p, built once per value of its
+    ``OPERATOR_FIELDS``."""
+    return _operators(_operator_key(p))
+
+
+@functools.lru_cache(maxsize=4)
+def _operators(key):
     """(J, dJ) of a, b through squeezer r, the sample phase and internal
-    loss, squeezer s, external loss and the two homodynes.  A stage at r = 0,
-    s = 0 or eta = 1 would add only exact zeros, which ``_merge`` drops, so
-    skipping it leaves J and dJ bit for bit unchanged, provided the other
-    stages keep their order of operations."""
+    loss, squeezer s, external loss and the two homodynes with the bare LO
+    modes g, h, for the ``OPERATOR_FIELDS`` values ``key``.  A stage at
+    r = 0, s = 0 or eta = 1 would add only exact zeros, which ``_merge``
+    drops, so skipping it leaves J and dJ bit for bit unchanged, provided
+    the other stages keep their order of operations.  Expressions are
+    immutable, so every caller may share the memoised pair."""
+    p = InterferometerParams(**dict(zip(OPERATOR_FIELDS, key)))
     dps = p.precision
     with workdps(dps):
         i = mpc(0, 1)
@@ -154,15 +183,18 @@ def _chain(p: InterferometerParams):
         if p.eta_c2 != 1:
             z = z * sqrt(p.eta_c2) + op("f") * (i * sqrt(1 - p.eta_c2))
             dz = dz * sqrt(p.eta_c2)
-        Jm, dJm = _homodyne_difference(w, dw, op("g") * exp(i * p.phi_p), p.eta_p3)
-        Jn, dJn = _homodyne_difference(z, dz, op("h") * exp(i * p.phi_c), p.eta_c3)
+        Jm, dJm = _homodyne_difference(w, dw, op("g"), p.eta_p3)
+        Jn, dJn = _homodyne_difference(z, dz, op("h"), p.eta_c3)
     return Jm + Jn, dJm + dJn
 
 
 def _state(p: InterferometerParams, alpha, beta):
-    """Coherent assignment: seeds alpha, beta on a, b and the LOs on g, h."""
+    """Coherent assignment: seeds alpha, beta on a, b and the LOs
+    gamma e^{i phi_p}, kappa e^{i phi_c} on g, h.  The LO phases live here
+    and not in the operators; a zero phase leaves the amplitude exact."""
     with workdps(p.precision):
-        return {"a": mpc(alpha), "b": mpc(beta), "g": mpc(p.gamma), "h": mpc(p.kappa)}
+        return {"a": mpc(alpha), "b": mpc(beta),
+                "g": p.gamma * exp(mpc(0, p.phi_p)), "h": p.kappa * exp(mpc(0, p.phi_c))}
 
 
 def build_su11_J(p: InterferometerParams):

@@ -2,13 +2,16 @@
 
 The LOD landscape over the two LO phases is multimodal with shallow
 basins, so optimization seeds a Nelder-Mead simplex from the best cell of
-a coarse grid.  Both run on an exact interpolant of the landscape: each
-LO mode reaches the detectors only as an annihilator carrying e^{i phi_p}
-or e^{i phi_c} and never passes a squeezer, so var(J) and |d<J>/dphi|^2
-are real trigonometric polynomials of degree <= 2 in each LO phase, fixed
-by engine reports on a 5 x 5 grid of phases.  Sweeps evaluate a target
-quantity over a deterministic cartesian grid and never abort on
-per-point failures.
+a coarse grid.  Both run on an exact interpolant of the landscape.  An LO
+phase is the phase of the LO's coherent amplitude, not a factor of the
+operator, and each LO mode reaches the detectors linearly, never through
+a squeezer; so var(J) and |d<J>/dphi|^2 are real trigonometric
+polynomials of degree <= 2 in each LO phase, fixed by engine reports on a
+5 x 5 grid of phases.  Those reports share one operator build, since J
+does not depend on the LO phases.  The coarse grid evaluates the
+interpolant as separable products, one trigonometric basis per axis
+point.  Sweeps evaluate a target quantity over a deterministic cartesian
+grid and never abort on per-point failures.
 """
 
 from __future__ import annotations
@@ -192,14 +195,37 @@ class PhaseLandscape:
             return tuple(mp.fdot(u, [mp.fdot(row, v) for row in coef])
                          for coef in (self._var, self._dsq))
 
-    def lod(self, x):
-        """LOD in dB at x = (phi_p, phi_c); inf where the derivative is at
-        or below the rounding floor of the largest node derivative."""
-        var, dsq = self.at(*x)
+    def _ratio(self, var, dsq):
+        """var / dsq, or inf where the derivative is at or below the
+        rounding floor of the largest node derivative."""
         if dsq <= self.tol * self.dsq_scale:
             return mpf("inf")
         with workdps(self.dps):
-            return 5 * log10(var / dsq)
+            return var / dsq
+
+    def lod(self, x):
+        """LOD in dB at x = (phi_p, phi_c); inf where the derivative is at
+        or below the rounding floor of the largest node derivative."""
+        ratio = self._ratio(*self.at(*x))
+        with workdps(self.dps):
+            return 5 * log10(ratio)
+
+    def grid(self, axis):
+        """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
+        as ``_ratio(*at(phi_p, phi_c))``, bit for bit.
+
+        The landscape is separable: each axis point's basis is taken once,
+        the coefficients are contracted with the phi_c basis once per
+        phi_c, and each cell is then one length-5 dot product per quantity,
+        in the operation order of ``at``.
+        """
+        with workdps(self.dps):
+            basis = [_trig_basis(x) for x in axis]
+            halves = [[[mp.fdot(row, v) for row in coef] for coef in (self._var, self._dsq)]
+                      for v in basis]
+            for x, u in zip(axis, basis):
+                for y, (hv, hd) in zip(axis, halves):
+                    yield (x, y), self._ratio(mp.fdot(u, hv), mp.fdot(u, hd))
 
 
 def _lod_objective(p: InterferometerParams, circuit: str):
@@ -215,10 +241,34 @@ def _lod_objective(p: InterferometerParams, circuit: str):
     return f
 
 
-def _lod_objective_coarse(p: InterferometerParams, circuit: str):
-    """Grid and simplex objective: the LOD on the engine-checked
-    interpolant of the LO-phase landscape."""
-    return PhaseLandscape(p, circuit).lod
+def _lod_objective_coarse(land: PhaseLandscape):
+    """Simplex objective: the LOD on the engine-checked interpolant of
+    the LO-phase landscape (the benchmark's tracer counts its calls)."""
+    return land.lod
+
+
+def _best_cell(land: PhaseLandscape, axis):
+    """The grid cell (phi_p, phi_c) with the least LOD.
+
+    Cells whose LOD lies within the interpolant's tolerance of the best
+    resolve to the smallest |phi_p| + |phi_c|, the first such cell in grid
+    order.  LOD = 5 log10(ratio) is monotone in the ratio, so the cells
+    are compared as ratios and the tolerance window on the LOD becomes the
+    factor 10^(tol |log10 ratio|) on the best ratio; one log10 is taken
+    per improvement of the running best, and only the cells inside the
+    current window are kept.
+    """
+    inf = mpf("inf")
+    best, window, near = inf, inf, []
+    with workdps(land.dps):
+        for xy, ratio in land.grid(axis):
+            if ratio < best:
+                best = ratio
+                window = best * mpf(10) ** (land.tol * abs(log10(best)))
+                near = [c for c in near if c[1] <= window]
+            if ratio <= window:
+                near.append((xy, ratio))
+        return min((xy for xy, _ in near), key=lambda xy: abs(xy[0]) + abs(xy[1]))
 
 
 def optimize_phases(
@@ -253,16 +303,12 @@ def optimize_phases(
         with workdps(p.precision):
             offset = -ref.lod_db
 
-    coarse = _lod_objective_coarse(p, circuit)
+    land = PhaseLandscape(p, circuit)
     with workdps(p.precision):
         lo, hi = -pi, pi
         cell = (hi - lo) / grid_n
         axis = [lo + cell * i for i in range(grid_n)]
-        grid = {(x, y): coarse((x, y)) for x in axis for y in axis}
-        best = min(grid.values())
-        tie = best + _tolerance(p.precision) * abs(best)
-        best_xy = min((xy for xy, v in grid.items() if v <= tie),
-                      key=lambda xy: abs(xy[0]) + abs(xy[1]))
+        best_xy = _best_cell(land, axis)
 
         fine = _lod_objective(p, circuit)
         grid_lod = fine(best_xy)
@@ -271,11 +317,12 @@ def optimize_phases(
                 f"{circuit} LOD undefined at the best grid cell: the phase "
                 "derivative of <J> vanishes"
             )
-        xy, val, iters, ev2, converged = nelder_mead(coarse, best_xy, step=cell)
+        xy, val, iters, ev2, converged = nelder_mead(_lod_objective_coarse(land), best_xy,
+                                                     step=cell)
         lod = fine(xy)
         # refinement starts from the best grid vertex and only improves it
         if lod > grid_lod:
-            xy, val, lod = best_xy, grid[best_xy], grid_lod
+            xy, val, lod = best_xy, land.lod(best_xy), grid_lod
         gap = abs(val - lod) / max(abs(lod), 1) if val != lod else 0
         digits = min(p.precision, -log10(gap)) if gap else p.precision
         return OptResult(

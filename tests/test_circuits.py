@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from mpmath import cosh, mpf, sinh, sqrt, workdps
+from mpmath import cosh, exp, mpc, mpf, sinh, sqrt, workdps
 
 from tsu11 import (
     CIRCUITS,
     InterferometerParams,
+    OperatorExpr,
     adjoint,
     build_classical_J,
     build_su11_J,
@@ -18,9 +19,11 @@ from tsu11 import (
     make_params,
     mul,
     normal_order,
+    report,
     sampling_phase,
     variance,
 )
+from tsu11.circuits import NUMERIC_FIELDS, _operators
 from tsu11.closed_form import (
     classical_mean,
     classical_variance,
@@ -273,13 +276,16 @@ TERM_COUNTS = {
 }
 
 
+#: paper-start with s > 0, beta != 0, lossy stages and unbalanced homodynes
+SU11_POINT = dict(s="0.3", beta="1e5", eta_p1="0.9", eta_c1="0.95", eta_p2="0.93",
+                  eta_c2="0.97", eta_p3="0.45", eta_c3="0.55", phi_p="0.3", phi_c="-0.7")
+
+
 @pytest.mark.parametrize("point", sorted(TERM_COUNTS))
 def test_term_counts_pinned(point):
     p = make_params("paper-start")
     if point == "su11-point":
-        p = make_params("paper-start", s="0.3", beta="1e5", eta_p1="0.9", eta_c1="0.95",
-                        eta_p2="0.93", eta_c2="0.97", eta_p3="0.45", eta_c3="0.55",
-                        phi_p="0.3", phi_c="-0.7")
+        p = make_params("paper-start", **SU11_POINT)
     for name, builder in CIRCUITS.items():
         q = p.replace(alpha=0, beta=0) if name == "vacuum" else p
         J, dJ, _ = builder(q)
@@ -315,3 +321,64 @@ def test_skipped_stage_is_the_identity_limit(stage, arms):
     J1, dJ1, _ = build_su11_J(base.replace(**near))
     assert expr_close(J0, J1, tol="1e-40")
     assert expr_close(dJ0, dJ1, tol="1e-40")
+
+
+def _lo_rotated(x: OperatorExpr, phi_p, phi_c) -> OperatorExpr:
+    """x with each LO factor carrying its phase: g -> g e^{i phi_p},
+    g' -> g' e^{-i phi_p}, and likewise h with phi_c."""
+    with workdps(x.dps):
+        terms = {}
+        for factors, c in x.terms():
+            k = {m: sum(1 if not dagger else -1 for f, dagger in factors if f == m)
+                 for m in ("g", "h")}
+            terms[factors] = c * exp(mpc(0, k["g"] * phi_p + k["h"] * phi_c))
+        return OperatorExpr(terms, dps=x.dps)
+
+
+@pytest.mark.parametrize("arms", ["both", "probe-only"])
+@pytest.mark.parametrize("point", ["paper-start", "su11-point"])
+@pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+def test_lo_phase_fold_is_exact(circuit, point, arms):
+    # the LO phases live in the state: the moments of the bare chain on
+    # {g: gamma e^{i phi_p}, h: kappa e^{i phi_c}} equal those of the chain
+    # with the phases on its LO factors, on the real LO amplitudes
+    p = make_params("paper-start", phi_p="0.7", phi_c="-1.3", arms=arms)
+    if point == "su11-point":
+        p = make_params("paper-start", **{**SU11_POINT, "phi_p": "0.7", "phi_c": "-1.3"},
+                        arms=arms)
+    if circuit == "vacuum":
+        p = p.replace(alpha=0, beta=0)
+    J, dJ, state = CIRCUITS[circuit](p)
+    J_rot, dJ_rot = _lo_rotated(J, p.phi_p, p.phi_c), _lo_rotated(dJ, p.phi_p, p.phi_c)
+    bare = dict(state, g=mpc(p.gamma), h=mpc(p.kappa))
+    tol = mpf("1e-55")
+    assert rel_diff(coherent_expectation(J, state), coherent_expectation(J_rot, bare)) < tol
+    assert rel_diff(variance(J, state), variance(J_rot, bare)) < tol
+    assert rel_diff(coherent_expectation(dJ, state),
+                    coherent_expectation(dJ_rot, bare)) < tol
+
+
+def _report_or_error(circuit, q):
+    try:
+        return report(circuit, q).to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+def test_operator_memo_key_is_complete(circuit):
+    # each field perturbed alone: a report on a memo warmed at the base
+    # point equals one on a cold memo, so no field that shapes the
+    # operators is missing from the memo key
+    base = make_params("paper-start", **SU11_POINT)
+    if circuit == "vacuum":
+        base = base.replace(alpha=0, beta=0)
+    changes = {name: (getattr(base, name) * mpf("0.9") if getattr(base, name) else mpf("0.1"))
+               for name in NUMERIC_FIELDS}
+    changes.update(arms="probe-only", precision=50)
+    for name, value in changes.items():
+        q = base.replace(**{name: value})
+        report(circuit, base)
+        warm = _report_or_error(circuit, q)
+        _operators.cache_clear()
+        assert warm == _report_or_error(circuit, q), name

@@ -10,6 +10,7 @@ from mpmath import mpc, mpf, workdps
 
 from tsu11 import (
     InterferometerParams,
+    build_su11_J,
     build_tsu11_J,
     coherent_expectation,
     ladder,
@@ -141,21 +142,26 @@ class TestFactoredOracle:
         assert abs(factored_expectation(mul(x, y), 16, state) - joint) < 1e-12
 
     def test_miniature_squeezed_circuit(self):
-        # small-amplitude instance of the full measurement operator:
-        # the factored oracle reproduces engine <J> and <J^2>
+        # small-amplitude instance of the full measurement operator: the
+        # factored oracle reproduces engine <J> and <J^2>, for tSU(1,1) and
+        # for SU(1,1) with s > 0, unbalanced homodynes and a seeded
+        # conjugate, whose LO phases sit on the complex LO amplitudes
         p = InterferometerParams(
             r="0.4", alpha="0.3", beta=0, gamma="0.8", kappa="0.8",
             eta_p1="0.9", eta_c1="0.9", theta_f="0.02",
             phi_p="0.05", phi_c="-0.03", precision=40,
         )
-        J, _, state = build_tsu11_J(p)
-        JJ = mul(J, J)
-        for expr in (J, JJ):
-            engine = complex(coherent_expectation(expr, state))
-            oracle24 = factored_expectation(expr, 24, state)
-            oracle29 = factored_expectation(expr, 29, state)
-            assert abs(engine - oracle24) < 1e-8
-            assert abs(oracle24 - oracle29) < 1e-10
+        su11 = p.replace(s="0.2", beta="0.2", eta_p2="0.9", eta_c2="0.85",
+                         eta_p3="0.4", eta_c3="0.55", phi_p="0.7", phi_c="-1.3")
+        for builder, q in ((build_tsu11_J, p), (build_su11_J, su11)):
+            J, _, state = builder(q)
+            JJ = mul(J, J)
+            for expr in (J, JJ):
+                engine = complex(coherent_expectation(expr, state))
+                oracle24 = factored_expectation(expr, 24, state)
+                oracle29 = factored_expectation(expr, 29, state)
+                assert abs(engine - oracle24) < 1e-8
+                assert abs(oracle24 - oracle29) < 1e-10
 
 
 class TestHighPrecisionRoute:

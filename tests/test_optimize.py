@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from mpmath import mpf, pi, workdps
+from mpmath import log10, mpf, pi, workdps
 
 import tsu11.optimize
 from tsu11 import (
@@ -20,7 +20,8 @@ from tsu11 import (
     run_sweep,
     vacuum_noise_map,
 )
-from tsu11.optimize import PhaseLandscape
+from tsu11.circuits import _operators
+from tsu11.optimize import PhaseLandscape, _best_cell
 
 from test_metrology import LODI_OPT_ETA1
 
@@ -90,6 +91,39 @@ def test_landscape_is_exact_off_nodes(circuit, overrides):
             assert abs(dsq - rep.dj_dphi_sq) <= mpf("1e-40") * land.dsq_scale
 
 
+@pytest.mark.parametrize("circuit,overrides",
+                         [("tsu11", {})] + [row for row in LANDSCAPE_POINTS if row[0] == "su11"])
+def test_product_grid_matches_per_cell_landscape(circuit, overrides):
+    # the separable grid reproduces PhaseLandscape.lod bit for bit and
+    # picks the cell the per-cell tie rule picks
+    p = make_params("paper-start", **overrides)
+    land = PhaseLandscape(p, circuit)
+    with workdps(p.precision):
+        axis = [-pi + 2 * pi / 16 * i for i in range(16)]
+        lods = {}
+        for xy, ratio in land.grid(axis):
+            lods[xy] = land.lod(xy)
+            if ratio == mpf("inf"):
+                assert lods[xy] == ratio
+            else:
+                assert 5 * log10(ratio) == lods[xy]
+        best = min(lods.values())
+        tie = best + land.tol * abs(best)
+        per_cell = min((xy for xy, v in lods.items() if v <= tie),
+                       key=lambda xy: abs(xy[0]) + abs(xy[1]))
+    assert _best_cell(land, axis) == per_cell
+
+
+def test_optimize_builds_each_operator_once():
+    # the LO phases live in the state, so the whole optimization, classical
+    # reference included, builds one tsu11 and one classical operator
+    _operators.cache_clear()
+    optimize_phases(make_params("paper-start"), grid_n=16)
+    info = _operators.cache_info()
+    assert info.misses <= 2
+    assert info.hits > 0
+
+
 def test_lod_target_value_is_engine_lod_at_returned_phases():
     overrides = dict(LANDSCAPE_POINTS[2][1])
     p = make_params("paper-start", **overrides)
@@ -132,8 +166,9 @@ def test_optimize_refuses_undefined_lod():
     p = make_params("paper-start", alpha=0, precision=30)
     with pytest.raises(UndefinedLodError, match="classical reference"):
         optimize_phases(p, target="lodi", grid_n=2)
-    with pytest.raises(UndefinedLodError, match="best grid cell"):
-        optimize_phases(p, target="lod", circuit="vacuum", grid_n=2)
+    for grid_n in (2, 16):
+        with pytest.raises(UndefinedLodError, match="best grid cell"):
+            optimize_phases(p, target="lod", circuit="vacuum", grid_n=grid_n)
 
 
 def test_optimize_rejects_empty_grid():
