@@ -114,9 +114,13 @@ def _build_params(args) -> InterferometerParams:
     if args.arms is not None:
         overrides["arms"] = {"probe": "probe-only", "both": "both"}[args.arms]
     try:
-        return make_params(preset, **overrides)
+        p = make_params(preset, **overrides)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # the vacuum circuit is unseeded by definition; presets seed the others
+    if "vacuum" in (args.command, getattr(args, "circuit", None)):
+        p = p.replace(alpha=0, beta=0)
+    return p
 
 
 def _db4(x):
@@ -155,16 +159,9 @@ def _write_outputs(args, rows, header, sidecar, p):
     return EXIT_OK
 
 
-def _unseed_vacuum(p: InterferometerParams, circuit: str) -> InterferometerParams:
-    """The vacuum circuit is by definition unseeded; presets may carry
-    nonzero seeds for the other circuits."""
-    return p.replace(alpha=0, beta=0) if circuit == "vacuum" else p
-
-
 def cmd_lod(args) -> int:
     p = _build_params(args)
     circuit = args.circuit
-    p = _unseed_vacuum(p, circuit)
     rep = report(circuit, p)
     print(f"circuit        : {circuit}")
     with workdps(p.precision):
@@ -212,7 +209,6 @@ def cmd_optimize(args) -> int:
     target, circuit = args.target, args.circuit
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    p = _unseed_vacuum(p, circuit)
     result = optimize_phases(p, target=target, circuit=circuit, grid_n=args.grid)
     print(f"phi_p          : {mp.nstr(result.phi_p, 8)}")
     print(f"phi_c          : {mp.nstr(result.phi_c, 8)}")
@@ -274,7 +270,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_vacuum(args) -> int:
-    p = _build_params(args).replace(alpha=0, beta=0)
+    p = _build_params(args)
     axis_specs = args.axis or ["phi:-0.05:0.05:41", "phi_p:-0.05:0.05:5"]
     if len(axis_specs) != 2:
         raise ConfigError("vacuum expects exactly two --axis specs")

@@ -5,11 +5,13 @@ measurement J as var(J) / |d<J>/dphi|^2, and the limit of detection is
 reported as 10*log10 of the propagated standard deviation in dB(rad).
 The improvement (LODI) is the squeezed circuit's LOD minus the LOD of the
 photon-matched classical benchmark.
+
+Every LOD, LODI and undefined-LOD error of the package is taken here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mpmath import log10, mp, mpc, mpf, sqrt, workdps
 
@@ -33,15 +35,21 @@ class ConsistencyError(ValueError):
 
 @dataclass
 class MetrologyReport:
-    """Expectations and LOD for one circuit at one parameter point."""
+    """Expectations and LOD for one circuit at one parameter point; no LOD
+    where the phase derivative vanishes."""
 
     mean_j: mpc
     second_moment: mpc
     variance: mpc  # imaginary part kept for audit
     dj_dphi_sq: mpf
-    lod_db: mpf | None
     source: str  # "engine" or "closed-form"
     precision: int
+    lod_db: mpf | None = field(init=False)
+
+    def __post_init__(self):
+        with workdps(self.precision):
+            dsq = self.dj_dphi_sq
+            self.lod_db = lod_from_ratio(self.variance.real / dsq) if dsq > 0 else None
 
     def to_json_dict(self) -> dict:
         """Decimal-string serialization, no binary-float loss."""
@@ -106,50 +114,42 @@ def variance(J: OperatorExpr, state) -> mpc:
     return _moments(J, state)[2]
 
 
-def dj_dphi_sq(builder, p: InterferometerParams):
+def lod_from_ratio(ratio):
+    """The LOD in dB(rad) of ratio = var / |d<J>/dphi|^2."""
+    return 10 * log10(sqrt(ratio))
+
+
+def defined_lod(rep: MetrologyReport, message: str, variance=None):
+    """``rep.lod_db``, or ``UndefinedLodError(message, variance)`` where the
+    phase derivative of <J> vanishes."""
+    if rep.lod_db is None:
+        raise UndefinedLodError(message, variance)
+    return rep.lod_db
+
+
+def report(circuit: str, p: InterferometerParams) -> MetrologyReport:
+    """Full engine-route metrology report for one circuit."""
+    with workdps(p.precision):
+        J, dJ, state = CIRCUITS[circuit](p)
+        m1, m2, var = _moments(J, state)
+        dsq = abs(coherent_expectation(dJ, state)) ** 2
+        return MetrologyReport(m1, m2, var, dsq, "engine", p.precision)
+
+
+def dj_dphi_sq(circuit: str, p: InterferometerParams):
     """|d<J>/dphi|^2 = |<dJ/dphi>|^2 from the builder's exact derivative.
 
     The transduction slope has unit magnitude, so this also equals
     |d<J>/dtheta_f|^2.
     """
-    if isinstance(builder, str):
-        builder = CIRCUITS[builder]
-    _, dJ, state = builder(p)
-    with workdps(p.precision):
-        return abs(coherent_expectation(dJ, state)) ** 2
+    return report(circuit, p).dj_dphi_sq
 
 
-def report(builder, p: InterferometerParams) -> MetrologyReport:
-    """Full engine-route metrology report for one circuit."""
-    if isinstance(builder, str):
-        builder = CIRCUITS[builder]
-    with workdps(p.precision):
-        J, dJ, state = builder(p)
-        m1, m2, var = _moments(J, state)
-        dsq = abs(coherent_expectation(dJ, state)) ** 2
-        lod = None
-        if dsq > 0:
-            lod = 10 * log10(sqrt(var.real / dsq))
-        return MetrologyReport(
-            mean_j=m1,
-            second_moment=m2,
-            variance=var,
-            dj_dphi_sq=dsq,
-            lod_db=lod,
-            source="engine",
-            precision=p.precision,
-        )
-
-
-def lod_db(builder, p: InterferometerParams):
+def lod_db(circuit: str, p: InterferometerParams):
     """10*log10(sqrt(var / |d<J>/dphi|^2)) in dB(rad)."""
-    rep = report(builder, p)
-    if rep.lod_db is None:
-        raise UndefinedLodError(
-            "phase derivative of <J> vanishes (unseeded circuit): LOD undefined",
-            variance=rep.variance,
-        )
-    return rep.lod_db
+    rep = report(circuit, p)
+    message = "phase derivative of <J> vanishes (unseeded circuit): LOD undefined"
+    return defined_lod(rep, message, rep.variance)
 
 
 def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport:
@@ -187,16 +187,8 @@ def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport
             dsq = mpf(0)
         else:
             raise ValueError(f"no closed form for circuit {circuit!r}")
-        lod = 10 * log10(sqrt(var.real / dsq)) if dsq > 0 else None
-        return MetrologyReport(
-            mean_j=mpc(mean),
-            second_moment=var + mpc(mean) ** 2,
-            variance=var,
-            dj_dphi_sq=dsq,
-            lod_db=lod,
-            source="closed-form",
-            precision=p.precision,
-        )
+        mean = mpc(mean)
+        return MetrologyReport(mean, var + mean ** 2, var, dsq, "closed-form", p.precision)
 
 
 def classical_reference(p: InterferometerParams) -> MetrologyReport:
@@ -213,16 +205,22 @@ def classical_reference(p: InterferometerParams) -> MetrologyReport:
     return report("classical", q)
 
 
+def classical_lod(p: InterferometerParams):
+    """LOD of the classical reference, ``UndefinedLodError`` where the
+    phase derivative of its <J> vanishes (an unseeded reference)."""
+    return defined_lod(classical_reference(p), "classical reference LOD undefined: "
+                       "the phase derivative of its <J> vanishes")
+
+
 def lodi_db(p: InterferometerParams) -> LodiReport:
     """LOD improvement of the truncated SU(1,1) over the classical benchmark."""
     rep_t = report("tsu11", p)
-    if rep_t.lod_db is None:
-        raise UndefinedLodError("squeezed-circuit LOD undefined", rep_t.variance)
-    rep_c = classical_reference(p)
+    lod_t = defined_lod(rep_t, "squeezed-circuit LOD undefined", rep_t.variance)
+    lod_c = classical_lod(p)
     with workdps(p.precision):
         return LodiReport(
-            lod_tsu11_db=rep_t.lod_db,
-            lod_classical_db=rep_c.lod_db,
-            lodi_db=rep_t.lod_db - rep_c.lod_db,
+            lod_tsu11_db=lod_t,
+            lod_classical_db=lod_c,
+            lodi_db=lod_t - lod_c,
             precision=p.precision,
         )

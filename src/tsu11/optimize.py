@@ -10,8 +10,10 @@ polynomials of degree <= 2 in each LO phase, fixed by engine reports on a
 5 x 5 grid of phases.  Those reports share one operator build, since J
 does not depend on the LO phases.  The coarse grid evaluates the
 interpolant as separable products, one trigonometric basis per axis
-point.  Sweeps evaluate a target quantity over a deterministic cartesian
-grid and never abort on per-point failures.
+point.  The grid and the simplex both minimize var / |d<J>/dphi|^2, which
+orders the phases as the LOD does, and the LOD is taken once per reported
+value, through ``metrology``.  Sweeps evaluate a target quantity over a
+deterministic cartesian grid and never abort on per-point failures.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
 from .metrology import (
     ConsistencyError,
     UndefinedLodError,
-    classical_reference,
+    classical_lod,
+    defined_lod,
     lod_db,
+    lod_from_ratio,
     lodi_db,
     report,
     variance,
@@ -153,12 +157,11 @@ class PhaseLandscape:
     """
 
     def __init__(self, p: InterferometerParams, circuit: str):
-        builder = CIRCUITS[circuit]
         self.dps = dps = p.precision
         self.tol = _tolerance(dps)
         with workdps(dps):
             nodes = [2 * pi * k / 5 for k in range(5)]
-            reps = [[report(builder, p.replace(phi_p=x, phi_c=y)) for y in nodes]
+            reps = [[report(circuit, p.replace(phi_p=x, phi_c=y)) for y in nodes]
                     for x in nodes]
             # projection of node values onto the basis: rows (1/5, 2/5 ...)
             weights = (mpf(1) / 5,) + (mpf(2) / 5,) * 4
@@ -172,7 +175,7 @@ class PhaseLandscape:
             self.var_scale = max([abs(r.second_moment) for r in flat] + [mpf(1)])
             self.dsq_scale = max([r.dj_dphi_sq for r in flat] + [mpf(1)])
             xc, yc = CHECK_PHASES
-            check = report(builder, p.replace(phi_p=xc, phi_c=yc))
+            check = report(circuit, p.replace(phi_p=xc, phi_c=yc))
             var, dsq = self.at(mpf(xc), mpf(yc))
             gap = max(abs(var - check.variance.real) / self.var_scale,
                       abs(dsq - check.dj_dphi_sq) / self.dsq_scale)
@@ -188,67 +191,54 @@ class PhaseLandscape:
         half = [[mp.fdot(row, col) for col in zip(*values)] for row in proj]
         return [[mp.fdot(h, row) for row in proj] for h in half]
 
+    def _contract(self, v):
+        """Both coefficient matrices contracted with one phi_c basis ``v``."""
+        return [[mp.fdot(row, v) for row in coef] for coef in (self._var, self._dsq)]
+
+    def _ratio(self, u, halves):
+        """var / dsq from a phi_p basis and ``_contract``, or inf where dsq
+        is at or below the rounding floor of the largest node derivative."""
+        var, dsq = (mp.fdot(u, h) for h in halves)
+        if dsq <= self.tol * self.dsq_scale:
+            return mpf("inf")
+        return var / dsq
+
     def at(self, phi_p, phi_c):
         """(var(J), |d<J>/dphi|^2) at the LO phases."""
         with workdps(self.dps):
-            u, v = _trig_basis(phi_p), _trig_basis(phi_c)
-            return tuple(mp.fdot(u, [mp.fdot(row, v) for row in coef])
-                         for coef in (self._var, self._dsq))
+            u = _trig_basis(phi_p)
+            return tuple(mp.fdot(u, h) for h in self._contract(_trig_basis(phi_c)))
 
-    def _ratio(self, var, dsq):
-        """var / dsq, or inf where the derivative is at or below the
-        rounding floor of the largest node derivative."""
-        if dsq <= self.tol * self.dsq_scale:
-            return mpf("inf")
-        with workdps(self.dps):
-            return var / dsq
-
-    def lod(self, x):
-        """LOD in dB at x = (phi_p, phi_c); inf where the derivative is at
+    def ratio(self, x):
+        """var / dsq at x = (phi_p, phi_c); inf where the derivative is at
         or below the rounding floor of the largest node derivative."""
-        ratio = self._ratio(*self.at(*x))
         with workdps(self.dps):
-            return 5 * log10(ratio)
+            return self._ratio(_trig_basis(x[0]), self._contract(_trig_basis(x[1])))
 
     def grid(self, axis):
         """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
-        as ``_ratio(*at(phi_p, phi_c))``, bit for bit.
+        as ``ratio((phi_p, phi_c))``, bit for bit.
 
         The landscape is separable: each axis point's basis is taken once,
         the coefficients are contracted with the phi_c basis once per
-        phi_c, and each cell is then one length-5 dot product per quantity,
-        in the operation order of ``at``.
+        phi_c, and each cell is then one length-5 dot product per quantity.
         """
         with workdps(self.dps):
             basis = [_trig_basis(x) for x in axis]
-            halves = [[[mp.fdot(row, v) for row in coef] for coef in (self._var, self._dsq)]
-                      for v in basis]
+            halves = [self._contract(v) for v in basis]
             for x, u in zip(axis, basis):
-                for y, (hv, hd) in zip(axis, halves):
-                    yield (x, y), self._ratio(mp.fdot(u, hv), mp.fdot(u, hd))
-
-
-def _lod_objective(p: InterferometerParams, circuit: str):
-    """The engine's LOD at x = (phi_p, phi_c), inf where undefined."""
-    builder = CIRCUITS[circuit]
-
-    def f(x):
-        rep = report(builder, p.replace(phi_p=x[0], phi_c=x[1]))
-        if rep.lod_db is None:
-            return mpf("inf")
-        return rep.lod_db
-
-    return f
+                for y, h in zip(axis, halves):
+                    yield (x, y), self._ratio(u, h)
 
 
 def _lod_objective_coarse(land: PhaseLandscape):
-    """Simplex objective: the LOD on the engine-checked interpolant of
-    the LO-phase landscape (the benchmark's tracer counts its calls)."""
-    return land.lod
+    """Simplex objective: var/dsq, monotone in the LOD, on the engine-checked
+    interpolant (the benchmark's tracer counts its calls)."""
+    return land.ratio
 
 
 def _best_cell(land: PhaseLandscape, axis):
-    """The grid cell (phi_p, phi_c) with the least LOD.
+    """The grid cell (phi_p, phi_c) with the least var/dsq, so the least LOD.
 
     Cells whose LOD lies within the interpolant's tolerance of the best
     resolve to the smallest |phi_p| + |phi_c|, the first such cell in grid
@@ -296,12 +286,8 @@ def optimize_phases(
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     offset = mpf(0)
     if target == "lodi":
-        ref = classical_reference(p)
-        if ref.lod_db is None:
-            raise UndefinedLodError("classical reference LOD undefined: the phase "
-                                    "derivative of its <J> vanishes")
         with workdps(p.precision):
-            offset = -ref.lod_db
+            offset = -classical_lod(p)
 
     land = PhaseLandscape(p, circuit)
     with workdps(p.precision):
@@ -310,19 +296,16 @@ def optimize_phases(
         axis = [lo + cell * i for i in range(grid_n)]
         best_xy = _best_cell(land, axis)
 
-        fine = _lod_objective(p, circuit)
-        grid_lod = fine(best_xy)
-        if grid_lod == mpf("inf"):
-            raise UndefinedLodError(
-                f"{circuit} LOD undefined at the best grid cell: the phase "
-                "derivative of <J> vanishes"
-            )
-        xy, val, iters, ev2, converged = nelder_mead(_lod_objective_coarse(land), best_xy,
-                                                     step=cell)
-        lod = fine(xy)
+        grid_rep = report(circuit, p.replace(phi_p=best_xy[0], phi_c=best_xy[1]))
+        grid_lod = defined_lod(grid_rep, f"{circuit} LOD undefined at the best grid "
+                               "cell: the phase derivative of <J> vanishes")
+        xy, ratio, iters, ev2, converged = nelder_mead(_lod_objective_coarse(land),
+                                                       best_xy, step=cell)
+        lod = report(circuit, p.replace(phi_p=xy[0], phi_c=xy[1])).lod_db
         # refinement starts from the best grid vertex and only improves it
-        if lod > grid_lod:
-            xy, val, lod = best_xy, land.lod(best_xy), grid_lod
+        if lod is None or lod > grid_lod:
+            xy, ratio, lod = best_xy, land.ratio(best_xy), grid_lod
+        val = lod_from_ratio(ratio)
         gap = abs(val - lod) / max(abs(lod), 1) if val != lod else 0
         digits = min(p.precision, -log10(gap)) if gap else p.precision
         return OptResult(
@@ -440,15 +423,19 @@ def vacuum_noise_map(
     Axis names may be phi (the sample phase, via theta_f), phi_p or phi_c.
     Returns (rows, minima): the ``run_sweep`` rows, second axis outer, and
     per value of the second axis the first-axis point minimizing the
-    variance among the points that have a value.
+    variance among the points that have a value.  A first axis phi is
+    evaluated outermost, so that each phi's operators are built once.
     """
     if p.alpha != 0 or p.beta != 0:
         raise ValueError("vacuum noise map requires alpha = beta = 0")
     if not {ax.name for ax in axes} <= {"phi", "phi_p", "phi_c"}:
         raise ValueError("vacuum map axes must be phi, phi_p or phi_c")
     scan, group = axes
-    rows = run_sweep(SweepGrid(axes=(group, scan), base=p, target="variance",
-                               circuit="vacuum"))
+    phi_outer = scan.name == "phi"
+    rows = run_sweep(SweepGrid(axes=axes if phi_outer else (group, scan), base=p,
+                               target="variance", circuit="vacuum"))
+    if phi_outer:
+        rows = [row for j in range(group.count) for row in rows[j::group.count]]
     minima = []
     for k in range(0, len(rows), scan.count):
         valued = [r for r in rows[k:k + scan.count] if r["value"] is not None]

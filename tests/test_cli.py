@@ -1,6 +1,10 @@
 """End-to-end command-line checks."""
 
+import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,30 @@ class TestOptimizeEndsCleanly:
         assert "best grid cell" in err
 
 
+class TestUnseededClassicalReference:
+    """A conjugate seed alone leaves the classical reference unseeded, so
+    every LODI is undefined."""
+
+    ARGS = ("--preset", "paper-start", "--alpha", "0", "--beta", "1e6")
+    MESSAGE = ("classical reference LOD undefined: "
+               "the phase derivative of its <J> vanishes")
+
+    def test_lodi_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "lodi", *self.ARGS)
+        assert code == EXIT_UNDEFINED
+        assert err.splitlines() == [f"undefined result: {self.MESSAGE}"]
+        assert out == ""
+
+    def test_lodi_sweep_records_every_row(self, capsys, tmp_path):
+        out = tmp_path / "lodi.csv"
+        code, _, _ = run_cli(capsys, "sweep", *self.ARGS, "--target", "lodi",
+                             "--axis", "r:0.5:1:2", "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2
+        assert all(row["lodi"] == "" and row["error"] == self.MESSAGE for row in rows)
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
@@ -239,6 +267,18 @@ class TestSweepCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_vacuum_circuit_drops_preset_seeds(self, capsys, tmp_path):
+        out = tmp_path / "vac.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--preset", "paper-start", "--circuit",
+                             "vacuum", "--target", "variance", "--axis", "r:0:1:2",
+                             "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2
+        assert all(row["variance"] and not row["error"] for row in rows)
+        sidecar = json.loads(out.with_suffix(".csv.json").read_text())
+        assert sidecar["parameters"]["alpha"] == "0.0"
+
     def test_bitwise_determinism(self, capsys, tmp_path):
         texts = []
         for name in ("a.csv", "b.csv"):
@@ -297,3 +337,39 @@ def test_version(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["lod", "--circuit", "warp-drive"]) == EXIT_CONFIG
+
+
+def _readme_examples():
+    """(argv, comment) of each ``tsu11`` line in the README's examples block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```")[1]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("tsu11 "):
+            examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+def test_readme_examples(capsys, tmp_path):
+    # each README example exits 0 and writes the same bytes twice, and the
+    # first prints the LOD its comment states
+    examples = _readme_examples()
+    assert examples
+    stdouts = []
+    for argv, _ in examples:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        runs = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK, argv
+            files = sorted(tmp_path.iterdir())
+            runs.append((out, [path.read_bytes() for path in files]))
+            for path in files:
+                path.unlink()
+        assert runs[0] == runs[1], argv
+        stdouts.append(runs[0][0])
+    stated = re.search(r"-?\d+\.\d+", examples[0][1]).group()
+    assert f"lod_db         : {stated}\n" in stdouts[0]

@@ -140,6 +140,13 @@ class TestLod:
         with workdps(60):
             assert err.value.variance.real > 0
 
+    def test_lodi_with_unseeded_classical_reference_undefined(self):
+        # a conjugate seed alone leaves the photon-matched classical
+        # reference without a probe seed, so its derivative vanishes
+        p = make_params("paper-start", alpha=0, beta="1e6")
+        with pytest.raises(UndefinedLodError, match="classical reference"):
+            lodi_db(p)
+
     def test_report_serialization_round_trips(self):
         p = make_params("paper-start")
         rep = report("classical", p)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from mpmath import log10, mpf, pi, workdps
+from mpmath import mpf, pi, workdps
 
 import tsu11.optimize
 from tsu11 import (
@@ -21,6 +21,7 @@ from tsu11 import (
     vacuum_noise_map,
 )
 from tsu11.circuits import _operators
+from tsu11.metrology import lod_from_ratio
 from tsu11.optimize import PhaseLandscape, _best_cell
 
 from test_metrology import LODI_OPT_ETA1
@@ -94,19 +95,16 @@ def test_landscape_is_exact_off_nodes(circuit, overrides):
 @pytest.mark.parametrize("circuit,overrides",
                          [("tsu11", {})] + [row for row in LANDSCAPE_POINTS if row[0] == "su11"])
 def test_product_grid_matches_per_cell_landscape(circuit, overrides):
-    # the separable grid reproduces PhaseLandscape.lod bit for bit and
-    # picks the cell the per-cell tie rule picks
+    # the separable grid reproduces PhaseLandscape.ratio bit for bit and
+    # picks the cell the per-cell tie rule on the LOD picks
     p = make_params("paper-start", **overrides)
     land = PhaseLandscape(p, circuit)
     with workdps(p.precision):
         axis = [-pi + 2 * pi / 16 * i for i in range(16)]
         lods = {}
         for xy, ratio in land.grid(axis):
-            lods[xy] = land.lod(xy)
-            if ratio == mpf("inf"):
-                assert lods[xy] == ratio
-            else:
-                assert 5 * log10(ratio) == lods[xy]
+            assert ratio == land.ratio(xy)
+            lods[xy] = lod_from_ratio(ratio)
         best = min(lods.values())
         tie = best + land.tol * abs(best)
         per_cell = min((xy for xy, v in lods.items() if v <= tie),
@@ -322,6 +320,17 @@ class TestVacuumMap:
             vals = [r["value"] for r in rows]
             assert max(vals) - min(vals) < mpf("1e-20")
             assert abs(vals[0] - mpf("8e16")) < mpf("1")
+
+    def test_phi_scan_builds_each_phi_once_in_row_order(self):
+        # phi sets the operators and phi_p only the state, so the map
+        # evaluates phi outermost and still emits the rows phi_p outer
+        p = make_params("paper-start", alpha=0, beta=0, precision=30)
+        scan, group = AxisSpec("phi", -0.05, 0.05, 5), AxisSpec("phi_p", -0.08, 0.08, 3)
+        _operators.cache_clear()
+        rows, _ = vacuum_noise_map(p, (scan, group))
+        assert _operators.cache_info().misses == scan.count
+        assert rows == run_sweep(SweepGrid(axes=(group, scan), base=p, target="variance",
+                                           circuit="vacuum"))
 
     def test_requires_unseeded(self):
         with pytest.raises(ValueError):
