@@ -22,7 +22,7 @@ from pathlib import Path
 from mpmath import mp, workdps
 
 from . import __version__
-from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
+from .circuits import ARMS_PROBE, CIRCUITS, NUMERIC_FIELDS, InterferometerParams
 from .metrology import UndefinedLodError, lodi_db, report
 from .optimize import (
     OPTIMIZE_TARGETS,
@@ -105,14 +105,13 @@ def _build_params(args) -> InterferometerParams:
     preset = args.preset or from_file
     _resolve_options(args, file_values)
     overrides = dict(file_values)
-    for name in _PARAM_FLAGS:
+    for name in _PARAM_FLAGS + ("precision", "arms"):
         flag = getattr(args, name)
         if flag is not None:
             overrides[name] = flag
-    if args.precision is not None:
-        overrides["precision"] = args.precision
-    if args.arms is not None:
-        overrides["arms"] = {"probe": "probe-only", "both": "both"}[args.arms]
+    # "probe" is the documented spelling, by flag or by file
+    if overrides.get("arms") == "probe":
+        overrides["arms"] = ARMS_PROBE
     try:
         p = make_params(preset, **overrides)
     except (KeyError, ValueError) as exc:
@@ -170,13 +169,8 @@ def cmd_lod(args) -> int:
         print(f"dj_dphi_sq     : {mp.nstr(rep.dj_dphi_sq, 12)}")
     if rep.lod_db is None:
         print("lod_db         : undefined (phase derivative of <J> vanishes)")
-        _maybe_write_report(args, rep, circuit, p)
-        return EXIT_UNDEFINED
-    print(f"lod_db         : {_db4(rep.lod_db)}")
-    return _maybe_write_report(args, rep, circuit, p)
-
-
-def _maybe_write_report(args, rep, circuit, p) -> int:
+    else:
+        print(f"lod_db         : {_db4(rep.lod_db)}")
     rows = [[
         circuit,
         mp.nstr(rep.variance.real, p.precision),
@@ -184,8 +178,10 @@ def _maybe_write_report(args, rep, circuit, p) -> int:
         mp.nstr(rep.lod_db, p.precision) if rep.lod_db is not None else "undefined",
     ]]
     sidecar = {"command": "lod", "circuit": circuit, "report": rep.to_json_dict()}
-    return _write_outputs(args, rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"],
+    code = _write_outputs(args, rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"],
                           sidecar, p)
+    # a failed write outranks the undefined LOD
+    return EXIT_UNDEFINED if code == EXIT_OK and rep.lod_db is None else code
 
 
 def cmd_lodi(args) -> int:

@@ -212,9 +212,10 @@ def classical_lod(p: InterferometerParams):
                        "the phase derivative of its <J> vanishes")
 
 
-def lodi_db(p: InterferometerParams) -> LodiReport:
-    """LOD improvement of the truncated SU(1,1) over the classical benchmark."""
-    rep_t = report("tsu11", p)
+def lodi_db(p: InterferometerParams, circuit: str = "tsu11") -> LodiReport:
+    """LOD improvement of the squeezed ``circuit`` over the classical
+    benchmark; ``lod_tsu11_db`` holds that circuit's LOD."""
+    rep_t = report(circuit, p)
     lod_t = defined_lod(rep_t, "squeezed-circuit LOD undefined", rep_t.variance)
     lod_c = classical_lod(p)
     with workdps(p.precision):

@@ -13,12 +13,15 @@ interpolant as separable products, one trigonometric basis per axis
 point.  The grid and the simplex both minimize var / |d<J>/dphi|^2, which
 orders the phases as the LOD does, and the LOD is taken once per reported
 value, through ``metrology``.  Sweeps evaluate a target quantity over a
-deterministic cartesian grid and never abort on per-point failures.
+deterministic cartesian grid in one flat loop and never abort on
+per-point failures, out-of-domain axis values included.  Their LODI
+target compares the sweep's circuit, as ``optimize_phases`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 from mpmath import log10, mp, mpf, pi, workdps
 
@@ -45,6 +48,11 @@ SWEEP_TARGETS = ("lod", "lodi", "variance")
 
 #: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
 CHECK_PHASES = (1, 2)
+
+#: simplex diameter below which ``nelder_mead`` has converged
+SIMPLEX_TOL = 1e-8
+#: iterations after which ``nelder_mead`` stops unconverged
+SIMPLEX_MAX_ITER = 500
 
 
 def _tolerance(dps: int):
@@ -80,19 +88,19 @@ class OptResult:
         }
 
 
-def nelder_mead(f, x0, step, tol=1e-8, max_iter=500):
+def nelder_mead(f, x0, step):
     """Derivative-free simplex descent on a 2-D objective.
 
     Standard reflection/expansion/contraction/shrink moves; converges when
-    the simplex diameter drops below ``tol``.  Returns (x, fx, iterations,
-    evaluations, converged).
+    the simplex diameter drops below ``SIMPLEX_TOL``.  Returns (x, fx,
+    iterations, evaluations, converged).
     """
     pts = [tuple(x0), (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
     vals = [f(x) for x in pts]
     evals = 3
     iters = 0
     converged = False
-    while iters < max_iter:
+    while iters < SIMPLEX_MAX_ITER:
         order = sorted(range(3), key=lambda i: vals[i])
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
@@ -101,7 +109,7 @@ def nelder_mead(f, x0, step, tol=1e-8, max_iter=500):
             for i in range(3)
             for j in range(i + 1, 3)
         )
-        if diam < tol:
+        if diam < SIMPLEX_TOL:
             converged = True
             break
         iters += 1
@@ -357,60 +365,54 @@ class SweepGrid:
     base: InterferometerParams
     target: str = "lod"  # one of SWEEP_TARGETS
     circuit: str = "tsu11"
+    #: field -> name of the axis that sets it, shorthands expanded
+    owner: dict[str, str] = field(init=False)
 
     def __post_init__(self):
         if self.target not in SWEEP_TARGETS:
             raise ValueError(f"unknown sweep target {self.target!r}")
         if self.circuit not in CIRCUITS:
             raise ValueError(f"unknown circuit {self.circuit!r}")
-        owner: dict[str, str] = {}
+        self.owner = {}
         for ax in self.axes:
             if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
                 raise ValueError(f"unknown sweep axis {ax.name!r}")
             for f in PARAM_ALIASES.get(ax.name, (ax.name,)):
-                if f in owner:
-                    raise ValueError(f"sweep axes {owner[f]!r} and {ax.name!r} "
+                if f in self.owner:
+                    raise ValueError(f"sweep axes {self.owner[f]!r} and {ax.name!r} "
                                      f"both set {f}")
-                owner[f] = ax.name
-
-
-def _apply_axis(p: InterferometerParams, name: str, value):
-    return p.replace(**{f: value for f in PARAM_ALIASES.get(name, (name,))})
+                self.owner[f] = ax.name
 
 
 def _evaluate_target(grid: SweepGrid, p: InterferometerParams):
     if grid.target == "lod":
         return lod_db(grid.circuit, p)
     if grid.target == "lodi":
-        return lodi_db(p).lodi_db
+        return lodi_db(p, grid.circuit).lodi_db
     J, _, state = CIRCUITS[grid.circuit](p)
     return variance(J, state).real
 
 
 def run_sweep(grid: SweepGrid) -> list[dict]:
-    """Evaluate the target on every grid point, in deterministic order.
+    """Evaluate the target on every grid point, first axis outermost.
 
     Returns one row per point: axis values, "value" (mpf or None) and
-    "error" (message or empty).  Failures never abort the sweep.
+    "error" (message or empty).  A point whose parameters leave their
+    domain, or whose target is undefined, fills its own row's error;
+    failures never abort the sweep.
     """
+    names, dps = [ax.name for ax in grid.axes], grid.base.precision
     rows = []
-
-    def recurse(idx: int, p: InterferometerParams, setting: dict):
-        if idx == len(grid.axes):
-            row = dict(setting)
-            try:
-                row["value"] = _evaluate_target(grid, p)
-                row["error"] = ""
-            except (UndefinedLodError, ValueError, ArithmeticError) as exc:
-                row["value"] = None
-                row["error"] = str(exc)
-            rows.append(row)
-            return
-        ax = grid.axes[idx]
-        for v in ax.points(grid.base.precision):
-            recurse(idx + 1, _apply_axis(p, ax.name, v), {**setting, ax.name: v})
-
-    recurse(0, grid.base, {})
+    for values in itertools.product(*(ax.points(dps) for ax in grid.axes)):
+        row = dict(zip(names, values))
+        try:
+            p = grid.base.replace(**{f: row[name] for f, name in grid.owner.items()})
+            row["value"] = _evaluate_target(grid, p)
+            row["error"] = ""
+        except (UndefinedLodError, ValueError, ArithmeticError) as exc:
+            row["value"] = None
+            row["error"] = str(exc)
+        rows.append(row)
     return rows
 
 

@@ -7,7 +7,10 @@ import shlex
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+from tsu11 import lodi_db, make_params
+from tsu11.circuits import NUMERIC_FIELDS
 from tsu11.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNDEFINED, main
 
 
@@ -41,6 +44,13 @@ class TestLodCommand:
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "lod", "--preset", "nope")
         assert code == EXIT_CONFIG
+
+    def test_unwritable_out_of_undefined_lod_exit_2(self, capsys):
+        # the failed write outranks the undefined LOD
+        code, _, err = run_cli(capsys, "lod", "--circuit", "vacuum", "--preset",
+                               "paper-start", "--out", "/nonexistent-dir/x.csv")
+        assert code == EXIT_CONFIG
+        assert "error: cannot write" in err
 
 
 class TestBadInput:
@@ -190,6 +200,16 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert "-68.3369" in out
 
+    def test_arms_probe_spelled_as_the_flag(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("preset = paper-start\narms = probe\n")
+        code, from_file, _ = run_cli(capsys, "lodi", "--config", str(conf))
+        assert code == EXIT_OK
+        code, from_flag, _ = run_cli(capsys, "lodi", "--preset", "paper-start",
+                                     "--arms", "probe")
+        assert from_file == from_flag
+        assert '"arms": "probe-only"' in from_file
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("volume = 11\n")
@@ -259,6 +279,44 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "lod", "--config", str(conf))
         assert code == EXIT_OK
         assert "circuit        : classical" in out
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_out_of_domain_point_is_an_error_row(self, capsys, tmp_path, field):
+        # each point's parameters are built in its own row, so a value
+        # outside the field's domain fills that row's error cell
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--preset", "paper-start",
+                               "--axis", f"{field}:-1:2:2", "--out", str(out))
+        assert code == EXIT_OK
+        assert "Traceback" not in err
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2
+        errors = []
+        for row, value in zip(rows, (-1, 2)):
+            try:
+                make_params("paper-start").replace(**{field: value})
+                expected = ""
+            except ValueError as exc:
+                expected = str(exc)
+                errors.append(expected)
+            assert row["error"] == expected
+            assert (row["lod"] == "") == bool(expected)
+        assert bool(errors) == (field in ("r", "s") or field.startswith("eta"))
+
+    def test_lodi_target_compares_the_named_circuit(self, capsys, tmp_path):
+        out = tmp_path / "su11.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--preset", "paper-start", "--s", "0.3",
+                             "--circuit", "su11", "--target", "lodi",
+                             "--axis", "r:0.5:1:2", "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2
+        for row in rows:
+            p = make_params("paper-start", s="0.3", r=row["r"])
+            su11, tsu11 = (mp.nstr(lodi_db(p, c).lodi_db, p.precision)
+                           for c in ("su11", "tsu11"))
+            assert row["lodi"] == su11 != tsu11
+            assert row["error"] == ""
 
     def test_unwritable_out(self, capsys):
         code, _, err = run_cli(

@@ -176,13 +176,15 @@ def test_optimize_rejects_empty_grid():
 
 def test_lodi_value_is_engine_lodi_at_returned_phases():
     # the classical offset is taken at the working precision, whatever
-    # the caller's ambient precision (the test suite otherwise runs at 60)
-    p = make_params("paper-start")
-    with workdps(15):
-        res = optimize_phases(p, target="lodi", grid_n=4)
-    rep = lodi_db(p.replace(phi_p=res.phi_p, phi_c=res.phi_c))
-    with workdps(p.precision):
-        assert abs(res.value_db - rep.lodi_db) < mpf("1e-40")
+    # the caller's ambient precision (the test suite otherwise runs at 60);
+    # su11 differs from tsu11 only through its second stage, s > 0
+    for circuit, p in (("tsu11", make_params("paper-start")),
+                       ("su11", make_params("paper-start", s="0.3"))):
+        with workdps(15):
+            res = optimize_phases(p, target="lodi", circuit=circuit, grid_n=4)
+        rep = lodi_db(p.replace(phi_p=res.phi_p, phi_c=res.phi_c), circuit)
+        with workdps(p.precision):
+            assert abs(res.value_db - rep.lodi_db) < mpf("1e-40")
 
 
 def test_objective_mirror_symmetry_at_zero_rotation():
