@@ -31,6 +31,7 @@ from .circuits import (
     build_tsu11_J,
     build_vacuum_J,
 )
+from .closed_form import closed_form_report
 from .jones import jones_pipeline, sampling_phase, transduce
 from .metrology import (
     ConsistencyError,
@@ -38,7 +39,6 @@ from .metrology import (
     MetrologyReport,
     UndefinedLodError,
     classical_reference,
-    closed_form_report,
     dj_dphi_sq,
     lod_db,
     lodi_db,

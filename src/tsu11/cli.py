@@ -5,8 +5,9 @@ as CSV plus a JSON sidecar carrying the fixed parameters and engine
 version; numbers are decimal strings at the working precision and output
 is byte-identical across runs of the same configuration.
 
-Exit codes: 0 ok, 2 usage or configuration error (including a bad sweep
-axis, target or circuit), 3 undefined result (e.g. vacuum-seeded LOD).
+Exit codes: 0 ok, 1 stdout closed before the output was written, 2 usage
+or configuration error (including a bad sweep axis, target or circuit),
+3 undefined result (e.g. vacuum-seeded LOD).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +38,7 @@ from .optimize import (
 from .presets import PRESETS, make_params
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_UNDEFINED = 3
 
@@ -76,7 +79,10 @@ def _parse_config_file(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val
+        if key == "precision" and not val.isdigit():
+            raise ConfigError(f"{path}:{lineno}: precision must be an integer, "
+                              f"got {val!r}")
+        values[key] = int(val) if key == "precision" else val
     return values
 
 
@@ -335,15 +341,26 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UndefinedLodError as exc:
-        print(f"undefined result: {exc}", file=sys.stderr)
-        if exc.variance is not None:
-            print(f"variance       : {mp.nstr(exc.variance.real, 12)}")
-        return EXIT_UNDEFINED
+        try:
+            return args.fn(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except UndefinedLodError as exc:
+            print(f"undefined result: {exc}", file=sys.stderr)
+            if exc.variance is not None:
+                print(f"variance       : {mp.nstr(exc.variance.real, 12)}")
+            return EXIT_UNDEFINED
+        finally:
+            # stdout is block-buffered on a pipe: flush here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the
+        # interpreter's own flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from mpmath import log10, mp, mpc, mpf, sqrt, workdps
 from .algebra import OperatorExpr, coherent_expectation, coherent_moments
 # the benchmark's tracer self-test checks that this binding is restored
 from .algebra import mul  # noqa: F401
-from .circuits import ARMS_BOTH, CIRCUITS, InterferometerParams, classical_seeds
+from .circuits import CIRCUITS, InterferometerParams
 from .jones import sampling_phase
 
 class UndefinedLodError(ArithmeticError):
@@ -150,45 +150,6 @@ def lod_db(circuit: str, p: InterferometerParams):
     rep = report(circuit, p)
     message = "phase derivative of <J> vanishes (unseeded circuit): LOD undefined"
     return defined_lod(rep, message, rep.variance)
-
-
-def closed_form_report(circuit: str, p: InterferometerParams) -> MetrologyReport:
-    """Analytic-route report for the canonical circuits (b unseeded, and
-    eta_p1 == eta_c1 for the squeezed circuits).
-
-    Independent of the operator engine; used to cross-check it.
-    """
-    from . import closed_form as cf
-
-    if p.beta != 0:
-        raise ValueError("closed forms assume an unseeded conjugate input")
-    if circuit in ("tsu11", "vacuum") and p.eta_p1 != p.eta_c1:
-        raise ValueError("squeezed-circuit closed forms assume eta_p1 == eta_c1")
-    with workdps(p.precision):
-        phi = sampling_phase(p.theta_f, p.precision)
-        if circuit == "classical":
-            a_eff, b_eff = classical_seeds(p)
-            phi_b = phi if p.arms == ARMS_BOTH else mpf(0)
-            mean = cf.classical_mean(a_eff, b_eff, p.gamma, p.kappa,
-                                     phi, phi_b, p.phi_p, p.phi_c)
-            var = mpc(cf.classical_variance(a_eff, b_eff, p.gamma, p.kappa))
-            dsq = cf.classical_derivative_sq(
-                a_eff, b_eff, p.gamma, p.kappa, phi, phi_b, p.phi_p, p.phi_c,
-                probe_only=(p.arms != ARMS_BOTH))
-        elif circuit == "tsu11":
-            mean = mpc(cf.tsu11_mean(p, phi))
-            var = mpc(cf.tsu11_variance(p, phi))
-            dsq = cf.tsu11_derivative_sq(p, phi)
-        elif circuit == "vacuum":
-            if p.alpha != 0:
-                raise ValueError("vacuum closed form requires alpha = 0")
-            mean = mpc(0)
-            var = mpc(cf.vacuum_variance(p, phi))
-            dsq = mpf(0)
-        else:
-            raise ValueError(f"no closed form for circuit {circuit!r}")
-        mean = mpc(mean)
-        return MetrologyReport(mean, var + mean ** 2, var, dsq, "closed-form", p.precision)
 
 
 def classical_reference(p: InterferometerParams) -> MetrologyReport:

@@ -2,16 +2,20 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import tsu11
 from tsu11 import lodi_db, make_params
 from tsu11.circuits import NUMERIC_FIELDS
-from tsu11.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNDEFINED, main
+from tsu11.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK, EXIT_UNDEFINED, main
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +225,23 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "lod", "--config", "/nonexistent/x.conf")
         assert code == EXIT_CONFIG
 
+    def test_precision_from_file_matches_flag(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("preset = paper-start\nprecision = 40\n")
+        code, from_file, _ = run_cli(capsys, "lod", "--config", str(conf))
+        assert code == EXIT_OK
+        code, from_flag, _ = run_cli(capsys, "lod", "--preset", "paper-start",
+                                     "--precision", "40")
+        assert from_file == from_flag
+        assert '"precision": 40' in from_file
+
+    def test_non_integer_precision_exit_2(self, capsys, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("preset = paper-start\nprecision = forty\n")
+        code, _, err = run_cli(capsys, "lod", "--config", str(conf))
+        assert code == EXIT_CONFIG
+        assert "error:" in err and "Traceback" not in err
+
     def test_malformed_line(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("r 0.5\n")
@@ -386,6 +407,22 @@ class TestVacuumCommand:
         assert len(lines) == 1 + 9 * 3
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
         assert len(sidecar["minima"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["lod", "--preset", "paper-start"],
+    ["sweep", "--preset", "paper-start", "--axis", "r:0:1:3"],
+])
+def test_closed_stdout_exits_1_quietly(argv):
+    # the reader of the pipe is gone before the command writes a byte
+    env = {**os.environ, "PYTHONPATH": str(Path(tsu11.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "tsu11.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE == 1
+    assert err == b""
 
 
 def test_version(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from mpmath import mpf, workdps
@@ -235,6 +236,44 @@ class TestLodi:
         for circuit, q in (("tsu11", p), ("vacuum", p.replace(alpha=0))):
             with pytest.raises(ValueError, match="eta_p1 == eta_c1"):
                 closed_form_report(circuit, q)
+
+    @pytest.mark.parametrize("arms", ["both", "probe-only"])
+    def test_closed_form_report_matches_engine_at_random_points(self, arms):
+        rng = random.Random(71 if arms == "both" else 73)
+        for _ in range(5):
+            # the classical closed form also takes unequal internal losses
+            p = random_params(rng, eta_shared=False, arms=arms)
+            shared = p.replace(eta_c1=p.eta_p1)
+            for circuit, q in (("classical", p), ("tsu11", shared),
+                               ("vacuum", shared.replace(alpha=0))):
+                eng, ana = report(circuit, q), closed_form_report(circuit, q)
+                for field in ("mean_j", "variance", "dj_dphi_sq"):
+                    got, want = getattr(eng, field), getattr(ana, field)
+                    assert rel_diff(got, want) < mpf("1e-40"), (circuit, field)
+
+    @pytest.mark.parametrize("circuit, changes, message", [
+        ("su11", {}, "no closed form for circuit 'su11'"),
+        ("tsu11", {"beta": "1e5"}, "closed forms assume an unseeded conjugate input"),
+        ("classical", {"beta": "1e5"}, "closed forms assume an unseeded conjugate input"),
+        ("vacuum", {"alpha": "1e3"}, "vacuum closed form requires alpha = 0"),
+    ])
+    def test_closed_form_refusals(self, circuit, changes, message):
+        p = make_params("paper-start", **changes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            closed_form_report(circuit, p)
+
+    @pytest.mark.parametrize("arms", ["both", "probe-only"])
+    def test_photon_matching_equalises_the_signal(self, arms):
+        # at beta = 0 the classical seeds are the mean fields the squeezer
+        # puts on the sampled arms, so the engine gives both circuits the
+        # same <J> and |d<J>/dphi|^2 at the same LO phases, at any r and
+        # with unequal internal losses too
+        rng = random.Random(61 if arms == "both" else 67)
+        for k in range(20):
+            p = random_params(rng, eta_shared=k % 2 == 0, arms=arms)
+            squeezed, classical = report("tsu11", p), report("classical", p)
+            assert rel_diff(squeezed.mean_j, classical.mean_j) < mpf("1e-40")
+            assert rel_diff(squeezed.dj_dphi_sq, classical.dj_dphi_sq) < mpf("1e-40")
 
     def test_classical_reference_phase_choice(self):
         # reference evaluates at phi_p = phi_c = phi, where its derivative
