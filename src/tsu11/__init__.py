@@ -32,7 +32,7 @@ from .circuits import (
     build_vacuum_J,
 )
 from .closed_form import closed_form_report
-from .jones import jones_pipeline, sampling_phase, transduce
+from .jones import sampling_phase, transduce
 from .metrology import (
     ConsistencyError,
     LodiReport,
@@ -45,15 +45,8 @@ from .metrology import (
     report,
     variance,
 )
-from .optimize import (
-    AxisSpec,
-    OptResult,
-    SweepGrid,
-    nelder_mead,
-    optimize_phases,
-    run_sweep,
-    vacuum_noise_map,
-)
+from .optimize import OptResult, nelder_mead, optimize_phases
+from .sweep import AxisSpec, SweepGrid, run_sweep, vacuum_noise_map
 from .presets import PRESETS, make_params
 
 __all__ = [
@@ -76,7 +69,6 @@ __all__ = [
     "build_su11_J",
     "build_tsu11_J",
     "build_vacuum_J",
-    "jones_pipeline",
     "sampling_phase",
     "transduce",
     "ConsistencyError",

@@ -7,7 +7,9 @@ is byte-identical across runs of the same configuration.
 
 Exit codes: 0 ok, 1 stdout closed before the output was written, 2 usage
 or configuration error (including a bad sweep axis, target or circuit),
-3 undefined result (e.g. vacuum-seeded LOD).
+3 undefined result (e.g. vacuum-seeded LOD), 4 failed internal
+cross-check (``ConsistencyError``, e.g. an interpolant that misses the
+engine).
 """
 
 from __future__ import annotations
@@ -25,22 +27,16 @@ from mpmath import mp, workdps
 
 from . import __version__
 from .circuits import ARMS_PROBE, CIRCUITS, NUMERIC_FIELDS, InterferometerParams
-from .metrology import UndefinedLodError, lodi_db, report
-from .optimize import (
-    OPTIMIZE_TARGETS,
-    SWEEP_TARGETS,
-    AxisSpec,
-    SweepGrid,
-    optimize_phases,
-    run_sweep,
-    vacuum_noise_map,
-)
+from .metrology import ConsistencyError, UndefinedLodError, lodi_db, report
+from .optimize import OPTIMIZE_TARGETS, optimize_phases
+from .sweep import SWEEP_TARGETS, AxisSpec, SweepGrid, run_sweep, vacuum_noise_map
 from .presets import PRESETS, make_params
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_UNDEFINED = 3
+EXIT_CONSISTENCY = 4
 
 _PARAM_FIELDS = tuple(f.name for f in fields(InterferometerParams))
 #: parameter flags; the eta shorthand is applied after the fields
@@ -265,9 +261,13 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     header = [ax.name for ax in axes] + [grid.target, "error"]
-    rows = _sweep_cells(run_sweep(grid), axes, p.precision)
+    raw = run_sweep(grid)
+    rows = _sweep_cells(raw, axes, p.precision)
+    digits = [row["check_digits"] for row in raw if row["route"] == "interpolant"]
     sidecar = {"command": "sweep", "target": grid.target, "circuit": grid.circuit,
-               "axes": [vars(ax) for ax in axes], "points": len(rows)}
+               "axes": [vars(ax) for ax in axes], "points": len(rows),
+               "route": "interpolant" if digits else "engine",
+               "check_digits": min(digits, default=None)}
     return _write_outputs(args, rows, header, sidecar, p)
 
 
@@ -279,6 +279,8 @@ def cmd_vacuum(args) -> int:
     axes = tuple(_parse_axis(a) for a in axis_specs)
     try:
         rows_raw, minima = vacuum_noise_map(p, axes)
+    except ConsistencyError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     header = [axes[0].name, axes[1].name, "variance", "error"]
@@ -351,6 +353,9 @@ def main(argv=None) -> int:
             if exc.variance is not None:
                 print(f"variance       : {mp.nstr(exc.variance.real, 12)}")
             return EXIT_UNDEFINED
+        except ConsistencyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONSISTENCY
         finally:
             # stdout is block-buffered on a pipe: flush here, not at exit
             sys.stdout.flush()

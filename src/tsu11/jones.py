@@ -4,54 +4,16 @@ Two quarter-wave plates sandwich the rotating sample: the first converts
 linear to circular polarization, the rotation becomes a phase shift on the
 circular basis, and the second plate converts back.  For a horizontally
 polarized input the output is (cos(theta) - i sin(theta), 0), i.e. a pure
-phase with unit magnitude slope.
+phase with unit magnitude slope.  The package takes that phase in closed
+form; the Jones matrices of the pipeline are a test oracle
+(``tests/jones_oracle.py``).
 """
 
 from __future__ import annotations
 
-from mpmath import arg, cos, exp, matrix, mpc, mpf, pi, sin, workdps
+from mpmath import arg, cos, mpc, mpf, sin, workdps
 
 from .algebra import DEFAULT_DPS
-
-
-def qwp_plus45(dps: int = DEFAULT_DPS) -> matrix:
-    """Quarter-wave plate with fast axis at +45 degrees."""
-    with workdps(dps):
-        p = exp(mpc(0, -1) * pi / 4)
-        h = mpf(1) / 2
-        return matrix(
-            [[(h + h * 1j) * p, (h - h * 1j) * p],
-             [(h - h * 1j) * p, (h + h * 1j) * p]]
-        )
-
-
-def qwp_minus45(dps: int = DEFAULT_DPS) -> matrix:
-    """Quarter-wave plate with fast axis at -45 degrees."""
-    with workdps(dps):
-        p = exp(mpc(0, -1) * pi / 4)
-        h = mpf(1) / 2
-        return matrix(
-            [[(h + h * 1j) * p, (-h + h * 1j) * p],
-             [(-h + h * 1j) * p, (h + h * 1j) * p]]
-        )
-
-
-def rotator(theta, dps: int = DEFAULT_DPS) -> matrix:
-    """Polarization rotation by theta radians."""
-    with workdps(dps):
-        t = mpf(theta)
-        return matrix([[cos(t), sin(t)], [-sin(t), cos(t)]])
-
-
-def jones_pipeline(theta_f, vec: matrix | None = None, dps: int = DEFAULT_DPS) -> matrix:
-    """Output Jones vector after QWP(+45), sample rotation, QWP(-45).
-
-    Defaults to a horizontally polarized input.
-    """
-    with workdps(dps):
-        if vec is None:
-            vec = matrix([mpc(1), mpc(0)])
-        return qwp_minus45(dps) * (rotator(theta_f, dps) * (qwp_plus45(dps) * vec))
 
 
 def transduce(theta_f, dps: int = DEFAULT_DPS):

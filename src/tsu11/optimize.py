@@ -1,4 +1,4 @@
-"""LO-phase optimization and parameter sweeps.
+"""LO-phase optimization.
 
 The LOD landscape over the two LO phases is multimodal with shallow
 basins, so optimization seeds a Nelder-Mead simplex from the best cell of
@@ -12,51 +12,35 @@ does not depend on the LO phases.  The coarse grid evaluates the
 interpolant as separable products, one trigonometric basis per axis
 point.  The grid and the simplex both minimize var / |d<J>/dphi|^2, which
 orders the phases as the LOD does, and the LOD is taken once per reported
-value, through ``metrology``.  Sweeps evaluate a target quantity over a
-deterministic cartesian grid in one flat loop and never abort on
-per-point failures, out-of-domain axis values included.  Their LODI
-target compares the sweep's circuit, as ``optimize_phases`` does.
+value, through ``metrology``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import log10, mp, mpf, pi, workdps
 
-from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
-from .metrology import (
-    ConsistencyError,
-    UndefinedLodError,
-    classical_lod,
-    defined_lod,
-    lod_db,
-    lod_from_ratio,
-    lodi_db,
-    report,
-    variance,
+from .circuits import InterferometerParams
+from .interpolants import (
+    CHECK_PHASES,
+    check_fit,
+    dft_projection,
+    node_scales,
+    tolerance,
+    trig_basis,
 )
-from .presets import PARAM_ALIASES
+from .metrology import classical_lod, defined_lod, lod_from_ratio, report
 
-#: digits below the working precision at which the interpolant is trusted:
-#: room for the rounding of the DFT and of the engine's own node values
-CHECK_MARGIN = 15
+# the sweep API stays importable from this module
+from .sweep import AxisSpec, SweepGrid, run_sweep, vacuum_noise_map  # noqa: F401
 
 OPTIMIZE_TARGETS = ("lod", "lodi")
-SWEEP_TARGETS = ("lod", "lodi", "variance")
-
-#: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
-CHECK_PHASES = (1, 2)
 
 #: simplex diameter below which ``nelder_mead`` has converged
 SIMPLEX_TOL = 1e-8
 #: iterations after which ``nelder_mead`` stops unconverged
 SIMPLEX_MAX_ITER = 500
-
-
-def _tolerance(dps: int):
-    return mpf(10) ** (CHECK_MARGIN - dps)
 
 
 @dataclass
@@ -147,12 +131,6 @@ def nelder_mead(f, x0, step):
     return pts[best], vals[best], iters, evals, converged
 
 
-def _trig_basis(x):
-    """(1, cos x, sin x, cos 2x, sin 2x): the real basis of degree <= 2."""
-    c, s = mp.cos_sin(x)
-    return (mpf(1), c, s, 2 * c * c - 1, 2 * s * c)
-
-
 class PhaseLandscape:
     """Exact interpolant of var(J) and |d<J>/dphi|^2 over (phi_p, phi_c).
 
@@ -166,32 +144,20 @@ class PhaseLandscape:
 
     def __init__(self, p: InterferometerParams, circuit: str):
         self.dps = dps = p.precision
-        self.tol = _tolerance(dps)
+        self.tol = tolerance(dps)
         with workdps(dps):
             nodes = [2 * pi * k / 5 for k in range(5)]
             reps = [[report(circuit, p.replace(phi_p=x, phi_c=y)) for y in nodes]
                     for x in nodes]
-            # projection of node values onto the basis: rows (1/5, 2/5 ...)
-            weights = (mpf(1) / 5,) + (mpf(2) / 5,) * 4
-            proj = [[w * b for b in col]
-                    for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
+            proj = dft_projection(nodes, 2)
             self._var = self._fit(proj, [[r.variance.real for r in row] for row in reps])
             self._dsq = self._fit(proj, [[r.dj_dphi_sq for r in row] for row in reps])
-            # var is checked relative to the largest node <J^2> = var + <J>^2,
-            # a scale at least that of the largest node var
-            flat = [r for row in reps for r in row]
-            self.var_scale = max([abs(r.second_moment) for r in flat] + [mpf(1)])
-            self.dsq_scale = max([r.dj_dphi_sq for r in flat] + [mpf(1)])
+            self.var_scale, self.dsq_scale = node_scales([r for row in reps for r in row])
             xc, yc = CHECK_PHASES
             check = report(circuit, p.replace(phi_p=xc, phi_c=yc))
-            var, dsq = self.at(mpf(xc), mpf(yc))
-            gap = max(abs(var - check.variance.real) / self.var_scale,
-                      abs(dsq - check.dj_dphi_sq) / self.dsq_scale)
-            if gap > self.tol:
-                raise ConsistencyError(
-                    f"LO-phase interpolant misses the engine by {mp.nstr(gap, 3)} of "
-                    f"the node scale at phases {CHECK_PHASES} ({dps} digits)"
-                )
+            check_fit(self.at(mpf(xc), mpf(yc)), check, (self.var_scale, self.dsq_scale),
+                      self.tol, "LO-phase interpolant",
+                      f"phases {CHECK_PHASES} ({dps} digits)")
 
     @staticmethod
     def _fit(proj, values):
@@ -214,14 +180,14 @@ class PhaseLandscape:
     def at(self, phi_p, phi_c):
         """(var(J), |d<J>/dphi|^2) at the LO phases."""
         with workdps(self.dps):
-            u = _trig_basis(phi_p)
-            return tuple(mp.fdot(u, h) for h in self._contract(_trig_basis(phi_c)))
+            u = trig_basis(phi_p)
+            return tuple(mp.fdot(u, h) for h in self._contract(trig_basis(phi_c)))
 
     def ratio(self, x):
         """var / dsq at x = (phi_p, phi_c); inf where the derivative is at
         or below the rounding floor of the largest node derivative."""
         with workdps(self.dps):
-            return self._ratio(_trig_basis(x[0]), self._contract(_trig_basis(x[1])))
+            return self._ratio(trig_basis(x[0]), self._contract(trig_basis(x[1])))
 
     def grid(self, axis):
         """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
@@ -232,7 +198,7 @@ class PhaseLandscape:
         phi_c, and each cell is then one length-5 dot product per quantity.
         """
         with workdps(self.dps):
-            basis = [_trig_basis(x) for x in axis]
+            basis = [trig_basis(x) for x in axis]
             halves = [self._contract(v) for v in basis]
             for x, u in zip(axis, basis):
                 for y, h in zip(axis, halves):
@@ -326,122 +292,3 @@ def optimize_phases(
             converged=converged,
             check_digits=round(float(digits), 1),
         )
-
-
-# -- parameter sweeps --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AxisSpec:
-    """One swept parameter: name, range, point count, linear or log spacing."""
-
-    name: str
-    lo: float
-    hi: float
-    count: int
-    log: bool = False
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("axis count must be >= 2")
-        if self.log and (self.lo <= 0 or self.hi <= 0):
-            raise ValueError("log axis requires positive bounds")
-
-    def points(self, dps: int):
-        with workdps(dps):
-            lo, hi = mpf(str(self.lo)), mpf(str(self.hi))
-            n = self.count
-            if self.log:
-                llo, lhi = mp.log10(lo), mp.log10(hi)
-                return [mpf(10) ** (llo + (lhi - llo) * k / (n - 1)) for k in range(n)]
-            return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
-@dataclass
-class SweepGrid:
-    """Cartesian sweep specification over interferometer parameters."""
-
-    axes: tuple[AxisSpec, ...]
-    base: InterferometerParams
-    target: str = "lod"  # one of SWEEP_TARGETS
-    circuit: str = "tsu11"
-    #: field -> name of the axis that sets it, shorthands expanded
-    owner: dict[str, str] = field(init=False)
-
-    def __post_init__(self):
-        if self.target not in SWEEP_TARGETS:
-            raise ValueError(f"unknown sweep target {self.target!r}")
-        if self.circuit not in CIRCUITS:
-            raise ValueError(f"unknown circuit {self.circuit!r}")
-        self.owner = {}
-        for ax in self.axes:
-            if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
-                raise ValueError(f"unknown sweep axis {ax.name!r}")
-            for f in PARAM_ALIASES.get(ax.name, (ax.name,)):
-                if f in self.owner:
-                    raise ValueError(f"sweep axes {self.owner[f]!r} and {ax.name!r} "
-                                     f"both set {f}")
-                self.owner[f] = ax.name
-
-
-def _evaluate_target(grid: SweepGrid, p: InterferometerParams):
-    if grid.target == "lod":
-        return lod_db(grid.circuit, p)
-    if grid.target == "lodi":
-        return lodi_db(p, grid.circuit).lodi_db
-    J, _, state = CIRCUITS[grid.circuit](p)
-    return variance(J, state).real
-
-
-def run_sweep(grid: SweepGrid) -> list[dict]:
-    """Evaluate the target on every grid point, first axis outermost.
-
-    Returns one row per point: axis values, "value" (mpf or None) and
-    "error" (message or empty).  A point whose parameters leave their
-    domain, or whose target is undefined, fills its own row's error;
-    failures never abort the sweep.
-    """
-    names, dps = [ax.name for ax in grid.axes], grid.base.precision
-    rows = []
-    for values in itertools.product(*(ax.points(dps) for ax in grid.axes)):
-        row = dict(zip(names, values))
-        try:
-            p = grid.base.replace(**{f: row[name] for f, name in grid.owner.items()})
-            row["value"] = _evaluate_target(grid, p)
-            row["error"] = ""
-        except (UndefinedLodError, ValueError, ArithmeticError) as exc:
-            row["value"] = None
-            row["error"] = str(exc)
-        rows.append(row)
-    return rows
-
-
-def vacuum_noise_map(
-    p: InterferometerParams,
-    axes: tuple[AxisSpec, AxisSpec],
-) -> tuple[list[dict], list[dict]]:
-    """Tabulate the vacuum-seeded variance over two phase axes.
-
-    Axis names may be phi (the sample phase, via theta_f), phi_p or phi_c.
-    Returns (rows, minima): the ``run_sweep`` rows, second axis outer, and
-    per value of the second axis the first-axis point minimizing the
-    variance among the points that have a value.  A first axis phi is
-    evaluated outermost, so that each phi's operators are built once.
-    """
-    if p.alpha != 0 or p.beta != 0:
-        raise ValueError("vacuum noise map requires alpha = beta = 0")
-    if not {ax.name for ax in axes} <= {"phi", "phi_p", "phi_c"}:
-        raise ValueError("vacuum map axes must be phi, phi_p or phi_c")
-    scan, group = axes
-    phi_outer = scan.name == "phi"
-    rows = run_sweep(SweepGrid(axes=axes if phi_outer else (group, scan), base=p,
-                               target="variance", circuit="vacuum"))
-    if phi_outer:
-        rows = [row for j in range(group.count) for row in rows[j::group.count]]
-    minima = []
-    for k in range(0, len(rows), scan.count):
-        valued = [r for r in rows[k:k + scan.count] if r["value"] is not None]
-        if valued:
-            best = min(valued, key=lambda r: r["value"])
-            minima.append({name: best[name] for name in (scan.name, group.name, "value")})
-    return rows, minima

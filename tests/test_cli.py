@@ -10,12 +10,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf, workdps
 
 import tsu11
-from tsu11 import lodi_db, make_params
+import tsu11.optimize
+import tsu11.sweep
+from tsu11 import lodi_db, make_params, report
 from tsu11.circuits import NUMERIC_FIELDS
-from tsu11.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK, EXIT_UNDEFINED, main
+from tsu11.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CONFIG,
+    EXIT_CONSISTENCY,
+    EXIT_OK,
+    EXIT_UNDEFINED,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -358,6 +367,20 @@ class TestSweepCommand:
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
         assert sidecar["parameters"]["alpha"] == "0.0"
 
+    @pytest.mark.parametrize("axis,route,digits", [
+        ("r:0:3:13", "interpolant", 40.0),
+        ("eta:0.5:1.0:13", "engine", None),
+    ])
+    def test_sidecar_records_route(self, capsys, tmp_path, axis, route, digits):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--preset", "paper-start",
+                             "--precision", "40", "--axis", axis, "--target", "lodi",
+                             "--out", str(out))
+        assert code == EXIT_OK
+        sidecar = json.loads(out.with_suffix(".csv.json").read_text())
+        assert sidecar["route"] == route
+        assert sidecar["check_digits"] == digits
+
     def test_bitwise_determinism(self, capsys, tmp_path):
         texts = []
         for name in ("a.csv", "b.csv"):
@@ -423,6 +446,41 @@ def test_closed_stdout_exits_1_quietly(argv):
     proc.stderr.close()
     assert proc.wait() == EXIT_BROKEN_PIPE == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("module,argv", [
+    (tsu11.optimize, ["optimize", "--preset", "paper-start", "--grid", "4"]),
+    (tsu11.sweep, ["sweep", "--preset", "paper-start", "--axis", "r:0:3:13",
+                   "--target", "lodi"]),
+])
+def test_failed_cross_check_exit_4(capsys, monkeypatch, module, argv):
+    # the first node report is off by 1e-20: the interpolant's off-node
+    # check fails and the command ends with one error line, no traceback
+    calls = []
+
+    def perturbed_once(circuit, q):
+        rep = report(circuit, q)
+        if not calls:
+            with workdps(q.precision):
+                rep.variance *= 1 + mpf("1e-20")
+        calls.append(q)
+        return rep
+
+    monkeypatch.setattr(module, "report", perturbed_once)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONSISTENCY == 4
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "interpolant misses the engine" in line
+
+
+def test_import_leaves_numpy_out():
+    # numpy would add its import time to every command's start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(tsu11.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, tsu11; print('numpy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_version(capsys):

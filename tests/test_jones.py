@@ -4,8 +4,9 @@ import random
 
 from mpmath import arg, cos, fabs, mpf, sin, workdps
 
-from tsu11 import jones_pipeline, sampling_phase, transduce
-from tsu11.jones import qwp_minus45, qwp_plus45
+from tsu11 import sampling_phase, transduce
+
+from jones_oracle import jones_pipeline, qwp_minus45, qwp_plus45
 
 
 def test_transduce_identity():

@@ -6,7 +6,9 @@ import pytest
 from mpmath import mpf, pi, workdps
 
 import tsu11.optimize
+import tsu11.sweep
 from tsu11 import (
+    CIRCUITS,
     AxisSpec,
     ConsistencyError,
     SweepGrid,
@@ -19,10 +21,12 @@ from tsu11 import (
     report,
     run_sweep,
     vacuum_noise_map,
+    variance,
 )
 from tsu11.circuits import _operators
 from tsu11.metrology import lod_from_ratio
 from tsu11.optimize import PhaseLandscape, _best_cell
+from tsu11.sweep import _axis_degree
 
 from test_metrology import LODI_OPT_ETA1
 
@@ -284,6 +288,124 @@ class TestSweep:
         # outer axis varies slowest
         assert rows[0]["r"] == rows[1]["r"]
         assert rows[0]["eta"] != rows[1]["eta"]
+
+
+def _per_point(circuit, target, p):
+    """(value, scale) of the sweep target at p straight from the metrology
+    functions; a LODI is scaled by the larger |LOD| it is taken from."""
+    if target == "lod":
+        value = lod_db(circuit, p)
+        return value, abs(value)
+    if target == "lodi":
+        rep = lodi_db(p, circuit)
+        return rep.lodi_db, max(abs(rep.lod_tsu11_db), abs(rep.lod_classical_db))
+    J, _, state = CIRCUITS[circuit](p)
+    value = variance(J, state).real
+    return value, abs(value)
+
+
+def _assert_rows_match_engine(grid, rows):
+    """Each row is the per-point value within 10^(10 - precision) of its
+    scale (1e-50 at 60 digits), or the per-point error."""
+    dps = grid.base.precision
+    with workdps(dps):
+        for row in rows:
+            fields = {f: row[name] for f, name in grid.owner.items()}
+            try:
+                want, scale = _per_point(grid.circuit, grid.target,
+                                         grid.base.replace(**fields))
+            except (UndefinedLodError, ValueError) as exc:
+                assert row["value"] is None and row["error"] == str(exc)
+                assert row["route"] == "engine"
+                continue
+            assert row["error"] == ""
+            assert abs(row["value"] - want) <= mpf(10) ** (10 - dps) * scale, row
+
+
+#: unbalanced homodyne with s > 0: the sweep bases need degree 4
+SU11_K4 = {"s": "0.3", "beta": "1e5", "eta_p3": "0.3"}
+
+
+class TestSweepInterpolant:
+    """The innermost r or phase axis of a sweep runs on an exact
+    interpolant fitted from engine reports."""
+
+    @pytest.mark.parametrize("circuit,target,axis,overrides", [
+        ("tsu11", "lodi", AxisSpec("r", 0, 3, 13), {}),
+        ("classical", "lod", AxisSpec("r", 0.1, 2.5, 9), {}),
+        ("su11", "lod", AxisSpec("r", 0, 2, 11), SU11_K4),
+        ("su11", "lodi", AxisSpec("phi", -3, 3, 11), SU11_K4),
+        ("tsu11", "lod", AxisSpec("phi_p", -3, 3, 9), {"eta": "0.9"}),
+        ("tsu11", "lodi", AxisSpec("phi_c", -1, 1, 9), {"arms": "probe-only"}),
+        ("vacuum", "variance", AxisSpec("r", 0, 2, 9), {"alpha": "0"}),
+        ("vacuum", "variance", AxisSpec("phi", -3, 3, 9), {"alpha": "0", "eta": "0.8"}),
+        # e^{4r} over 35 decades, and nodes 1e-6 apart
+        ("su11", "lod", AxisSpec("r", 0.01, 20, 11, log=True), SU11_K4),
+        ("tsu11", "lod", AxisSpec("r", 1, 1.000001, 9), {}),
+    ])
+    def test_rows_equal_per_point_engine(self, circuit, target, axis, overrides):
+        p = make_params("paper-start", **overrides)
+        grid = SweepGrid(axes=(axis,), base=p, target=target, circuit=circuit)
+        rows = run_sweep(grid)
+        assert {row["route"] for row in rows} == {"interpolant"}
+        assert {row["check_digits"] for row in rows} == {60.0}
+        _assert_rows_match_engine(grid, rows)
+
+    def test_degree_rule(self):
+        p = make_params("paper-start", **SU11_K4)
+        assert [_axis_degree(c, p) for c in ("tsu11", "classical", "vacuum", "su11")] == \
+            [2, 2, 2, 4]
+        assert _axis_degree("su11", p.replace(eta_p3="0.5")) == 2
+
+    def test_two_axis_sweep_keeps_row_order(self):
+        p = make_params("paper-start", precision=40)
+        grid = SweepGrid(axes=(AxisSpec("eta", 0.8, 1.0, 3), AxisSpec("r", 0, 3, 9)),
+                         base=p, target="lodi")
+        rows = run_sweep(grid)
+        with workdps(40):
+            order = [(eta, r) for eta in grid.axes[0].points(40)
+                     for r in grid.axes[1].points(40)]
+        assert [(row["eta"], row["r"]) for row in rows] == order
+        assert {row["route"] for row in rows} == {"interpolant"}
+        _assert_rows_match_engine(grid, rows)
+
+    def test_out_of_domain_rows_stay_per_point(self):
+        # nodes span the in-domain points only; r < 0 rows are error rows
+        grid = SweepGrid(axes=(AxisSpec("r", -1, 3, 17),), base=make_params("paper-start"),
+                         target="lodi")
+        rows = run_sweep(grid)
+        assert [row["route"] for row in rows] == ["engine"] * 4 + ["interpolant"] * 13
+        assert all(row["value"] is None for row in rows[:4])
+        _assert_rows_match_engine(grid, rows)
+
+    def test_short_run_stays_per_point(self):
+        # 2K + 2 = 6 points cost no more reports per point than the fit
+        grid = SweepGrid(axes=(AxisSpec("r", 0, 3, 6),), base=make_params("paper-start"))
+        assert {row["route"] for row in run_sweep(grid)} == {"engine"}
+
+    def test_undefined_rows_keep_the_engine_message(self):
+        # a conjugate seed alone leaves the classical reference unseeded:
+        # every interpolated classical derivative is zero
+        p = make_params("paper-start", alpha=0, beta="1e6")
+        grid = SweepGrid(axes=(AxisSpec("r", 0, 3, 13),), base=p, target="lodi")
+        rows = run_sweep(grid)
+        assert all(row["route"] == "engine" and row["value"] is None for row in rows)
+        assert {row["error"] for row in rows} == {
+            "classical reference LOD undefined: the phase derivative of its <J> vanishes"}
+        _assert_rows_match_engine(grid, rows)
+
+    @pytest.mark.parametrize("circuit,axis,overrides", [
+        ("tsu11", AxisSpec("r", 0, 3, 13), {}),
+        ("su11", AxisSpec("r", 0, 2, 13), SU11_K4),
+        ("tsu11", AxisSpec("phi", -3, 3, 13), {}),
+    ])
+    def test_degree_one_too_low_raises(self, monkeypatch, circuit, axis, overrides):
+        monkeypatch.setattr(tsu11.sweep, "_axis_degree",
+                            lambda c, p: _axis_degree(c, p) - 1)
+        grid = SweepGrid(axes=(axis,), base=make_params("paper-start", **overrides),
+                         target="lod", circuit=circuit)
+        with pytest.raises(ConsistencyError, match="interpolant misses the engine"):
+            run_sweep(grid)
 
 
 class TestVacuumMap:
