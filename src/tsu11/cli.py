@@ -279,8 +279,6 @@ def cmd_vacuum(args) -> int:
     axes = tuple(_parse_axis(a) for a in axis_specs)
     try:
         rows_raw, minima = vacuum_noise_map(p, axes)
-    except ConsistencyError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     header = [axes[0].name, axes[1].name, "variance", "error"]

@@ -1,10 +1,10 @@
 """Exact interpolants of the engine's moments along parameter axes.
 
-var(J) and |d<J>/dphi|^2 are trigonometric polynomials along each phase
+var(J) and |d<J>/dphi|^2 are trigonometric polynomials in the LO phases
 and lie in span{e^{kr}} along the gain r, so engine reports at a few
-nodes fix them.  This module holds what the LO-phase landscape of the
-optimizer and the sweep-axis landscapes share: the bases, the weights of
-node values, the node scales and the off-node check against the engine.
+nodes fix them.  This module holds the node scales and the off-node
+check against the engine that the LO-phase landscape of the optimizer
+and the r landscape of the sweeps share, and the weights of the latter.
 """
 
 from __future__ import annotations
@@ -17,34 +17,10 @@ from .metrology import ConsistencyError
 #: room for the rounding of the fit and of the engine's own node values
 CHECK_MARGIN = 15
 
-#: off-node LO phases (phi_p, phi_c) at which the LO-phase interpolant is
-#: checked; a single phase axis is checked at the first
-CHECK_PHASES = (1, 2)
-
 
 def tolerance(dps: int):
     """Relative gap to the node scale above which a check fails at dps."""
     return mpf(10) ** (CHECK_MARGIN - dps)
-
-
-def trig_basis(x, degree=2):
-    """(1, cos x, sin x, ..., cos Kx, sin Kx): the real basis of degree <= K."""
-    c, s = mp.cos_sin(x)
-    basis = [mpf(1), c, s, 2 * c * c - 1, 2 * s * c]
-    for _ in range(3, degree + 1):
-        # cos kx = 2 c cos (k-1)x - cos (k-2)x, and the same for sin
-        basis += (2 * c * basis[-2] - basis[-4], 2 * c * basis[-1] - basis[-3])
-    return tuple(basis[:2 * degree + 1])
-
-
-def dft_projection(nodes, degree: int):
-    """The exact DFT on 2K + 1 equispaced ``nodes``: row j, dotted with the
-    node values, is the coefficient of basis function j of degree <= K;
-    the rows are (1/n, 2/n, ..., 2/n) times the basis at the nodes."""
-    n = len(nodes)
-    weights = (mpf(1) / n,) + (mpf(2) / n,) * (n - 1)
-    return [[w * b for b in col]
-            for w, col in zip(weights, zip(*(trig_basis(x, degree) for x in nodes)))]
 
 
 def node_scales(reps):
@@ -66,18 +42,6 @@ def check_fit(fit, rep, scales, tol, what, where):
         raise ConsistencyError(f"{what} misses the engine by {mp.nstr(gap, 3)} of the "
                                f"node scale at {where}")
     return gap
-
-
-def dft_weights(nodes, degree: int):
-    """x -> the weights of the node values in the degree-``degree``
-    trigonometric interpolant on the equispaced ``nodes``."""
-    cols = list(zip(*dft_projection(nodes, degree)))
-
-    def weights(x):
-        u = trig_basis(x, degree)
-        return [mp.fdot(u, col) for col in cols]
-
-    return weights
 
 
 def exp_weights(nodes, degree: int):

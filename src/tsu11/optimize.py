@@ -22,20 +22,16 @@ from dataclasses import dataclass
 from mpmath import log10, mp, mpf, pi, workdps
 
 from .circuits import InterferometerParams
-from .interpolants import (
-    CHECK_PHASES,
-    check_fit,
-    dft_projection,
-    node_scales,
-    tolerance,
-    trig_basis,
-)
+from .interpolants import check_fit, node_scales, tolerance
 from .metrology import classical_lod, defined_lod, lod_from_ratio, report
 
 # the sweep API stays importable from this module
 from .sweep import AxisSpec, SweepGrid, run_sweep, vacuum_noise_map  # noqa: F401
 
 OPTIMIZE_TARGETS = ("lod", "lodi")
+
+#: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
+CHECK_PHASES = (1, 2)
 
 #: simplex diameter below which ``nelder_mead`` has converged
 SIMPLEX_TOL = 1e-8
@@ -131,6 +127,12 @@ def nelder_mead(f, x0, step):
     return pts[best], vals[best], iters, evals, converged
 
 
+def _trig_basis(x):
+    """(1, cos x, sin x, cos 2x, sin 2x): the real basis of degree <= 2."""
+    c, s = mp.cos_sin(x)
+    return (mpf(1), c, s, 2 * c * c - 1, 2 * s * c)
+
+
 class PhaseLandscape:
     """Exact interpolant of var(J) and |d<J>/dphi|^2 over (phi_p, phi_c).
 
@@ -149,7 +151,10 @@ class PhaseLandscape:
             nodes = [2 * pi * k / 5 for k in range(5)]
             reps = [[report(circuit, p.replace(phi_p=x, phi_c=y)) for y in nodes]
                     for x in nodes]
-            proj = dft_projection(nodes, 2)
+            # projection of node values onto the basis: rows (1/5, 2/5 ...)
+            weights = (mpf(1) / 5,) + (mpf(2) / 5,) * 4
+            proj = [[w * b for b in col]
+                    for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
             self._var = self._fit(proj, [[r.variance.real for r in row] for row in reps])
             self._dsq = self._fit(proj, [[r.dj_dphi_sq for r in row] for row in reps])
             self.var_scale, self.dsq_scale = node_scales([r for row in reps for r in row])
@@ -180,14 +185,14 @@ class PhaseLandscape:
     def at(self, phi_p, phi_c):
         """(var(J), |d<J>/dphi|^2) at the LO phases."""
         with workdps(self.dps):
-            u = trig_basis(phi_p)
-            return tuple(mp.fdot(u, h) for h in self._contract(trig_basis(phi_c)))
+            u = _trig_basis(phi_p)
+            return tuple(mp.fdot(u, h) for h in self._contract(_trig_basis(phi_c)))
 
     def ratio(self, x):
         """var / dsq at x = (phi_p, phi_c); inf where the derivative is at
         or below the rounding floor of the largest node derivative."""
         with workdps(self.dps):
-            return self._ratio(trig_basis(x[0]), self._contract(trig_basis(x[1])))
+            return self._ratio(_trig_basis(x[0]), self._contract(_trig_basis(x[1])))
 
     def grid(self, axis):
         """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
@@ -198,7 +203,7 @@ class PhaseLandscape:
         phi_c, and each cell is then one length-5 dot product per quantity.
         """
         with workdps(self.dps):
-            basis = [trig_basis(x) for x in axis]
+            basis = [_trig_basis(x) for x in axis]
             halves = [self._contract(v) for v in basis]
             for x, u in zip(axis, basis):
                 for y, h in zip(axis, halves):

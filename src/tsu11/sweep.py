@@ -5,21 +5,19 @@ first axis outermost, and never abort on per-point failures,
 out-of-domain axis values included.  Their LODI target compares the
 sweep's circuit, as ``optimize_phases`` does.
 
-The innermost axis runs on an exact interpolant when it is the gain r or
-a phase (phi, phi_p, phi_c), once per combination of the outer axes'
-values.  Every detector port is linear in (e^r, e^-r) and in (e^{i phi},
-e^{-i phi}), so along r the two moments lie in span{e^{kr}, |k| <= K}
-and along a phase they are trigonometric polynomials of degree K; K = 2
+An innermost gain axis r runs on an exact interpolant, once per
+combination of the outer axes' values.  Every detector port is linear in
+(e^r, e^-r), so the two moments lie in span{e^{kr}, |k| <= K}; K = 2
 where both homodynes are balanced as the circuit is built, else 4.
-Engine reports at 2K + 1 nodes, ``GUARD_DPS`` digits beyond the working
-precision, fix them: equispaced on the run's in-domain span of r, or at
-the phases 2 pi k / (2K + 1).  One off-node report checks the fit as the
-LO-phase landscape is checked, and a miss raises ``ConsistencyError``.
-Rows are evaluated at the guard precision and rounded to the working
-precision.  The per-point engine still evaluates every other axis,
-out-of-domain points, runs of at most 2K + 2 in-domain points, and rows
-whose interpolated derivative is at its rounding floor, so an undefined
-LOD keeps the engine's message.
+Engine reports at 2K + 1 nodes, equispaced on the run's in-domain span
+of r, fix them.  They are taken with guard digits beyond the working
+precision, more on a wider span (``_guard_dps``).  One off-node report
+checks the fit as the LO-phase landscape is checked, and a miss raises
+``ConsistencyError``.  Rows are evaluated at the guard precision and
+rounded to the working precision.  The per-point engine still evaluates
+every other axis, out-of-domain points, runs of at most 2K + 2 in-domain
+points, and rows whose interpolated derivative is at its rounding floor,
+so an undefined LOD keeps the engine's message.
 """
 
 from __future__ import annotations
@@ -28,19 +26,11 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from mpmath import log10, mp, mpf, pi, workdps
+from mpmath import log10, mp, mpf, workdps
 
 from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
-from .interpolants import (
-    CHECK_PHASES,
-    check_fit,
-    dft_weights,
-    exp_weights,
-    node_scales,
-    tolerance,
-)
+from .interpolants import check_fit, exp_weights, node_scales, tolerance
 from .metrology import (
-    ConsistencyError,
     UndefinedLodError,
     classical_reference,
     lod_db,
@@ -53,12 +43,9 @@ from .presets import PARAM_ALIASES
 
 SWEEP_TARGETS = ("lod", "lodi", "variance")
 
-#: guard digits of the sweep interpolants' node reports and rows
+#: guard digits of the r interpolant's node reports and rows, before those
+#: that ``_guard_dps`` adds for the width of the span
 GUARD_DPS = 20
-
-#: sweep axes evaluated on an exact interpolant when innermost, and the
-#: basis along each
-INTERPOLATED_AXES = {"r": "exp", "phi": "trig", "phi_p": "trig", "phi_c": "trig"}
 
 
 @dataclass(frozen=True)
@@ -124,13 +111,12 @@ def _evaluate_target(grid: SweepGrid, p: InterferometerParams):
 
 
 def _axis_degree(circuit: str, p: InterferometerParams) -> int:
-    """K of the sweep bases at p: 2 where both homodynes are balanced as
-    the circuit is built (every circuit but su11 forces them), else 4.
+    """K of the r basis at p: 2 where both homodynes are balanced as the
+    circuit is built (every circuit but su11 forces them), else 4.
 
-    Each detector port is linear in (e^r, e^-r) and in (e^{i phi},
-    e^{-i phi}).  A balanced homodyne gives J only port' LO terms, of
-    degree one in them; an unbalanced one adds port' port terms, of degree
-    two.  The moments are quadratic in the coefficients of J, so the
+    Each detector port is linear in (e^r, e^-r).  A balanced homodyne
+    gives J only port' LO terms, of degree one in them; an unbalanced one
+    adds port' port terms, of degree two.  The moments are quadratic in the coefficients of J, so the
     degree is 2 or 4.
     """
     if circuit != "su11" or p.eta_p3 == p.eta_c3 == mpf("0.5"):
@@ -138,96 +124,102 @@ def _axis_degree(circuit: str, p: InterferometerParams) -> int:
     return 4
 
 
+def _guard_dps(degree: int, span) -> int:
+    """Digits beyond the working precision of the r interpolant's nodes
+    and rows over ``span``.
+
+    The fit loses digits at the bottom of a wide span, where the moments
+    are small next to the node values above: about (K - 1)(hi - lo) / ln 10
+    (23.5 digits for su11 at K = 4 over r in [0, 20], 39 over [0, 30]).
+    The guard adds K (hi - lo) / ln 10 digits to ``GUARD_DPS``.
+    """
+    lo, hi = span
+    return GUARD_DPS + int(mp.ceil(degree * (hi - lo) / mp.ln10))
+
+
 class AxisLandscape:
-    """Exact interpolant of var(J) and |d<J>/dphi|^2 along one sweep axis.
+    """Exact interpolant of var(J) and |d<J>/dphi|^2 along the gain r.
 
     ``measures`` map parameters to a metrology report (``report`` of a
-    circuit, ``classical_reference``).  Each is fitted from engine reports
-    at the same 2K + 1 nodes, ``GUARD_DPS`` digits beyond p's precision:
-    along the gain (``span`` given) the nodes are equispaced on the span
-    and the basis is e^{kr}, |k| <= K; along a phase (``span`` None) they
-    are 2 pi k / (2K + 1) and the basis is trigonometric of degree K.
-    One off-node report per measure must agree with the interpolant as
-    ``PhaseLandscape`` checks it, at the guard precision, or
-    ``ConsistencyError`` is raised.  ``check_digits`` is the least
-    -log10 of the relative gaps, capped at p's precision.
+    circuit, ``classical_reference``).  Each is fitted in span{e^{kr},
+    |k| <= K} from engine reports at the same 2K + 1 nodes, equispaced on
+    ``span``, ``_guard_dps`` digits beyond p's precision, and takes one
+    more report in the middle of the first node interval for ``check``.
     """
 
-    def __init__(self, p: InterferometerParams, field: str, degree: int, span, measures):
-        self.dps = dps = p.precision + GUARD_DPS
+    def __init__(self, p: InterferometerParams, degree: int, span, measures):
+        lo, hi = span
+        self.precision = p.precision
+        self.dps = dps = p.precision + _guard_dps(degree, span)
         n = 2 * degree + 1
         with workdps(dps):
             q = p.replace(precision=dps)
-            if span is None:
-                nodes = [2 * pi * k / n for k in range(n)]
-                self.weights, at = dft_weights(nodes, degree), mpf(CHECK_PHASES[0])
-            else:
-                lo, hi = span
-                nodes = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-                self.weights, at = exp_weights(nodes, degree), hi - (hi - lo) / (2 * n - 2)
-            w = self.weights(at)
-            self.fits, gap = [], mpf(0)
+            nodes = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+            self.weights = exp_weights(nodes, degree)
+            self.check_at = lo + (hi - lo) / (2 * n - 2)
+            self.fits, self.checks = [], []
             for measure in measures:
-                reps = [measure(q.replace(**{field: x})) for x in nodes]
-                var, dsq = [r.variance.real for r in reps], [r.dj_dphi_sq for r in reps]
-                scales = node_scales(reps)
-                fit = (mp.fdot(w, var), mp.fdot(w, dsq))
-                check = measure(q.replace(**{field: at}))
-                gap = max(gap, check_fit(fit, check, scales, tolerance(dps),
-                                         f"{field} interpolant",
-                                         f"{field} = {mp.nstr(at, 8)} ({dps} digits)"))
-                self.fits.append((var, dsq, scales[1]))
-            digits = min(p.precision, -log10(gap)) if gap else p.precision
+                reps = [measure(q.replace(r=x)) for x in nodes]
+                self.fits.append(([r.variance.real for r in reps],
+                                  [r.dj_dphi_sq for r in reps], node_scales(reps)))
+                self.checks.append(measure(q.replace(r=self.check_at)))
+        self.check_digits = None
+
+    def check(self):
+        """Compare each off-node report with its fit as ``PhaseLandscape``
+        does, at the guard precision: raise ``ConsistencyError`` on a miss,
+        else set ``check_digits``, the least -log10 of the relative gaps,
+        capped at the working precision."""
+        with workdps(self.dps):
+            where = f"r = {mp.nstr(self.check_at, 8)} ({self.dps} digits)"
+            gap = max(check_fit(fit, rep, fit[2], tolerance(self.dps),
+                                "r interpolant", where)
+                      for fit, rep in zip(self.at(self.check_at), self.checks))
+            digits = min(self.precision, -log10(gap)) if gap else self.precision
         self.check_digits = round(float(digits), 1)
 
-    def at(self, x):
-        """[(var, dsq, dsq node scale)] of each measure at axis value x."""
+    def at(self, r):
+        """[(var, dsq, node scales of both)] of each measure at gain r."""
         with workdps(self.dps):
-            w = self.weights(x)
-            return [(mp.fdot(w, var), mp.fdot(w, dsq), scale)
-                    for var, dsq, scale in self.fits]
+            w = self.weights(r)
+            return [(mp.fdot(w, var), mp.fdot(w, dsq), scales)
+                    for var, dsq, scales in self.fits]
 
 
 def _run_landscape(grid: SweepGrid, name: str, params):
-    """The ``AxisLandscape`` of one run of the innermost axis ``name`` over
-    ``params`` (one per row, a ValueError where the row's parameters leave
-    their domain), or None where the run takes the per-point engine: the
-    axis has no exact basis, or the run has no more in-domain points than
-    the 2K + 2 reports of each fit."""
-    valid = [p for p in params if isinstance(p, InterferometerParams)]
-    if name not in INTERPOLATED_AXES or not valid:
+    """The checked ``AxisLandscape`` of one run of the innermost axis
+    ``name`` over the in-domain rows' ``params``, or None where the run
+    takes the per-point engine: the axis is not r, the run has no more
+    points than the 2K + 2 reports of each fit, or the engine refuses a
+    node report."""
+    if name != "r" or not params:
         return None
-    degree = _axis_degree(grid.circuit, valid[0])
-    (field,) = PARAM_ALIASES.get(name, (name,))
-    span = None
-    if INTERPOLATED_AXES[name] == "exp":
-        xs = [getattr(p, field) for p in valid]
-        span = (min(xs), max(xs))
-    if len(valid) <= 2 * degree + 2 or (span and span[0] == span[1]):
+    degree = _axis_degree(grid.circuit, params[0])
+    span = (min(p.r for p in params), max(p.r for p in params))
+    if len(params) <= 2 * degree + 2 or span[0] == span[1]:
         return None
     measures = [functools.partial(report, grid.circuit)]
     if grid.target == "lodi":
         measures.append(classical_reference)
     try:
-        return AxisLandscape(valid[0], field, degree, span, measures)
-    except ConsistencyError:
-        raise
+        land = AxisLandscape(params[0], degree, span, measures)
     except (ValueError, ArithmeticError):
-        # the nodes lie among in-domain rows, so the engine records the
-        # same failure on each row
+        # the engine meets the same refusal row by row and records it
         return None
+    land.check()
+    return land
 
 
-def _interpolated_target(grid: SweepGrid, land: AxisLandscape, x, dps: int):
-    """The target at axis value x on ``land``, taken at its guard precision
-    and rounded to ``dps`` digits; None where a |d<J>/dphi|^2 is at or
-    below its rounding floor at ``dps``, for the engine to decide."""
+def _interpolated_target(grid: SweepGrid, land: AxisLandscape, r, dps: int):
+    """The target at gain r on ``land``, taken at its guard precision and
+    rounded to ``dps`` digits; None where a |d<J>/dphi|^2 is at or below
+    its rounding floor at ``dps``, for the engine to decide."""
     tol = tolerance(dps)
     with workdps(land.dps):
-        moments = land.at(x)
+        moments = land.at(r)
         if grid.target == "variance":
             value = moments[0][0]
-        elif any(dsq <= tol * scale for _, dsq, scale in moments):
+        elif any(dsq <= tol * scales[1] for _, dsq, scales in moments):
             return None
         else:
             ratio = moments[0][0] / moments[0][1]
@@ -239,35 +231,24 @@ def _interpolated_target(grid: SweepGrid, land: AxisLandscape, x, dps: int):
         return +value
 
 
-def _row_params(grid: SweepGrid, row: dict):
-    """The row's parameters, or the ValueError that puts them out of their
-    domain."""
-    try:
-        return grid.base.replace(**{f: row[name] for f, name in grid.owner.items()})
-    except ValueError as exc:
-        return exc
+def _engine_result(value=None, error: str = "") -> dict:
+    return {"value": value, "error": error, "route": "engine", "check_digits": None}
 
 
-def _row_result(grid: SweepGrid, land, x, p) -> dict:
-    """"value", "error", "route" and "check_digits" of one row: on the run's
-    interpolant where it has one and the row's derivatives clear their
-    floor, else from the engine at p, never aborting on a domain error or
-    an undefined target."""
-    if land is not None and isinstance(p, InterferometerParams):
-        value = _interpolated_target(grid, land, x, p.precision)
+def _row_result(grid: SweepGrid, land, p: InterferometerParams) -> dict:
+    """"value", "error", "route" and "check_digits" of the row at p: on the
+    run's interpolant where it has one and the row's derivatives clear
+    their floor, else from the engine, which records a domain error or an
+    undefined target in the row."""
+    if land is not None:
+        value = _interpolated_target(grid, land, p.r, p.precision)
         if value is not None:
             return {"value": value, "error": "", "route": "interpolant",
                     "check_digits": land.check_digits}
-    result = {"value": None, "error": "", "route": "engine", "check_digits": None}
     try:
-        if not isinstance(p, InterferometerParams):
-            raise p
-        result["value"] = _evaluate_target(grid, p)
-    except ConsistencyError:
-        raise
+        return _engine_result(_evaluate_target(grid, p))
     except (UndefinedLodError, ValueError, ArithmeticError) as exc:
-        result["error"] = str(exc)
-    return result
+        return _engine_result(error=str(exc))
 
 
 def run_sweep(grid: SweepGrid) -> list[dict]:
@@ -279,19 +260,27 @@ def run_sweep(grid: SweepGrid) -> list[dict]:
     innermost axis, one per combination of the outer axes' values, is
     evaluated on an ``AxisLandscape`` where ``_run_landscape`` builds one.
     A point whose parameters leave their domain, or whose target is
-    undefined, fills its own row's error; such failures never abort the
-    sweep, and a failed interpolant check raises ``ConsistencyError``.
+    undefined or fails an engine check, fills its own row's error; such
+    failures never abort the sweep.  Only a failed interpolant check
+    raises ``ConsistencyError``.
     """
     names, dps = [ax.name for ax in grid.axes], grid.base.precision
     *outer, inner = grid.axes
     points = inner.points(dps)
     rows = []
     for head in itertools.product(*(ax.points(dps) for ax in outer)):
-        run = [dict(zip(names, head + (x,))) for x in points]
-        params = [_row_params(grid, row) for row in run]
-        land = _run_landscape(grid, inner.name, params)
-        for row, p in zip(run, params):
-            row.update(_row_result(grid, land, row[inner.name], p))
+        run, pending = [], []
+        for x in points:
+            row = dict(zip(names, head + (x,)))
+            run.append(row)
+            try:
+                pending.append((row, grid.base.replace(
+                    **{f: row[name] for f, name in grid.owner.items()})))
+            except ValueError as exc:
+                row.update(_engine_result(error=str(exc)))
+        land = _run_landscape(grid, inner.name, [p for _, p in pending])
+        for row, p in pending:
+            row.update(_row_result(grid, land, p))
         rows += run
     return rows
 

@@ -322,23 +322,21 @@ def _assert_rows_match_engine(grid, rows):
             assert abs(row["value"] - want) <= mpf(10) ** (10 - dps) * scale, row
 
 
-#: unbalanced homodyne with s > 0: the sweep bases need degree 4
+#: unbalanced homodyne with s > 0: the r basis needs degree 4
 SU11_K4 = {"s": "0.3", "beta": "1e5", "eta_p3": "0.3"}
 
 
 class TestSweepInterpolant:
-    """The innermost r or phase axis of a sweep runs on an exact
-    interpolant fitted from engine reports."""
+    """The innermost r axis of a sweep runs on an exact interpolant fitted
+    from engine reports."""
 
     @pytest.mark.parametrize("circuit,target,axis,overrides", [
         ("tsu11", "lodi", AxisSpec("r", 0, 3, 13), {}),
         ("classical", "lod", AxisSpec("r", 0.1, 2.5, 9), {}),
         ("su11", "lod", AxisSpec("r", 0, 2, 11), SU11_K4),
-        ("su11", "lodi", AxisSpec("phi", -3, 3, 11), SU11_K4),
-        ("tsu11", "lod", AxisSpec("phi_p", -3, 3, 9), {"eta": "0.9"}),
-        ("tsu11", "lodi", AxisSpec("phi_c", -1, 1, 9), {"arms": "probe-only"}),
+        ("su11", "lodi", AxisSpec("r", 0, 2, 11), SU11_K4),
+        ("tsu11", "lodi", AxisSpec("r", 0, 3, 9), {"arms": "probe-only"}),
         ("vacuum", "variance", AxisSpec("r", 0, 2, 9), {"alpha": "0"}),
-        ("vacuum", "variance", AxisSpec("phi", -3, 3, 9), {"alpha": "0", "eta": "0.8"}),
         # e^{4r} over 35 decades, and nodes 1e-6 apart
         ("su11", "lod", AxisSpec("r", 0.01, 20, 11, log=True), SU11_K4),
         ("tsu11", "lod", AxisSpec("r", 1, 1.000001, 9), {}),
@@ -349,6 +347,35 @@ class TestSweepInterpolant:
         rows = run_sweep(grid)
         assert {row["route"] for row in rows} == {"interpolant"}
         assert {row["check_digits"] for row in rows} == {60.0}
+        _assert_rows_match_engine(grid, rows)
+
+    @pytest.mark.parametrize("hi", [20, 30])
+    def test_wide_span_keeps_every_digit(self, hi):
+        # the fit loses about (K - 1)(hi - lo) / ln 10 digits at the bottom
+        # of the span, where var is decades below the top node's; with a
+        # fixed guard these rows are off by 1e-57 (hi = 20) and 1e-41 (30)
+        p = make_params("paper-start", **SU11_K4)
+        grid = SweepGrid(axes=(AxisSpec("r", 0, hi, 13),), base=p, target="variance",
+                         circuit="su11")
+        rows = run_sweep(grid)
+        assert {row["route"] for row in rows} == {"interpolant"}
+        with workdps(100):
+            for row in rows:
+                want, scale = _per_point("su11", "variance", p.replace(r=row["r"],
+                                                                        precision=100))
+                assert abs(row["value"] - want) <= mpf(10) ** (2 - p.precision) * scale, row
+
+    @pytest.mark.parametrize("circuit,target,axis,overrides", [
+        ("su11", "lodi", AxisSpec("phi", -3, 3, 11), SU11_K4),
+        ("tsu11", "lod", AxisSpec("phi_p", -3, 3, 9), {"eta": "0.9"}),
+        ("tsu11", "lodi", AxisSpec("phi_c", -1, 1, 9), {"arms": "probe-only"}),
+        ("vacuum", "variance", AxisSpec("phi", -3, 3, 9), {"alpha": "0", "eta": "0.8"}),
+    ])
+    def test_phase_axes_stay_per_point(self, circuit, target, axis, overrides):
+        p = make_params("paper-start", **overrides)
+        grid = SweepGrid(axes=(axis,), base=p, target=target, circuit=circuit)
+        rows = run_sweep(grid)
+        assert {(row["route"], row["check_digits"]) for row in rows} == {("engine", None)}
         _assert_rows_match_engine(grid, rows)
 
     def test_degree_rule(self):
@@ -397,7 +424,6 @@ class TestSweepInterpolant:
     @pytest.mark.parametrize("circuit,axis,overrides", [
         ("tsu11", AxisSpec("r", 0, 3, 13), {}),
         ("su11", AxisSpec("r", 0, 2, 13), SU11_K4),
-        ("tsu11", AxisSpec("phi", -3, 3, 13), {}),
     ])
     def test_degree_one_too_low_raises(self, monkeypatch, circuit, axis, overrides):
         monkeypatch.setattr(tsu11.sweep, "_axis_degree",
@@ -406,6 +432,22 @@ class TestSweepInterpolant:
                          target="lod", circuit=circuit)
         with pytest.raises(ConsistencyError, match="interpolant misses the engine"):
             run_sweep(grid)
+
+    def test_engine_check_failure_is_an_error_row(self, monkeypatch):
+        # a per-point ConsistencyError (the variance audit) stays in its
+        # row; only the interpolant check aborts the sweep
+        def audit_fails_once(circuit, q):
+            if q.eta_p1 == 1:
+                raise ConsistencyError("variance has an imaginary residue")
+            return lod_db(circuit, q)
+
+        monkeypatch.setattr(tsu11.sweep, "lod_db", audit_fails_once)
+        grid = SweepGrid(axes=(AxisSpec("eta", 0.5, 1.0, 3),),
+                         base=make_params("paper-start", precision=40))
+        rows = run_sweep(grid)
+        assert [row["error"] for row in rows] == \
+            ["", "", "variance has an imaginary residue"]
+        assert rows[2]["value"] is None and rows[1]["value"] is not None
 
 
 class TestVacuumMap:
