@@ -474,15 +474,6 @@ def test_failed_cross_check_exit_4(capsys, monkeypatch, module, argv):
     assert line.startswith("error: ") and "interpolant misses the engine" in line
 
 
-def test_import_leaves_numpy_out():
-    # numpy would add its import time to every command's start-up
-    env = {**os.environ, "PYTHONPATH": str(Path(tsu11.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, tsu11; print('numpy' in sys.modules)"],
-                          env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
-
-
 def test_version(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "tsu11" in capsys.readouterr().out
