@@ -15,7 +15,6 @@ from .algebra import (
     adjoint,
     coherent_expectation,
     coherent_moments,
-    identity,
     ladder,
     mul,
     normal_order,
@@ -45,7 +44,7 @@ from .metrology import (
     report,
     variance,
 )
-from .optimize import OptResult, nelder_mead, optimize_phases
+from .optimize import OptResult, optimize_phases
 from .sweep import AxisSpec, SweepGrid, run_sweep, vacuum_noise_map
 from .presets import PRESETS, make_params
 
@@ -56,7 +55,6 @@ __all__ = [
     "adjoint",
     "coherent_expectation",
     "coherent_moments",
-    "identity",
     "ladder",
     "mul",
     "normal_order",
@@ -85,7 +83,6 @@ __all__ = [
     "AxisSpec",
     "OptResult",
     "SweepGrid",
-    "nelder_mead",
     "optimize_phases",
     "run_sweep",
     "vacuum_noise_map",

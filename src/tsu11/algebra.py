@@ -21,7 +21,7 @@ import functools
 import math
 from typing import Iterable, Mapping
 
-from mpmath import mp, mpc, workdps
+from mpmath import mpc, workdps
 
 #: (mode label, dagger flag); dagger=True is a creation operator.
 Factor = tuple[str, bool]
@@ -131,15 +131,6 @@ class OperatorExpr:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def modes(self) -> tuple[str, ...]:
-        return tuple(sorted({m for fac in self._terms for (m, _) in fac}))
-
-    def coefficient(self, factors: tuple[Factor, ...]) -> mpc:
-        return self._terms.get(tuple(factors), mpc(0))
-
     # -- algebra ---------------------------------------------------------
 
     def _check(self, other: "OperatorExpr") -> None:
@@ -174,26 +165,6 @@ class OperatorExpr:
             return mul(self, other)
         return self.scaled(other)
 
-    def __rmul__(self, scalar) -> "OperatorExpr":
-        return self.scaled(scalar)
-
-    def adjoint(self) -> "OperatorExpr":
-        return adjoint(self)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_text(self) -> str:
-        """Deterministic text form: sorted terms, decimal coefficients."""
-        lines = []
-        with workdps(self.dps):
-            for fac in sorted(self._terms, key=lambda f: (len(f), f)):
-                c = self._terms[fac]
-                ops = ".".join(m + ("'" if d else "") for (m, d) in fac) or "1"
-                re_s = mp.nstr(c.real, self.dps, strip_zeros=False)
-                im_s = mp.nstr(c.imag, self.dps, strip_zeros=False)
-                lines.append(f"({re_s} {im_s}j) {ops}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         n = len(self._terms)
         return f"OperatorExpr({n} term{'s' if n != 1 else ''}, dps={self.dps})"
@@ -205,11 +176,6 @@ class OperatorExpr:
 def ladder(mode: str, dagger: bool = False, coeff=1, dps: int = DEFAULT_DPS) -> OperatorExpr:
     """A single weighted ladder operator."""
     return OperatorExpr({((mode, dagger),): coeff}, dps)
-
-
-def identity(coeff=1, dps: int = DEFAULT_DPS) -> OperatorExpr:
-    """The identity operator scaled by coeff."""
-    return OperatorExpr({(): coeff}, dps)
 
 
 def zero(dps: int = DEFAULT_DPS) -> OperatorExpr:

@@ -89,12 +89,6 @@ class InterferometerParams:
             if not (0 <= v <= 1):
                 raise ValueError(f"{name} = {v} outside [0, 1]")
 
-    def gain_db(self):
-        """Amplifier gain 10 log10(cosh(r)**2) in dB."""
-        from mpmath import log10
-        with workdps(self.precision):
-            return 10 * log10(cosh(self.r) ** 2)
-
     def replace(self, **changes) -> "InterferometerParams":
         return replace(self, **changes)
 

@@ -42,14 +42,11 @@ def expr_close(x: OperatorExpr, y: OperatorExpr, tol="1e-35") -> bool:
     """Term-by-term closeness of two normal-ordered expressions."""
     assert x.dps == y.dps
     with workdps(x.dps):
-        xo, yo = normal_order(x), normal_order(y)
+        xo, yo = dict(normal_order(x).terms()), dict(normal_order(y).terms())
         tol = mpf(tol)
-        keys = {f for f, _ in xo.terms()} | {f for f, _ in yo.terms()}
-        scale = max(
-            [abs(c) for _, c in xo.terms()] + [abs(c) for _, c in yo.terms()] + [mpf(1)]
-        )
+        scale = max([abs(c) for c in xo.values()] + [abs(c) for c in yo.values()] + [mpf(1)])
         return all(
-            abs(xo.coefficient(k) - yo.coefficient(k)) <= scale * tol for k in keys
+            abs(xo.get(k, 0) - yo.get(k, 0)) <= scale * tol for k in xo.keys() | yo.keys()
         )
 
 

@@ -97,7 +97,8 @@ def factored_expectation(x, cutoff: int, state) -> complex:
     factorizes, so each term is the product over its modes of the
     single-mode expectation of that mode's factors, in their order."""
     _check_amplitudes(state, cutoff)
-    vectors = {m: coherent_vector(state.get(m, 0), cutoff) for m in x.modes()}
+    modes = {m for factors, _ in x.terms() for m, _ in factors}
+    vectors = {m: coherent_vector(state.get(m, 0), cutoff) for m in modes}
     total = 0j
     for factors, coeff in x.terms():
         value = complex(coeff)

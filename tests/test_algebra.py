@@ -16,7 +16,6 @@ from tsu11 import (
     build_tsu11_J,
     coherent_expectation,
     coherent_moments,
-    identity,
     ladder,
     mul,
     normal_order,
@@ -40,21 +39,21 @@ class TestMul:
         assert list(term_dict(prod)) == [(("a", False), ("a", True))]
 
     def test_scalar_product(self):
-        out = mul(identity(2), ladder("b", coeff=3))
+        out = mul(OperatorExpr({(): 2}), ladder("b", coeff=3))
         assert term_dict(out) == {(("b", False),): mpc(6)}
 
     def test_distribution_no_commutation(self):
         a, b = ladder("a"), ladder("b")
         out = mul(a + b, a - b)
-        keys = set(term_dict(out))
-        assert keys == {
+        terms = term_dict(out)
+        assert set(terms) == {
             (("a", False), ("a", False)),
             (("a", False), ("b", False)),
             (("b", False), ("a", False)),
             (("b", False), ("b", False)),
         }
-        assert out.coefficient((("a", False), ("b", False))) == mpc(-1)
-        assert out.coefficient((("b", False), ("a", False))) == mpc(1)
+        assert terms[(("a", False), ("b", False))] == mpc(-1)
+        assert terms[(("b", False), ("a", False))] == mpc(1)
 
     def test_precision_mismatch_raises(self):
         with pytest.raises(PrecisionMismatch):
@@ -120,7 +119,7 @@ class TestCoherentExpectation:
         assert abs(val - mpf("0.390625")) < mpf("1e-55")
 
     def test_vacuum(self):
-        x = mul(ladder("a", dagger=True), ladder("a")) + identity(2.5)
+        x = mul(ladder("a", dagger=True), ladder("a")) + OperatorExpr({(): 2.5})
         assert abs(coherent_expectation(x, {}) - 2.5) < mpf("1e-55")
         y = OperatorExpr({(("a", False),): 1.0, (("b", True),): 2.0})
         assert coherent_expectation(y, {}) == 0
@@ -211,12 +210,12 @@ class TestDustFilter:
 
     def test_exact_zeros_and_cancellation_dust_dropped(self):
         assert len(OperatorExpr({(): 1, (("a", False),): 0})) == 1
-        assert OperatorExpr({(): 0, (("a", False),): mpc(0)}).is_zero()
+        assert len(OperatorExpr({(): 0, (("a", False),): mpc(0)})) == 0
         # sqrt(2) * sqrt(2) - 2 leaves a rounding residue near 1e-41
         with workdps(40):
             r2 = sqrt(mpf(2))
             assert r2 * r2 != 2
-        x = ladder("a", dps=40) + identity(r2, dps=40).scaled(r2) - identity(2, dps=40)
+        x = ladder("a", dps=40) + OperatorExpr({(): r2}, 40).scaled(r2) - OperatorExpr({(): 2}, 40)
         assert list(term_dict(x)) == [(("a", False),)]
 
 
@@ -282,23 +281,18 @@ def test_coherent_moments_match_product_route_property(x, state):
 
 
 class TestSerialization:
-    def test_deterministic_text(self):
-        x = OperatorExpr({(("a", True), ("a", False)): 2, (): 1}, dps=40)
-        assert x.to_text() == x.to_text()
-        assert x.to_text() == (
-            "(1.000000000000000000000000000000000000000 0.0j) 1\n"
-            "(2.000000000000000000000000000000000000000 0.0j) a'.a"
-        )
+    """The stored terms depend on the terms given, not on their order."""
 
     def test_text_sorted_and_stable_under_term_insertion_order(self):
         t1 = OperatorExpr({(("a", False),): 1.25, (("b", True),): -2}, dps=40)
         t2 = OperatorExpr({(("b", True),): -2, (("a", False),): 1.25}, dps=40)
-        assert t1.to_text() == t2.to_text()
+        assert term_dict(t1) == term_dict(t2) == {
+            (("a", False),): mpc(1.25), (("b", True),): mpc(-2)}
 
     def test_zero_coefficients_dropped(self):
         x = ladder("a") - ladder("a")
-        assert x.is_zero()
-        assert x.to_text() == ""
+        assert len(x) == 0
+        assert term_dict(x) == {}
 
 
 def test_hermitian_quadratic_expectation_real():

@@ -35,6 +35,10 @@ from tsu11.closed_form import (
 from conftest import expr_close, rel_diff
 
 
+def modes_of(x):
+    return {m for factors, _ in x.terms() for m, _ in factors}
+
+
 def random_params(rng, eta_shared=True, beta_zero=True, arms="both", dps=60):
     """Random physical point inside the validated ranges."""
     eta = str(rng.uniform(0.1, 1.0))
@@ -75,14 +79,6 @@ class TestParamsValidation:
     def test_bad_arms(self):
         with pytest.raises(ValueError):
             InterferometerParams(arms="conjugate")
-
-    def test_gain_relation(self):
-        p = InterferometerParams(r="0.88")
-        with workdps(60):
-            import mpmath
-
-            expected = 10 * mpmath.log10(cosh(p.r) ** 2)
-            assert abs(p.gain_db() - expected) < mpf("1e-50")
 
     def test_vacuum_requires_zero_seeds(self):
         with pytest.raises(ValueError):
@@ -208,19 +204,19 @@ class TestSqueezedCircuit:
         J_c, dJ_c, state_c = build_classical_J(p)
         assert state_c["a"] == state_q["a"]
         assert state_c["b"] == 0
-        assert J_c.to_text() == J_q.to_text()
-        assert dJ_c.to_text() == dJ_q.to_text()
+        assert dict(J_c.terms()) == dict(J_q.terms())
+        assert dict(dJ_c.terms()) == dict(dJ_q.terms())
 
     def test_loss_unitarity(self):
         # eta = 1: no vacuum-port operators appear
         p = InterferometerParams(r="0.6", alpha=10, gamma=100, kappa=100,
                                  theta_f="0.01")
         J, _, _ = build_tsu11_J(p)
-        assert set(J.modes()) <= {"a", "b", "g", "h"}
+        assert modes_of(J) <= {"a", "b", "g", "h"}
         # eta = 0: the seeded squeezed modes never reach the detectors
         p0 = p.replace(eta_p1=0, eta_c1=0)
         J0, _, state0 = build_tsu11_J(p0)
-        assert "a" not in J0.modes() and "b" not in J0.modes()
+        assert not modes_of(J0) & {"a", "b"}
         assert coherent_expectation(J0, state0) == 0
 
     def test_photon_number_accounting(self):

@@ -479,6 +479,14 @@ def test_version(capsys):
     assert "tsu11" in capsys.readouterr().out
 
 
+def test_public_names_resolve_once():
+    # a stale __all__ entry makes `from tsu11 import *` raise
+    assert len(set(tsu11.__all__)) == len(tsu11.__all__)
+    namespace = {}
+    exec("from tsu11 import *", namespace)
+    assert set(tsu11.__all__) <= namespace.keys()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["lod", "--circuit", "warp-drive"]) == EXIT_CONFIG
 

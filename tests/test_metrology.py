@@ -10,6 +10,7 @@ from mpmath import mpf, workdps
 from tsu11 import (
     InterferometerParams,
     UndefinedLodError,
+    adjoint,
     build_su11_J,
     build_tsu11_J,
     classical_reference,
@@ -56,7 +57,7 @@ class TestVariance:
     def test_single_mode_poisson(self):
         # quadratic g'.g with a coherent seed has Poissonian variance
         g = ladder("g")
-        J = mul(g.adjoint(), g)
+        J = mul(adjoint(g), g)
         with workdps(60):
             v = variance(J, {"g": mpf(7)})
             assert rel_diff(v.real, mpf(49)) < mpf("1e-45")

@@ -13,10 +13,12 @@ from tsu11 import (
     ConsistencyError,
     SweepGrid,
     UndefinedLodError,
+    build_su11_J,
+    coherent_expectation,
     lod_db,
     lodi_db,
     make_params,
-    nelder_mead,
+    mul,
     optimize_phases,
     report,
     run_sweep,
@@ -25,7 +27,7 @@ from tsu11 import (
 )
 from tsu11.circuits import _operators
 from tsu11.metrology import lod_from_ratio
-from tsu11.optimize import PhaseLandscape, _best_cell
+from tsu11.optimize import PhaseLandscape, _best_cell, nelder_mead
 from tsu11.sweep import _axis_degree
 
 from test_metrology import LODI_OPT_ETA1
@@ -94,6 +96,25 @@ def test_landscape_is_exact_off_nodes(circuit, overrides):
             var, dsq = land.at(pp, pc)
             assert abs(var - rep.variance.real) <= mpf("1e-40") * land.var_scale
             assert abs(dsq - rep.dj_dphi_sq) <= mpf("1e-40") * land.dsq_scale
+
+
+@pytest.mark.parametrize("overrides", [
+    {"s": "0.3", "beta": "1e5", "eta_p3": "0.3"},
+    {**LANDSCAPE_POINTS[2][1], "phi_p": "0.7", "phi_c": "-1.3"},
+    {**LANDSCAPE_POINTS[3][1], "r": "2.4"},
+])
+def test_su11_variance_matches_product_route(overrides):
+    # full su11 chains at realistic amplitudes: the displaced-vacuum
+    # variance against <J.J> - <J>^2 from mul and coherent_expectation.
+    # <J.J> exceeds var J by up to 1.7e16 here, so the product route
+    # runs at 140 digits
+    p = make_params("paper-start", **overrides)
+    got = report("su11", p).variance
+    J, _, state = build_su11_J(p.replace(precision=140))
+    with workdps(140):
+        mean = coherent_expectation(J, state)
+        want = coherent_expectation(mul(J, J), state) - mean * mean
+        assert abs(got - want) <= mpf("1e-55") * abs(want)
 
 
 @pytest.mark.parametrize("circuit,overrides",
