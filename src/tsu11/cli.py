@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from mpmath import mp, workdps
+from mpmath import mp, mpc, mpf, workdps
 
 from . import __version__
 from .circuits import ARMS_PROBE, CIRCUITS, NUMERIC_FIELDS, InterferometerParams
@@ -124,6 +124,21 @@ def _build_params(args) -> InterferometerParams:
     return p
 
 
+def _decimals(values: dict, precision: int) -> dict:
+    """JSON values of ``values`` (a dataclass's ``vars``, a sweep row): an
+    mpf becomes a decimal string at ``precision`` digits, an mpc {"re",
+    "im"} of those, and anything else (None, bool, int, str, float)
+    passes through.  Every number the CLI writes at the working precision
+    is formatted here."""
+
+    def decimal(x):
+        if isinstance(x, mpc):
+            return {"re": decimal(x.real), "im": decimal(x.imag)}
+        return mp.nstr(x, precision) if isinstance(x, mpf) else x
+
+    return {key: decimal(x) for key, x in values.items()}
+
+
 def _db4(x):
     """Human summary style: dB rounded to 4 decimals."""
     return "undefined" if x is None else f"{float(x):.4f}"
@@ -139,11 +154,7 @@ def _write_outputs(args, rows, header, sidecar, p):
     csv_text = buf.getvalue()
     sidecar = dict(sidecar)
     sidecar["engine_version"] = __version__
-    sidecar["parameters"] = {
-        f.name: (mp.nstr(getattr(p, f.name), p.precision)
-                 if f.name not in ("arms", "precision") else getattr(p, f.name))
-        for f in fields(InterferometerParams)
-    }
+    sidecar["parameters"] = _decimals(vars(p), p.precision)
     json_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     if args.out:
         out = Path(args.out)
@@ -173,13 +184,10 @@ def cmd_lod(args) -> int:
         print("lod_db         : undefined (phase derivative of <J> vanishes)")
     else:
         print(f"lod_db         : {_db4(rep.lod_db)}")
-    rows = [[
-        circuit,
-        mp.nstr(rep.variance.real, p.precision),
-        mp.nstr(rep.dj_dphi_sq, p.precision),
-        mp.nstr(rep.lod_db, p.precision) if rep.lod_db is not None else "undefined",
-    ]]
-    sidecar = {"command": "lod", "circuit": circuit, "report": rep.to_json_dict()}
+    cells = _decimals(vars(rep), p.precision)
+    rows = [[circuit, cells["variance"]["re"], cells["dj_dphi_sq"],
+             cells["lod_db"] or "undefined"]]
+    sidecar = {"command": "lod", "circuit": circuit, "report": cells}
     code = _write_outputs(args, rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"],
                           sidecar, p)
     # a failed write outranks the undefined LOD
@@ -192,14 +200,10 @@ def cmd_lodi(args) -> int:
     print(f"lod_tsu11_db   : {_db4(rep.lod_tsu11_db)}")
     print(f"lod_classical  : {_db4(rep.lod_classical_db)}")
     print(f"lodi_db        : {_db4(rep.lodi_db)}")
-    rows = [[
-        mp.nstr(rep.lod_tsu11_db, p.precision),
-        mp.nstr(rep.lod_classical_db, p.precision),
-        mp.nstr(rep.lodi_db, p.precision),
-    ]]
-    sidecar = {"command": "lodi", **rep.to_json_dict()}
-    return _write_outputs(args, rows, ["lod_tsu11_db", "lod_classical_db", "lodi_db"],
-                          sidecar, p)
+    cells = _decimals(vars(rep), p.precision)
+    header = ["lod_tsu11_db", "lod_classical_db", "lodi_db"]
+    sidecar = {"command": "lodi", **cells}
+    return _write_outputs(args, [[cells[key] for key in header]], header, sidecar, p)
 
 
 def cmd_optimize(args) -> int:
@@ -212,18 +216,11 @@ def cmd_optimize(args) -> int:
     print(f"phi_c          : {mp.nstr(result.phi_c, 8)}")
     print(f"{target}_db        : {_db4(result.value_db)}")
     print(f"converged      : {result.converged}")
-    rows = [[
-        mp.nstr(result.phi_p, p.precision),
-        mp.nstr(result.phi_c, p.precision),
-        mp.nstr(result.value_db, p.precision),
-    ]]
-    sidecar = {
-        "command": "optimize",
-        "target": target,
-        **result.to_json_dict(p.precision),
-    }
+    cells = _decimals(vars(result), p.precision)
+    rows = [[cells["phi_p"], cells["phi_c"], cells["value_db"]]]
+    sidecar = {"command": "optimize", "target": target, **cells}
     if target == "lodi":
-        sidecar["lodi_db"] = mp.nstr(result.value_db, p.precision)
+        sidecar["lodi_db"] = cells["value_db"]
     return _write_outputs(args, rows, ["phi_p", "phi_c", f"{target}_db"], sidecar, p)
 
 
@@ -245,10 +242,8 @@ def _parse_axis(spec: str) -> AxisSpec:
 
 def _sweep_cells(rows, axes, precision) -> list[list[str]]:
     """CSV cells of sweep rows: axis values, value ("" if none), error."""
-    return [[mp.nstr(row[ax.name], precision) for ax in axes]
-            + ["" if row["value"] is None else mp.nstr(row["value"], precision),
-               row["error"]]
-            for row in rows]
+    cells = [_decimals(row, precision) for row in rows]
+    return [[c[ax.name] for ax in axes] + [c["value"] or "", c["error"]] for c in cells]
 
 
 def cmd_sweep(args) -> int:
@@ -286,9 +281,7 @@ def cmd_vacuum(args) -> int:
     sidecar = {
         "command": "vacuum",
         "axes": [vars(ax) for ax in axes],
-        "minima": [
-            {k: mp.nstr(v, p.precision) for k, v in m.items()} for m in minima
-        ],
+        "minima": [_decimals(m, p.precision) for m in minima],
     }
     return _write_outputs(args, rows, header, sidecar, p)
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mpmath import log10, mp, mpc, mpf, sqrt, workdps
+from mpmath import log10, mpc, mpf, sqrt, workdps
 
 from .algebra import OperatorExpr, coherent_expectation, coherent_moments
 # the benchmark's tracer self-test checks that this binding is restored
 from .algebra import mul  # noqa: F401
 from .circuits import CIRCUITS, InterferometerParams
 from .jones import sampling_phase
+
 
 class UndefinedLodError(ArithmeticError):
     """The phase derivative of <J> vanishes, so the LOD is undefined."""
@@ -51,24 +52,6 @@ class MetrologyReport:
             dsq = self.dj_dphi_sq
             self.lod_db = lod_from_ratio(self.variance.real / dsq) if dsq > 0 else None
 
-    def to_json_dict(self) -> dict:
-        """Decimal-string serialization, no binary-float loss."""
-        n = self.precision
-
-        def s(x):
-            return mp.nstr(x, n)
-
-        return {
-            "mean_j": {"re": s(self.mean_j.real), "im": s(self.mean_j.imag)},
-            "second_moment": {"re": s(self.second_moment.real),
-                              "im": s(self.second_moment.imag)},
-            "variance": {"re": s(self.variance.real), "im": s(self.variance.imag)},
-            "dj_dphi_sq": s(self.dj_dphi_sq),
-            "lod_db": s(self.lod_db) if self.lod_db is not None else None,
-            "source": self.source,
-            "precision": self.precision,
-        }
-
 
 @dataclass
 class LodiReport:
@@ -78,15 +61,6 @@ class LodiReport:
     lod_classical_db: mpf
     lodi_db: mpf
     precision: int
-
-    def to_json_dict(self) -> dict:
-        n = self.precision
-        return {
-            "lod_tsu11_db": mp.nstr(self.lod_tsu11_db, n),
-            "lod_classical_db": mp.nstr(self.lod_classical_db, n),
-            "lodi_db": mp.nstr(self.lodi_db, n),
-            "precision": n,
-        }
 
 
 def _moments(J: OperatorExpr, state):

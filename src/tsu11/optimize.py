@@ -54,19 +54,6 @@ class OptResult:
     #: the returned phases, capped at the working precision
     check_digits: float | None = None
 
-    def to_json_dict(self, precision: int) -> dict:
-        return {
-            "phi_p": mp.nstr(self.phi_p, precision),
-            "phi_c": mp.nstr(self.phi_c, precision),
-            "value_db": mp.nstr(self.value_db, precision),
-            "grid_value_db": mp.nstr(self.grid_value_db, precision),
-            "iterations": self.iterations,
-            "evaluations": self.evaluations,
-            "converged": self.converged,
-            "route": self.route,
-            "check_digits": self.check_digits,
-        }
-
 
 def nelder_mead(f, x0, step):
     """Derivative-free simplex descent on a 2-D objective.

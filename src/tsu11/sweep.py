@@ -16,8 +16,9 @@ checks the fit as the LO-phase landscape is checked, and a miss raises
 ``ConsistencyError``.  Rows are evaluated at the guard precision and
 rounded to the working precision.  The per-point engine still evaluates
 every other axis, out-of-domain points, runs of at most 2K + 2 in-domain
-points, and rows whose interpolated derivative is at its rounding floor,
-so an undefined LOD keeps the engine's message.
+points, runs whose span needs more than ``MAX_GUARD_DPS`` guard digits,
+and rows whose interpolated derivative is at its rounding floor, so an
+undefined LOD keeps the engine's message.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ SWEEP_TARGETS = ("lod", "lodi", "variance")
 #: guard digits of the r interpolant's node reports and rows, before those
 #: that ``_guard_dps`` adds for the width of the span
 GUARD_DPS = 20
+#: guard digits past which a run stays per point: beyond, a report costs far more
+MAX_GUARD_DPS = 200
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,10 @@ def _axis_degree(circuit: str, p: InterferometerParams) -> int:
 
     Each detector port is linear in (e^r, e^-r).  A balanced homodyne
     gives J only port' LO terms, of degree one in them; an unbalanced one
-    adds port' port terms, of degree two.  The moments are quadratic in the coefficients of J, so the
-    degree is 2 or 4.
+    adds port' port terms, of degree two.  The moments are quadratic in the
+    coefficients of J, so the degree is 2 or 4.
     """
-    if circuit != "su11" or p.eta_p3 == p.eta_c3 == mpf("0.5"):
-        return 2
-    return 4
+    return 2 if circuit != "su11" or p.eta_p3 == p.eta_c3 == mpf("0.5") else 4
 
 
 def _guard_dps(degree: int, span) -> int:
@@ -190,13 +191,14 @@ def _run_landscape(grid: SweepGrid, name: str, params):
     """The checked ``AxisLandscape`` of one run of the innermost axis
     ``name`` over the in-domain rows' ``params``, or None where the run
     takes the per-point engine: the axis is not r, the run has no more
-    points than the 2K + 2 reports of each fit, or the engine refuses a
-    node report."""
+    points than the 2K + 2 reports of each fit, its span needs more than
+    ``MAX_GUARD_DPS`` guard digits, or the engine refuses a node report."""
     if name != "r" or not params:
         return None
     degree = _axis_degree(grid.circuit, params[0])
     span = (min(p.r for p in params), max(p.r for p in params))
-    if len(params) <= 2 * degree + 2 or span[0] == span[1]:
+    if (len(params) <= 2 * degree + 2 or span[0] == span[1]
+            or _guard_dps(degree, span) > MAX_GUARD_DPS):
         return None
     measures = [functools.partial(report, grid.circuit)]
     if grid.target == "lodi":

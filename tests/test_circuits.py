@@ -356,7 +356,7 @@ def test_lo_phase_fold_is_exact(circuit, point, arms):
 
 def _report_or_error(circuit, q):
     try:
-        return report(circuit, q).to_json_dict()
+        return report(circuit, q)
     except ValueError as exc:
         return str(exc)
 

@@ -416,6 +416,58 @@ class TestOptimizeCommand:
         assert blobs[0] == blobs[1]
 
 
+class TestReportSidecars:
+    """The lod and lodi sidecars hold the report's fields: an mpf as a
+    decimal string, an mpc as {"re", "im"}, an undefined LOD as null."""
+
+    PARAMETERS = set(NUMERIC_FIELDS) | {"arms", "precision"}
+
+    def _run(self, capsys, tmp_path, *argv):
+        out = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, *argv, "--preset", "paper-start", "--out", str(out))
+        rows = list(csv.reader(out.read_text().splitlines()))
+        sidecar = json.loads(out.with_suffix(".csv.json").read_text())
+        assert set(sidecar["parameters"]) == self.PARAMETERS
+        assert sidecar["parameters"]["arms"] == "both"
+        assert sidecar["parameters"]["precision"] == 60
+        assert all(isinstance(sidecar["parameters"][name], str) for name in NUMERIC_FIELDS)
+        return code, rows, sidecar
+
+    @pytest.mark.parametrize("circuit", ["tsu11", "vacuum"])
+    def test_lod(self, capsys, tmp_path, circuit):
+        code, rows, sidecar = self._run(capsys, tmp_path, "lod", "--circuit", circuit)
+        assert set(sidecar) == {"command", "circuit", "report", "engine_version",
+                                "parameters"}
+        assert (sidecar["command"], sidecar["circuit"]) == ("lod", circuit)
+        rep = sidecar["report"]
+        assert set(rep) == {"mean_j", "second_moment", "variance", "dj_dphi_sq",
+                            "lod_db", "source", "precision"}
+        for key in ("mean_j", "second_moment", "variance"):
+            assert set(rep[key]) == {"re", "im"}
+            assert all(isinstance(v, str) for v in rep[key].values())
+        assert (rep["source"], rep["precision"]) == ("engine", 60)
+        assert rows[0] == ["circuit", "variance", "dj_dphi_sq", "lod_db"]
+        assert rows[1][:3] == [circuit, rep["variance"]["re"], rep["dj_dphi_sq"]]
+        if circuit == "vacuum":
+            # the undefined LOD still writes both files
+            assert code == EXIT_UNDEFINED
+            assert rep["lod_db"] is None and rows[1][3] == "undefined"
+        else:
+            assert code == EXIT_OK
+            want = report(circuit, make_params("paper-start")).lod_db
+            assert rep["lod_db"] == rows[1][3] == mp.nstr(want, 60)
+
+    def test_lodi(self, capsys, tmp_path):
+        code, rows, sidecar = self._run(capsys, tmp_path, "lodi")
+        assert code == EXIT_OK
+        header = ["lod_tsu11_db", "lod_classical_db", "lodi_db"]
+        assert set(sidecar) == {"command", "precision", "engine_version", "parameters",
+                                *header}
+        assert (sidecar["command"], sidecar["precision"]) == ("lodi", 60)
+        assert rows == [header, [sidecar[key] for key in header]]
+        assert sidecar["lodi_db"] == mp.nstr(lodi_db(make_params("paper-start")).lodi_db, 60)
+
+
 class TestVacuumCommand:
     def test_map_written(self, capsys, tmp_path):
         out = tmp_path / "vac.csv"

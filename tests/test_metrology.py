@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mpc, mpf, workdps
 
 from tsu11 import (
     InterferometerParams,
@@ -26,6 +26,7 @@ from tsu11 import (
     sampling_phase,
     variance,
 )
+from tsu11.cli import _decimals
 from tsu11.closed_form import tsu11_derivative_sq
 
 from conftest import rel_diff
@@ -152,11 +153,18 @@ class TestLod:
     def test_report_serialization_round_trips(self):
         p = make_params("paper-start")
         rep = report("classical", p)
-        blob = json.dumps(rep.to_json_dict())
-        back = json.loads(blob)
+        back = json.loads(json.dumps(_decimals(vars(rep), p.precision)))
         with workdps(60):
             assert rel_diff(mpf(back["lod_db"]), rep.lod_db) < mpf("1e-55")
-            assert back["source"] == "engine"
+            for key in ("mean_j", "second_moment", "variance"):
+                assert set(back[key]) == {"re", "im"}
+                value = mpc(back[key]["re"], back[key]["im"])
+                assert rel_diff(value, getattr(rep, key)) < mpf("1e-55")
+        assert back["source"] == "engine"
+        assert back["precision"] == 60
+        # an undefined LOD is written as null
+        vac = report("vacuum", p.replace(alpha=0, beta=0))
+        assert json.loads(json.dumps(_decimals(vars(vac), p.precision)))["lod_db"] is None
 
     def test_lod_at_r0_equals_classical(self):
         p = make_params("paper-start", r=0)

@@ -386,6 +386,14 @@ class TestSweepInterpolant:
                                                                         precision=100))
                 assert abs(row["value"] - want) <= mpf(10) ** (2 - p.precision) * scale, row
 
+    def test_span_past_the_guard_cap_stays_per_point(self):
+        # the interpolant's guard would be 86,879 digits over r in [0, 1e5]
+        grid = SweepGrid(axes=(AxisSpec("r", 0, 1e5, 9),), base=make_params("paper-start"),
+                         target="lodi")
+        rows = run_sweep(grid)
+        assert {(row["route"], row["check_digits"]) for row in rows} == {("engine", None)}
+        _assert_rows_match_engine(grid, rows)
+
     @pytest.mark.parametrize("circuit,target,axis,overrides", [
         ("su11", "lodi", AxisSpec("phi", -3, 3, 11), SU11_K4),
         ("tsu11", "lod", AxisSpec("phi_p", -3, 3, 9), {"eta": "0.9"}),
