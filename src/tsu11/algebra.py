@@ -40,6 +40,15 @@ class PrecisionMismatch(ValueError):
     """Raised when expressions built at different precisions are combined."""
 
 
+def _sum(pairs: Iterable[tuple]) -> dict:
+    """Add the values of equal keys in the order given; a key's first value
+    is kept as is.  Run it at the precision the values were made at."""
+    acc: dict = {}
+    for key, value in pairs:
+        acc[key] = acc[key] + value if key in acc else value
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def _reorder(factors: tuple[Factor, ...]) -> tuple[tuple[tuple[Factor, ...], int], ...]:
     """Rewrite a factor product into normal order.
@@ -54,15 +63,10 @@ def _reorder(factors: tuple[Factor, ...]) -> tuple[tuple[tuple[Factor, ...], int
         if not d1 and d2:
             # annihilation directly left of a creation: swap, and contract
             # when the modes coincide
-            swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :]
-            acc: dict[tuple[Factor, ...], int] = {}
-            for key, mult in _reorder(swapped):
-                acc[key] = acc.get(key, 0) + mult
+            pairs = _reorder(factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :])
             if m1 == m2:
-                contracted = factors[:i] + factors[i + 2 :]
-                for key, mult in _reorder(contracted):
-                    acc[key] = acc.get(key, 0) + mult
-            return tuple(sorted(acc.items()))
+                pairs += _reorder(factors[:i] + factors[i + 2 :])
+            return tuple(sorted(_sum(pairs).items()))
     # already normal ordered: canonicalize as creations then annihilations,
     # each group sorted by mode label
     ordered = tuple(sorted(factors, key=lambda f: (not f[1], f[0])))
@@ -116,11 +120,9 @@ class OperatorExpr:
             # internal fast path: keys already canonical tuples, values mpc
             self._terms = _merge(terms, self.dps)
             return
-        raw: dict[tuple[Factor, ...], mpc] = {}
         with workdps(self.dps):
-            for fac, c in terms.items():
-                fac = tuple((str(m), bool(d)) for (m, d) in fac)
-                raw[fac] = raw.get(fac, mpc(0)) + mpc(c)
+            raw = _sum((tuple((str(m), bool(d)) for (m, d) in fac), mpc(c))
+                       for fac, c in terms.items())
         self._terms = _merge(raw, self.dps)
 
     # -- inspection ------------------------------------------------------
@@ -142,9 +144,7 @@ class OperatorExpr:
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         self._check(other)
         with workdps(self.dps):
-            acc = dict(self._terms)
-            for fac, c in other._terms.items():
-                acc[fac] = acc.get(fac, mpc(0)) + c
+            acc = _sum([*self._terms.items(), *other._terms.items()])
         return OperatorExpr(acc, self.dps, _trusted=True)
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -188,45 +188,36 @@ def zero(dps: int = DEFAULT_DPS) -> OperatorExpr:
 def mul(lhs: OperatorExpr, rhs: OperatorExpr) -> OperatorExpr:
     """Distributed product; factor sequences concatenate, no reordering."""
     lhs._check(rhs)
-    acc: dict[tuple[Factor, ...], mpc] = {}
     with workdps(lhs.dps):
-        for fa, ca in lhs._terms.items():
-            for fb, cb in rhs._terms.items():
-                key = fa + fb
-                prod = ca * cb
-                if key in acc:
-                    acc[key] += prod
-                else:
-                    acc[key] = prod
+        acc = _sum((fa + fb, ca * cb) for fa, ca in lhs._terms.items()
+                   for fb, cb in rhs._terms.items())
     return OperatorExpr(acc, lhs.dps, _trusted=True)
 
 
 def adjoint(x: OperatorExpr) -> OperatorExpr:
     """Hermitian conjugate: conjugate coefficients, reverse factors, flip daggers."""
-    acc: dict[tuple[Factor, ...], mpc] = {}
     with workdps(x.dps):
-        for fac, c in x._terms.items():
-            key = tuple((m, not d) for (m, d) in reversed(fac))
-            cc = c.conjugate()
-            if key in acc:
-                acc[key] += cc
-            else:
-                acc[key] = cc
+        acc = _sum((tuple((m, not d) for (m, d) in reversed(fac)), c.conjugate())
+                   for fac, c in x._terms.items())
     return OperatorExpr(acc, x.dps, _trusted=True)
 
 
 def normal_order(x: OperatorExpr) -> OperatorExpr:
     """Equal operator with all creations left of all annihilations per term."""
-    acc: dict[tuple[Factor, ...], mpc] = {}
     with workdps(x.dps):
-        for fac, c in x._terms.items():
-            for key, mult in _reorder(fac):
-                add = c if mult == 1 else c * mult
-                if key in acc:
-                    acc[key] += add
-                else:
-                    acc[key] = add
+        acc = _sum((key, c if mult == 1 else c * mult) for fac, c in x._terms.items()
+                   for key, mult in _reorder(fac))
     return OperatorExpr(acc, x.dps, _trusted=True)
+
+
+def _amplitudes(state: Mapping[str, object]) -> dict[Factor, mpc]:
+    """Eigenvalue of each ladder factor on a coherent product state:
+    state[m] for an annihilator of mode m, its conjugate for a creator."""
+    amp: dict[Factor, mpc] = {}
+    for m, v in state.items():
+        a = amp[(m, False)] = mpc(v)
+        amp[(m, True)] = a.conjugate()
+    return amp
 
 
 def coherent_expectation(x: OperatorExpr, state: Mapping[str, object]) -> mpc:
@@ -237,19 +228,9 @@ def coherent_expectation(x: OperatorExpr, state: Mapping[str, object]) -> mpc:
     conj(state[m]) and each annihilation factor becomes state[m].
     """
     with workdps(x.dps):
-        amp = {m: mpc(v) for m, v in state.items()}
-        total = mpc(0)
-        for fac, c in normal_order(x).terms():
-            val = c
-            for (m, d) in fac:
-                a = amp.get(m)
-                if a is None or a == 0:
-                    val = None
-                    break
-                val = val * (a.conjugate() if d else a)
-            if val is not None:
-                total += val
-        return total
+        amp = _amplitudes(state)
+        return sum((math.prod((amp.get(f, 0) for f in fac), start=c)
+                    for fac, c in normal_order(x).terms()), mpc(0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,16 +239,16 @@ def _fock_norm(modes: tuple[str, ...]) -> int:
     return math.prod(math.factorial(modes.count(m)) for m in set(modes))
 
 
-def _displace(table: dict, ops: tuple[str, ...], weight: mpc, amp: Mapping[str, mpc]) -> None:
+def _displace(table: dict, ops: tuple[Factor, ...], weight: mpc, amp: dict) -> None:
     """Add the operator part of weight * prod over ops of (op + amp[op]) to
-    ``table``, keyed by the sorted labels of the operators kept (at least
-    one); absent modes have amplitude 0."""
+    ``table``, keyed by the sorted mode labels of the operators kept (at
+    least one); absent modes have amplitude 0."""
     partial = {(): weight}
-    for m in ops:
-        a = amp.get(m)
+    for op in ops:
+        a = amp.get(op)
         nxt: dict[tuple[str, ...], mpc] = {}
         for key, w in partial.items():
-            kept = key + (m,)
+            kept = key + (op[0],)
             nxt[kept] = nxt[kept] + w if kept in nxt else w
             if a:
                 nxt[key] = nxt[key] + w * a if key in nxt else w * a
@@ -298,22 +279,18 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc,
     ``state`` maps mode labels to amplitudes, absent modes are vacuum.
     """
     with workdps(x.dps):
-        amp = {m: mpc(v) for m, v in state.items()}
-        amp_conj = {m: a.conjugate() for m, a in amp.items()}
+        amp = _amplitudes(state)
         cre: dict[tuple[str, ...], mpc] = {}
         ann: dict[tuple[str, ...], mpc] = {}
         for fac, c in normal_order(x).terms():
             n_cre = sum(d for _, d in fac)
-            creators = tuple(m for m, _ in fac[:n_cre])
-            annihilators = tuple(m for m, _ in fac[n_cre:])
-            to_cre = math.prod((amp.get(m, 0) for m in annihilators), start=c)
-            to_ann = math.prod((amp_conj.get(m, 0) for m in creators), start=c)
+            creators, annihilators = fac[:n_cre], fac[n_cre:]
+            to_cre = math.prod((amp.get(f, 0) for f in annihilators), start=c)
+            to_ann = math.prod((amp.get(f, 0) for f in creators), start=c)
             if to_cre:
-                _displace(cre, creators, to_cre, amp_conj)
+                _displace(cre, creators, to_cre, amp)
             if to_ann:
                 _displace(ann, annihilators, to_ann, amp)
-        var = mpc(0)
-        for key, c in cre.items():
-            if key in ann:
-                var += c * ann[key] * _fock_norm(key)
+        var = sum((c * ann[key] * _fock_norm(key) for key, c in cre.items() if key in ann),
+                  mpc(0))
         return coherent_expectation(x, state), var
