@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import isfinite, mp, mpc, mpf, workdps
 
 from . import __version__
 from .circuits import ARMS_PROBE, CIRCUITS, NUMERIC_FIELDS, InterferometerParams
@@ -235,7 +235,11 @@ def _parse_axis(spec: str) -> AxisSpec:
             raise ConfigError(f"axis spacing must be 'log', got {parts[4]!r}")
         log = True
     try:
-        return AxisSpec(name, float(lo), float(hi), int(count), log)
+        # bounds stay as typed and convert at the working precision, as
+        # parameter flags do
+        if not all(isfinite(mpf(b)) for b in (lo, hi)):
+            raise ValueError("axis bounds must be finite")
+        return AxisSpec(name, lo, hi, int(count), log)
     except ValueError as exc:
         raise ConfigError(f"bad axis spec {spec!r}: {exc}") from exc
 

@@ -53,18 +53,18 @@ MAX_GUARD_DPS = 200
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept parameter: name, range, point count, linear or log spacing."""
+    """One swept parameter: name, exact decimal bounds, point count, spacing."""
 
     name: str
-    lo: float
-    hi: float
+    lo: str | float
+    hi: str | float
     count: int
     log: bool = False
 
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("axis count must be >= 2")
-        if self.log and (self.lo <= 0 or self.hi <= 0):
+        if self.log and min(mpf(str(self.lo)), mpf(str(self.hi))) <= 0:
             raise ValueError("log axis requires positive bounds")
 
     def points(self, dps: int):

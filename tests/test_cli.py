@@ -268,6 +268,41 @@ class TestSweepCommand:
                                "--axis", "r:0:1")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("hi", ["inf", "nan", "-inf"])
+    def test_non_finite_axis_bound_exit_2(self, capsys, hi):
+        code, out, err = run_cli(capsys, "sweep", "--preset", "paper-start",
+                                 "--axis", f"r:0:{hi}:5")
+        assert code == EXIT_CONFIG
+        assert "axis bounds must be finite" in err
+        assert out == ""
+
+    def test_axis_bounds_beyond_float_range_stay_exact(self, capsys):
+        # 1e400 and 1e-400 overflow and underflow a float but not an mpf
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "paper-start",
+                               "--axis", "r:0:1e400:5")
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:6]
+        assert [row.split(",")[0] for row in rows] == [
+            "0.0", "2.5e+399", "5.0e+399", "7.5e+399", "1.0e+400"]
+        assert all(row.endswith(",") for row in rows)
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "paper-start",
+                               "--axis", "r:1e-400:1:3")
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("1.0e-400,")
+        assert '"lo": "1e-400"' in out
+
+    def test_axis_bound_keeps_every_typed_digit(self, capsys):
+        r = "0.1234567890123456789012345"
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "paper-start",
+                               "--axis", f"r:{r}:0.5:2", "--target", "variance")
+        assert code == EXIT_OK
+        axis_cell, variance_cell, _ = out.splitlines()[1].split(",")
+        assert axis_cell == r
+        assert f'"lo": "{r}"' in out
+        code, lod_out, _ = run_cli(capsys, "lod", "--preset", "paper-start", "--r", r)
+        assert code == EXIT_OK
+        assert lod_out.splitlines()[6].split(",")[1] == variance_cell
+
     def test_csv_and_sidecar(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(
