@@ -34,14 +34,14 @@ GOLDEN = {
     "optimize --preset paper-start --grid 8 --target lod":
         "0f332144808ae73ef8cfdb771354928f83f71070aaa228b2127d563500b3eafc",
     "sweep --preset paper-start --axis r:0:3:61 --target lodi":
-        "1b46297626aeaa6f1f466bec1dbaabc5fa315805d32391e0f7068e4fd1680513",
+        "9154d27832a2ad2b2dbcfd9e02d085fd7d15fe2c1d04f17c84c0f9366693a8d9",
     "sweep --preset paper-start --axis eta:0.5:1:5":
-        "9844483b21f7daa4c4952ab9cd7a28bc255ee4355bc3d5c10e2a9a4ad224c06c",
+        "46b8edb226ee52de71f3b808a298fcce57ffadb9570028d71cd2f16251d440b5",
     "sweep --preset paper-start --circuit su11 --s 0.3 --eta_p3 0.3 "
     "--axis r:0:2:21 --target variance":
-        "a4755f35dfe5152d7a0ab35d42bb856d293b6bf8bd6d06533029c614bbef5477",
+        "c6ef55d9a3cb3fabd1564a7cc3de35723ad2a4e5199d131511f1cc2d6fd1479f",
     "vacuum --preset paper-start --axis phi:-0.05:0.05:41 --axis phi_p:-0.08:0.08:5":
-        "c5c152c84f38a6f8314fc90a3525c065fd85ceff0d3b7376c50dd78aa0a9a75c",
+        "5904a75d42f358d022f5e17c3b6d2a8e256a702c7fc57c48024c8304ba36afb6",
 }
 
 
