@@ -4,49 +4,28 @@ from __future__ import annotations
 
 from .circuits import InterferometerParams
 
-#: benchmark operating points; values are decimal strings so they convert
-#: exactly at any working precision
+#: benchmark operating points: the values that differ from the
+#: ``InterferometerParams`` defaults, which fill in the rest; decimal
+#: strings, so they convert exactly at any working precision
 PRESETS: dict[str, dict] = {
     # 3 dB gain starting point: r = 0.88, 1 uW probe seed, 10 mW LOs,
     # lossless, 1 mrad rotation
     "paper-start": {
         "r": "0.88",
-        "s": "0",
         "alpha": "2e6",
-        "beta": "0",
         "gamma": "2e8",
         "kappa": "2e8",
-        "eta_p1": "1",
-        "eta_c1": "1",
-        "eta_p2": "1",
-        "eta_c2": "1",
-        "eta_p3": "0.5",
-        "eta_c3": "0.5",
         "theta_f": "0.001",
-        "phi_p": "0",
-        "phi_c": "0",
-        "arms": "both",
-        "precision": 60,
     },
     # 15 dB gain point: r = 2.413 with 8% internal loss
     "g15": {
         "r": "2.413",
-        "s": "0",
         "alpha": "2e6",
-        "beta": "0",
         "gamma": "2e8",
         "kappa": "2e8",
         "eta_p1": "0.92",
         "eta_c1": "0.92",
-        "eta_p2": "1",
-        "eta_c2": "1",
-        "eta_p3": "0.5",
-        "eta_c3": "0.5",
         "theta_f": "0.001",
-        "phi_p": "0",
-        "phi_c": "0",
-        "arms": "both",
-        "precision": 60,
     },
 }
 
