@@ -216,6 +216,7 @@ def cmd_optimize(args) -> int:
     print(f"phi_c          : {mp.nstr(result.phi_c, 8)}")
     print(f"{target}_db        : {_db4(result.value_db)}")
     print(f"converged      : {result.converged}")
+    print(f"stop_reason    : {result.stop_reason}")
     cells = _decimals(vars(result), p.precision)
     rows = [[cells["phi_p"], cells["phi_c"], cells["value_db"]]]
     sidecar = {"command": "optimize", "target": target, **cells}

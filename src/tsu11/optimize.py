@@ -1,18 +1,19 @@
 """LO-phase optimization.
 
 The LOD landscape over the two LO phases is multimodal with shallow
-basins, so optimization seeds a Nelder-Mead simplex from the best cell of
-a coarse grid.  Both run on an exact interpolant of the landscape.  An LO
-phase is the phase of the LO's coherent amplitude, not a factor of the
-operator, and each LO mode reaches the detectors linearly, never through
-a squeezer; so var(J) and |d<J>/dphi|^2 are real trigonometric
-polynomials of degree <= 2 in each LO phase, fixed by engine reports on a
-5 x 5 grid of phases.  Those reports share one operator build, since J
-does not depend on the LO phases.  The coarse grid evaluates the
-interpolant as separable products, one trigonometric basis per axis
-point.  The grid and the simplex both minimize var / |d<J>/dphi|^2, which
-orders the phases as the LOD does, and the LOD is taken once per reported
-value, through ``metrology``.
+basins, so optimization starts a safeguarded Newton descent from the best
+cell of a coarse grid.  Both run on an exact interpolant of the
+landscape.  An LO phase is the phase of the LO's coherent amplitude, not
+a factor of the operator, and each LO mode reaches the detectors
+linearly, never through a squeezer; so var(J) and |d<J>/dphi|^2 are real
+trigonometric polynomials of degree <= 2 in each LO phase, fixed by
+engine reports on a 5 x 5 grid of phases.  Those reports share one
+operator build, since J does not depend on the LO phases.  The coarse
+grid evaluates the interpolant as separable products, one trigonometric
+basis per axis point, and Newton takes the exact derivatives of that
+basis.  The grid and Newton both minimize var / |d<J>/dphi|^2 (Newton its
+logarithm), which orders the phases as the LOD does, and the LOD is taken
+once per reported value, through ``metrology``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .circuits import InterferometerParams
 from .interpolants import check_fit, node_scales, tolerance
 from .metrology import classical_lod, defined_lod, lod_from_ratio, report
 
+# unused since the Newton refinement; the benchmark's tracer wraps nelder_mead
+from .simplex import SIMPLEX_MAX_ITER, SIMPLEX_TOL, nelder_mead  # noqa: F401
 # the sweep API stays importable from this module
 from .sweep import AxisSpec, SweepGrid, run_sweep, vacuum_noise_map  # noqa: F401
 
@@ -33,10 +36,8 @@ OPTIMIZE_TARGETS = ("lod", "lodi")
 #: off-node LO phases (phi_p, phi_c) at which the interpolant is checked
 CHECK_PHASES = (1, 2)
 
-#: simplex diameter below which ``nelder_mead`` has converged
-SIMPLEX_TOL = 1e-8
-#: iterations after which ``nelder_mead`` stops unconverged
-SIMPLEX_MAX_ITER = 500
+#: Newton steps, and halvings of one step, after which the refinement stops
+NEWTON_MAX_ITER = 30
 
 
 @dataclass
@@ -48,76 +49,27 @@ class OptResult:
     iterations: int
     evaluations: int
     converged: bool
-    #: what the grid and simplex searched: the engine-checked interpolant
+    #: what the grid and Newton searched: the engine-checked interpolant
     route: str = "interpolant"
     #: -log10 of the relative gap between interpolant and engine LOD at
     #: the returned phases, capped at the working precision
     check_digits: float | None = None
-
-
-def nelder_mead(f, x0, step):
-    """Derivative-free simplex descent on a 2-D objective.
-
-    Standard reflection/expansion/contraction/shrink moves; converges when
-    the simplex diameter drops below ``SIMPLEX_TOL``.  Returns (x, fx,
-    iterations, evaluations, converged).
-    """
-    pts = [tuple(x0), (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
-    vals = [f(x) for x in pts]
-    evals = 3
-    iters = 0
-    converged = False
-    while iters < SIMPLEX_MAX_ITER:
-        order = sorted(range(3), key=lambda i: vals[i])
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        diam = max(
-            max(abs(pts[i][0] - pts[j][0]), abs(pts[i][1] - pts[j][1]))
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        if diam < SIMPLEX_TOL:
-            converged = True
-            break
-        iters += 1
-        cx = ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2)
-        worst = pts[2]
-        xr = (2 * cx[0] - worst[0], 2 * cx[1] - worst[1])
-        fr = f(xr)
-        evals += 1
-        if fr < vals[0]:
-            xe = (3 * cx[0] - 2 * worst[0], 3 * cx[1] - 2 * worst[1])
-            fe = f(xe)
-            evals += 1
-            if fe < fr:
-                pts[2], vals[2] = xe, fe
-            else:
-                pts[2], vals[2] = xr, fr
-        elif fr < vals[1]:
-            pts[2], vals[2] = xr, fr
-        else:
-            xc = ((cx[0] + worst[0]) / 2, (cx[1] + worst[1]) / 2)
-            fc = f(xc)
-            evals += 1
-            if fc < vals[2]:
-                pts[2], vals[2] = xc, fc
-            else:
-                pts = [
-                    pts[0],
-                    ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2),
-                    ((pts[0][0] + pts[2][0]) / 2, (pts[0][1] + pts[2][1]) / 2),
-                ]
-                vals = [vals[0], f(pts[1]), f(pts[2])]
-                evals += 2
-    order = sorted(range(3), key=lambda i: vals[i])
-    best = order[0]
-    return pts[best], vals[best], iters, evals, converged
+    #: why ``_newton`` stopped, or "grid" where the grid cell was kept
+    stop_reason: str = ""
+    #: |grad LOD| of the interpolant at the returned phases, in dB/rad
+    grad_norm: mpf | None = None
 
 
 def _trig_basis(x):
     """(1, cos x, sin x, cos 2x, sin 2x): the real basis of degree <= 2."""
     c, s = mp.cos_sin(x)
     return (mpf(1), c, s, 2 * c * c - 1, 2 * s * c)
+
+
+def _trig_jet(x):
+    """``_trig_basis(x)`` and its first and second derivatives in x."""
+    b = _, c, s, c2, s2 = _trig_basis(x)
+    return b, (0, -s, c, -2 * s2, 2 * c2), (0, -c, -s, -4 * c2, -4 * s2)
 
 
 class PhaseLandscape:
@@ -144,6 +96,9 @@ class PhaseLandscape:
                     for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
             self._var = self._fit(proj, [[r.variance.real for r in row] for row in reps])
             self._dsq = self._fit(proj, [[r.dj_dphi_sq for r in row] for row in reps])
+            # what rounding moves an evaluation by: 10^-dps of the coefficient mass
+            self._noise = [mp.fsum(map(abs, sum(c, []))) / mpf(10) ** dps
+                           for c in (self._var, self._dsq)]
             self.var_scale, self.dsq_scale = node_scales([r for row in reps for r in row])
             xc, yc = CHECK_PHASES
             check = report(circuit, p.replace(phi_p=xc, phi_c=yc))
@@ -181,6 +136,27 @@ class PhaseLandscape:
         with workdps(self.dps):
             return self._ratio(_trig_basis(x[0]), self._contract(_trig_basis(x[1])))
 
+    def jet(self, x):
+        """(var/dsq, its rounding floor, and the gradient (p, c) and Hessian
+        (pp, pc, cc) of ln(var/dsq) in the phases) at x = (phi_p, phi_c) from
+        the exact derivatives of the basis; None where ``ratio(x)`` is inf."""
+        with workdps(self.dps):
+            u, v = _trig_jet(x[0]), _trig_jet(x[1])
+            halves = [self._contract(w) for w in v]
+            ratio = self._ratio(u[0], halves[0])
+            if ratio == mpf("inf"):
+                return None
+            floor, logs = 0, []
+            for k, noise in enumerate(self._noise):
+                # var (k = 0) or dsq (k = 1) differentiated i, j times in phi_p, phi_c
+                (q, c, cc), (p, pc, _), (pp, _, _) = [[mp.fdot(a, hs[k]) for hs in halves]
+                                                      for a in u]
+                p, c = p / q, c / q
+                logs.append((p, c, pp / q - p * p, pc / q - p * c, cc / q - c * c))
+                floor += ratio * noise / q
+            p, c, pp, pc, cc = (a - b for a, b in zip(*logs))
+            return ratio, floor, (p, c), (pp, pc, cc)
+
     def grid(self, axis):
         """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
         as ``ratio((phi_p, phi_c))``, bit for bit.
@@ -198,9 +174,47 @@ class PhaseLandscape:
 
 
 def _lod_objective_coarse(land: PhaseLandscape):
-    """Simplex objective: var/dsq, monotone in the LOD, on the engine-checked
-    interpolant (the benchmark's tracer counts its calls)."""
+    """Line-search objective: var/dsq, monotone in the LOD, on the
+    engine-checked interpolant (the benchmark's tracer counts its calls)."""
     return land.ratio
+
+
+def _newton(land: PhaseLandscape, objective, x, cell):
+    """Safeguarded Newton descent of ln(var/dsq) from x.
+
+    A step solves H s = -g with the exact gradient g and Hessian H of
+    ``land.jet``, or is -g where H is not positive definite.  It is capped
+    at one grid ``cell`` and halved until ``objective`` (var/dsq) rises by
+    no more than its rounding floor.  The descent stops at a step below
+    the landscape's tolerance ("step"), once var/dsq falls by no more than
+    that floor ("flat"), after NEWTON_MAX_ITER steps ("max_iter"), or at
+    once where var/dsq is undefined ("undefined").  Returns (x, jet at x,
+    steps, evaluations, stop reason, whether H is positive definite at x).
+    """
+    jet, evals, stop = land.jet(x), 1, None
+    for it in range(NEWTON_MAX_ITER + 1):
+        if jet is None:
+            return x, jet, it, evals, "undefined", False
+        ratio, floor, (gp, gc), (a, b, c) = jet
+        det = a * c - b * b
+        pd = a > 0 and det > 0
+        s = ((b * gc - c * gp) / det, (b * gp - a * gc) / det) if pd else (-gp, -gc)
+        size = max(abs(s[0]), abs(s[1]))
+        stop = stop or ("step" if size < land.tol else None)
+        if stop or it == NEWTON_MAX_ITER:
+            return x, jet, it, evals, stop or "max_iter", pd
+        t = min(1, cell / size)
+        for _ in range(NEWTON_MAX_ITER):
+            y = (x[0] + t * s[0], x[1] + t * s[1])
+            f = objective(y)
+            evals += 1
+            if f <= ratio + floor:
+                x, jet = y, land.jet(y)
+                evals += 1
+                break
+            t /= 2
+        if f >= ratio - floor:
+            stop = "flat"
 
 
 def _best_cell(land: PhaseLandscape, axis):
@@ -236,8 +250,11 @@ def optimize_phases(
     """Minimize LOD or LODI over the LO phases (phi_p, phi_c).
 
     A ``grid_n`` x ``grid_n`` coarse grid over [-pi, pi)^2 picks the start
-    cell and a simplex refines it, both on the interpolated landscape;
+    cell and ``_newton`` refines it, both on the interpolated landscape;
     the engine re-evaluates the chosen cell and the returned phases.
+    ``converged`` certifies a local minimum of the interpolant: the
+    descent stopped on "step" or "flat" and the Hessian of ln(var/dsq) is
+    positive definite at the returned phases.
     Balanced detectors make the landscape invariant under a joint shift
     of both phases by pi (J -> -J), so grid cells within the interpolant's
     tolerance of the best one resolve to the smallest |phi_p| + |phi_c|.
@@ -265,13 +282,13 @@ def optimize_phases(
         grid_rep = report(circuit, p.replace(phi_p=best_xy[0], phi_c=best_xy[1]))
         grid_lod = defined_lod(grid_rep, f"{circuit} LOD undefined at the best grid "
                                "cell: the phase derivative of <J> vanishes")
-        xy, ratio, iters, ev2, converged = nelder_mead(_lod_objective_coarse(land),
-                                                       best_xy, step=cell)
+        xy, jet, iters, ev2, stop, pd = _newton(land, _lod_objective_coarse(land),
+                                                best_xy, cell)
         lod = report(circuit, p.replace(phi_p=xy[0], phi_c=xy[1])).lod_db
-        # refinement starts from the best grid vertex and only improves it
+        # refinement starts from the best grid cell and only improves it
         if lod is None or lod > grid_lod:
-            xy, ratio, lod = best_xy, land.ratio(best_xy), grid_lod
-        val = lod_from_ratio(ratio)
+            xy, jet, lod, stop = best_xy, None, grid_lod, "grid"
+        val = lod_from_ratio(land.ratio(xy))
         gap = abs(val - lod) / max(abs(lod), 1) if val != lod else 0
         digits = min(p.precision, -log10(gap)) if gap else p.precision
         return OptResult(
@@ -280,7 +297,9 @@ def optimize_phases(
             value_db=lod + offset,
             grid_value_db=grid_lod + offset,
             iterations=iters,
-            evaluations=grid_n * grid_n + ev2 + 1,
-            converged=converged,
+            evaluations=grid_n * grid_n + ev2,
+            converged=pd and stop in ("step", "flat"),
             check_digits=round(float(digits), 1),
+            stop_reason=stop,
+            grad_norm=jet and 5 * mp.hypot(*jet[2]) / mp.ln10,
         )

@@ -442,12 +442,15 @@ class TestOptimizeCommand:
             assert code == EXIT_OK
             blobs.append(out.read_bytes() + out.with_suffix(".csv.json").read_bytes())
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
-        for key in ("phi_p", "phi_c", "lodi_db", "converged"):
+        for key in ("phi_p", "phi_c", "lodi_db", "converged", "stop_reason", "grad_norm"):
             assert key in sidecar
         assert "converged" in stdout
+        assert f"stop_reason    : {sidecar['stop_reason']}" in stdout
         # how the optimum was found, deterministic like every sidecar value
         assert sidecar["route"] == "interpolant"
         assert 25 <= sidecar["check_digits"] <= 40
+        assert sidecar["converged"] and sidecar["stop_reason"] in ("step", "flat")
+        assert isinstance(sidecar["grad_norm"], str) and float(sidecar["grad_norm"]) < 1e-25
         assert blobs[0] == blobs[1]
 
 
