@@ -30,9 +30,9 @@ GOLDEN = {
     "lodi --preset g15":
         "db33d8185e3e7cc516138bde7f8d44cc269db354abe7f64541974646d87bc798",
     "optimize --preset paper-start --grid 16":
-        "b0583e51d4ab2cccfdf5d0c86d1103d533a9069c0560c1d9226cf2f97d09c919",
+        "aba6e507472aad5f3b627fd992290bc4bd2ff63514c7959ddec4b3a30d7112fe",
     "optimize --preset paper-start --grid 8 --target lod":
-        "0f332144808ae73ef8cfdb771354928f83f71070aaa228b2127d563500b3eafc",
+        "7c07b579a333f7181c392423588c885f02fbeaf893c4ff3e0e6f4a1e34ded39a",
     "sweep --preset paper-start --axis r:0:3:61 --target lodi":
         "9154d27832a2ad2b2dbcfd9e02d085fd7d15fe2c1d04f17c84c0f9366693a8d9",
     "sweep --preset paper-start --axis eta:0.5:1:5":
