@@ -1,8 +1,8 @@
 """Nelder-Mead simplex descent on a 2-D objective.
 
-The LO-phase optimizer refined its grid cell with this simplex before it
-took Newton steps on the exact landscape.  It stays importable as
-``optimize.nelder_mead``, which the benchmark's tracer wraps by name.
+Unused by the LO-phase optimizer, which refines its grid cell by Newton
+steps (``optimize._newton``).  It stays importable as
+``optimize.nelder_mead`` because the benchmark's tracer wraps it by name.
 """
 
 #: simplex diameter below which ``nelder_mead`` has converged
