@@ -59,8 +59,7 @@ def test_optimize_finds_phase_matched_minimum():
 def test_optimum_is_the_stationary_point_to_working_precision(eta):
     # the refinement lands on the landscape's stationary point to
     # 10^-(dps - CHECK_MARGIN), found here on a 120-digit landscape, and
-    # value_db is the engine's LODI there to the same digits (a simplex
-    # stopped 2-4e-9 rad away, 2e-17 dB off)
+    # value_db is the engine's LODI there to the same digits
     p = make_params("paper-start", eta=eta)
     ref = optimize_phases(p.replace(precision=120), grid_n=16)
     assert ref.converged and ref.grad_norm < mpf("1e-100")
@@ -92,6 +91,33 @@ def test_refinement_converges_within_the_cap(preset, overrides, options):
     assert res.stop_reason in ("step", "flat")
     assert res.iterations < NEWTON_MAX_ITER
     assert res.value_db <= res.grid_value_db
+
+
+def test_refinement_stopped_by_the_cap_is_not_converged(monkeypatch):
+    monkeypatch.setattr(tsu11.optimize, "NEWTON_MAX_ITER", 1)
+    res = optimize_phases(make_params("paper-start"), grid_n=16)
+    assert (res.stop_reason, res.converged, res.iterations) == ("max_iter", False, 1)
+    assert res.value_db <= res.grid_value_db
+
+
+def test_refinement_worse_than_the_cell_keeps_the_cell(monkeypatch):
+    newton = tsu11.optimize._newton
+
+    def astray(land, objective, x, cell):
+        y, *rest = newton(land, objective, x, cell)
+        return ((y[0] + 1, y[1]), *rest)
+
+    monkeypatch.setattr(tsu11.optimize, "_newton", astray)
+    res = optimize_phases(make_params("paper-start"), grid_n=16)
+    assert (res.stop_reason, res.converged, res.grad_norm) == ("grid", False, None)
+    assert res.value_db == res.grid_value_db
+
+
+def test_undefined_ratio_at_the_cell_is_not_converged(monkeypatch):
+    monkeypatch.setattr(PhaseLandscape, "jet", lambda self, x: None)
+    res = optimize_phases(make_params("paper-start"), grid_n=16)
+    assert (res.stop_reason, res.converged, res.grad_norm) == ("undefined", False, None)
+    assert res.value_db == res.grid_value_db
 
 
 def test_basin_choice_independent_of_precision():
