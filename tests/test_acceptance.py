@@ -20,6 +20,7 @@ from tsu11 import (
     build_classical_J,
     build_tsu11_J,
     build_vacuum_J,
+    closed_form_report,
     coherent_expectation,
     dj_dphi_sq,
     lod_db,
@@ -27,21 +28,11 @@ from tsu11 import (
     make_params,
     mul,
     optimize_phases,
-    sampling_phase,
     transduce,
     vacuum_noise_map,
     variance,
 )
 from tsu11.cli import EXIT_OK, main
-from tsu11.closed_form import (
-    classical_derivative_sq,
-    classical_mean,
-    classical_variance,
-    tsu11_derivative_sq,
-    tsu11_mean,
-    tsu11_variance,
-    vacuum_variance,
-)
 
 from conftest import random_expr, rel_diff
 from fock_oracle import FockConfig, factored_expectation, oracle_expectation
@@ -169,37 +160,20 @@ def test_criterion_4_closed_form_equivalence():
     with workdps(60):
         for _ in range(100):
             p = draw(beta_zero=True)
-            phi = sampling_phase(p.theta_f, 60)
 
-            J, _, state = build_classical_J(p)
-            worst = max(worst, rel_diff(
-                coherent_expectation(J, state),
-                classical_mean(state["a"].real, state["b"].real, p.gamma,
-                               p.kappa, phi, phi, p.phi_p, p.phi_c)))
-            worst = max(worst, rel_diff(
-                variance(J, state).real,
-                classical_variance(state["a"].real, state["b"].real,
-                                   p.gamma, p.kappa)))
-            worst = max(worst, rel_diff(
-                dj_dphi_sq("classical", p),
-                classical_derivative_sq(state["a"].real, state["b"].real,
-                                        p.gamma, p.kappa, phi, phi,
-                                        p.phi_p, p.phi_c)))
-
-            J, _, state = build_tsu11_J(p)
-            worst = max(worst, rel_diff(coherent_expectation(J, state),
-                                        tsu11_mean(p, phi)))
-            worst = max(worst, rel_diff(variance(J, state).real,
-                                        tsu11_variance(p, phi)))
-            worst = max(worst, rel_diff(dj_dphi_sq("tsu11", p),
-                                        tsu11_derivative_sq(p, phi)))
+            for circuit, build in (("classical", build_classical_J), ("tsu11", build_tsu11_J)):
+                J, _, state = build(p)
+                ref = closed_form_report(circuit, p)
+                worst = max(worst, rel_diff(coherent_expectation(J, state), ref.mean_j))
+                worst = max(worst, rel_diff(variance(J, state).real, ref.variance.real))
+                worst = max(worst, rel_diff(dj_dphi_sq(circuit, p), ref.dj_dphi_sq))
 
             pv = p.replace(alpha=0, beta=0)
             J, _, state = build_vacuum_J(pv)
             assert coherent_expectation(J, state) == 0
             assert dj_dphi_sq("vacuum", pv) == 0
             worst = max(worst, rel_diff(variance(J, state).real,
-                                        vacuum_variance(pv, phi)))
+                                        closed_form_report("vacuum", pv).variance.real))
 
     elapsed = time.monotonic() - t0
     ok = worst < mpf("1e-40") and elapsed < 300

@@ -14,23 +14,16 @@ from tsu11 import (
     build_su11_J,
     build_tsu11_J,
     build_vacuum_J,
+    closed_form_report,
     coherent_expectation,
     ladder,
     make_params,
     mul,
     normal_order,
     report,
-    sampling_phase,
     variance,
 )
 from tsu11.circuits import NUMERIC_FIELDS, _operators
-from tsu11.closed_form import (
-    classical_mean,
-    classical_variance,
-    tsu11_mean,
-    tsu11_variance,
-    vacuum_variance,
-)
 
 from conftest import expr_close, rel_diff
 
@@ -92,12 +85,8 @@ class TestClassicalCircuit:
             p = random_params(rng)
             J, _, state = build_classical_J(p)
             engine = coherent_expectation(J, state)
+            ref = closed_form_report("classical", p).mean_j
             with workdps(p.precision):
-                phi = sampling_phase(p.theta_f, p.precision)
-                ref = classical_mean(
-                    state["a"].real, state["b"].real, p.gamma, p.kappa,
-                    phi, phi, p.phi_p, p.phi_c,
-                )
                 assert rel_diff(engine, ref) < mpf("1e-40")
 
     def test_variance_phase_independent(self):
@@ -114,13 +103,8 @@ class TestClassicalCircuit:
             )
             J, _, state = build_classical_J(p)
             values.append(variance(J, state).real)
+        ref = closed_form_report("classical", base).variance.real
         with workdps(60):
-            ref = classical_variance(
-                mpf("2e6") * cosh(mpf("0.88")),
-                mpf("2e6") * sinh(mpf("0.88")),
-                mpf("2e8"),
-                mpf("2e8"),
-            )
             for v in values:
                 assert rel_diff(v, ref) < mpf("1e-45")
 
@@ -150,8 +134,8 @@ class TestSqueezedCircuit:
             p = random_params(rng)
             J, _, state = build_tsu11_J(p)
             engine = coherent_expectation(J, state)
+            ref = closed_form_report("tsu11", p).mean_j
             with workdps(p.precision):
-                ref = tsu11_mean(p, sampling_phase(p.theta_f, p.precision))
                 assert rel_diff(engine, ref) < mpf("1e-40")
 
     def test_variance_matches_reference(self):
@@ -160,8 +144,8 @@ class TestSqueezedCircuit:
             p = random_params(rng)
             J, _, state = build_tsu11_J(p)
             engine = variance(J, state)
+            ref = closed_form_report("tsu11", p).variance.real
             with workdps(p.precision):
-                ref = tsu11_variance(p, sampling_phase(p.theta_f, p.precision))
                 assert rel_diff(engine.real, ref) < mpf("1e-40")
 
     def test_probe_only_variant(self):
@@ -169,10 +153,10 @@ class TestSqueezedCircuit:
         for _ in range(10):
             p = random_params(rng, arms="probe-only")
             J, _, state = build_tsu11_J(p)
+            ref = closed_form_report("tsu11", p)
             with workdps(p.precision):
-                phi = sampling_phase(p.theta_f, p.precision)
-                assert rel_diff(coherent_expectation(J, state), tsu11_mean(p, phi)) < mpf("1e-40")
-                assert rel_diff(variance(J, state).real, tsu11_variance(p, phi)) < mpf("1e-40")
+                assert rel_diff(coherent_expectation(J, state), ref.mean_j) < mpf("1e-40")
+                assert rel_diff(variance(J, state).real, ref.variance.real) < mpf("1e-40")
 
     def test_hermitian(self):
         rng = random.Random(61)
@@ -259,8 +243,8 @@ class TestVacuumCircuit:
             p = random_params(rng).replace(alpha=0, beta=0)
             J, _, state = build_vacuum_J(p)
             engine = variance(J, state)
+            ref = closed_form_report("vacuum", p).variance.real
             with workdps(p.precision):
-                ref = vacuum_variance(p, sampling_phase(p.theta_f, p.precision))
                 assert rel_diff(engine.real, ref) < mpf("1e-40")
 
 

@@ -23,11 +23,9 @@ from tsu11 import (
     make_params,
     mul,
     report,
-    sampling_phase,
     variance,
 )
 from tsu11.cli import _decimals
-from tsu11.closed_form import tsu11_derivative_sq
 
 from conftest import rel_diff
 from test_circuits import random_params
@@ -101,8 +99,8 @@ class TestDerivative:
         for _ in range(20):
             p = random_params(rng)
             engine = dj_dphi_sq("tsu11", p)
+            ref = closed_form_report("tsu11", p).dj_dphi_sq
             with workdps(p.precision):
-                ref = tsu11_derivative_sq(p, sampling_phase(p.theta_f, p.precision))
                 assert rel_diff(engine, ref) < mpf("1e-40")
 
     def test_exact_derivative_matches_theta_stencil(self):

@@ -302,6 +302,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepGrid(axes=(AxisSpec("r", 0, 1, 3),),
                       base=make_params("paper-start"), target="fidelity")
+        with pytest.raises(ValueError):
+            SweepGrid(axes=(AxisSpec("r", 0, 1, 3),),
+                      base=make_params("paper-start"), circuit="nope")
+        with pytest.raises(KeyError):
+            make_params("nope")
 
     def test_deterministic(self):
         p = make_params("paper-start", precision=40, phi_p="0.001", phi_c="0.001")
@@ -504,6 +509,16 @@ class TestSweepInterpolant:
         # 2K + 2 = 6 points cost no more reports per point than the fit
         grid = SweepGrid(axes=(AxisSpec("r", 0, 3, 6),), base=make_params("paper-start"))
         assert {row["route"] for row in run_sweep(grid)} == {"engine"}
+
+    def test_refused_node_report_falls_back_per_point(self):
+        # the seeded base refuses the vacuum circuit at the fit's first
+        # node; the run goes to the engine, which records the refusal per row
+        grid = SweepGrid(axes=(AxisSpec("r", 0, 1, 9),), base=make_params("paper-start"),
+                         circuit="vacuum")
+        rows = run_sweep(grid)
+        assert len(rows) == 9
+        assert {(row["route"], row["value"], row["error"]) for row in rows} == {
+            ("engine", None, "vacuum circuit requires alpha = beta = 0")}
 
     def test_undefined_rows_keep_the_engine_message(self):
         # a conjugate seed alone leaves the classical reference unseeded:
