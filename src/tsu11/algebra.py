@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Iterable, Mapping
 
 from mpmath import mpc, workdps
@@ -220,17 +221,32 @@ def _amplitudes(state: Mapping[str, object]) -> dict[Factor, mpc]:
     return amp
 
 
-def coherent_expectation(x: OperatorExpr, state: Mapping[str, object]) -> mpc:
+def _charge(fac: tuple[Factor, ...], phased: tuple[str, ...]) -> tuple[int, ...]:
+    """LO charge of a factor product: per phased mode, the number of its
+    annihilators less the number of its creators."""
+    return tuple(sum(-1 if d else 1 for m, d in fac if m == pm) for pm in phased)
+
+
+def coherent_expectation(x: OperatorExpr, state: Mapping[str, object], phased=()):
     """Expectation value over a product of coherent states.
 
     ``state`` maps mode labels to complex eigenvalues; absent modes are
     vacuum.  After normal ordering, each creation factor of mode m becomes
     conj(state[m]) and each annihilation factor becomes state[m].
+
+    With ``phased`` modes (p_1, p_2, ...), the amplitude of p_k taken as
+    state[p_k] e^{i t_k}, the mean is a Laurent polynomial in the e^{i t_k}.
+    A term then goes to the coefficient of its charge (q_1, q_2, ...),
+    q_k its annihilators of p_k less its creators of p_k, and the
+    coefficients come back as {charge: value}.
     """
     with workdps(x.dps):
         amp = _amplitudes(state)
-        return sum((math.prod((amp.get(f, 0) for f in fac), start=c)
-                    for fac, c in normal_order(x).terms()), mpc(0))
+        # with no phased modes every term has the charge ()
+        acc = _sum((phased and _charge(fac, phased),
+                    math.prod((amp.get(f, 0) for f in fac), start=c))
+                   for fac, c in normal_order(x).terms())
+        return acc if phased else acc.get((), mpc(0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,7 +274,7 @@ def _displace(table: dict, ops: tuple[Factor, ...], weight: mpc, amp: dict) -> N
             table[key] = table[key] + w if key in table else w
 
 
-def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc, mpc]:
+def coherent_moments(x: OperatorExpr, state: Mapping[str, object], phased=()):
     """(<x>, <x.x> - <x>^2) over a product of coherent states, exactly.
 
     The displacement a -> a + state[a] maps the coherent state to the
@@ -277,20 +293,31 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object]) -> tuple[mpc,
     ``coherent_expectation``, the engine's one route to a mean.  No
     product x.x is formed and nothing cancels; Hermiticity is not assumed.
     ``state`` maps mode labels to amplitudes, absent modes are vacuum.
+
+    With ``phased`` modes both moments come back as {charge: coefficient}
+    Laurent polynomials, as in ``coherent_expectation``.  Each term keeps
+    its own pair of tables, keyed by the term's charge q: keeping a creator
+    of a phased mode in M drops its amplitude's charge -1 from cre[M], and
+    keeping the annihilator drops +1 from ann[M], so cre[M] ann[M] from
+    terms of charges q, q' carries the charge q + q' whatever M is.
     """
     with workdps(x.dps):
         amp = _amplitudes(state)
-        cre: dict[tuple[str, ...], mpc] = {}
-        ann: dict[tuple[str, ...], mpc] = {}
+        cre: dict[tuple, dict[tuple[str, ...], mpc]] = {}
+        ann: dict[tuple, dict[tuple[str, ...], mpc]] = {}
         for fac, c in normal_order(x).terms():
+            q = phased and _charge(fac, phased)
             n_cre = sum(d for _, d in fac)
             creators, annihilators = fac[:n_cre], fac[n_cre:]
             to_cre = math.prod((amp.get(f, 0) for f in annihilators), start=c)
             to_ann = math.prod((amp.get(f, 0) for f in creators), start=c)
             if to_cre:
-                _displace(cre, creators, to_cre, amp)
+                _displace(cre.setdefault(q, {}), creators, to_cre, amp)
             if to_ann:
-                _displace(ann, annihilators, to_ann, amp)
-        var = sum((c * ann[key] * _fock_norm(key) for key, c in cre.items() if key in ann),
-                  mpc(0))
-        return coherent_expectation(x, state), var
+                _displace(ann.setdefault(q, {}), annihilators, to_ann, amp)
+        var = _sum((tuple(map(operator.add, q, q2)),
+                    sum((c * ann_q[key] * _fock_norm(key) for key, c in cre_q.items()
+                         if key in ann_q), mpc(0)))
+                   for q, cre_q in cre.items() for q2, ann_q in ann.items())
+        mean = coherent_expectation(x, state, phased)
+        return (mean, var) if phased else (mean, var.get((), mpc(0)))

@@ -97,6 +97,8 @@ class InterferometerParams:
 NUMERIC_FIELDS = tuple(f.name for f in fields(InterferometerParams)
                        if f.name not in ("arms", "precision"))
 
+#: the LO modes, whose amplitudes carry phi_p and phi_c in this order
+LO_MODES = ("g", "h")
 #: the fields that enter only the coherent state, never the operators
 STATE_FIELDS = ("alpha", "beta", "gamma", "kappa", "phi_p", "phi_c")
 #: every other field, including any added later: the operator memo's key

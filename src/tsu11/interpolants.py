@@ -23,13 +23,14 @@ def tolerance(dps: int):
     return mpf(10) ** (CHECK_MARGIN - dps)
 
 
-def node_scales(reps):
-    """The scales at which an interpolant of node reports ``reps`` is
-    checked: var relative to the largest node <J^2> = var + <J>^2, a scale
-    at least that of the largest node var, and |d<J>/dphi|^2 relative to
-    the largest node value; both at least 1."""
-    return (max([abs(r.second_moment) for r in reps] + [mpf(1)]),
-            max([r.dj_dphi_sq for r in reps] + [mpf(1)]))
+def node_scales(nodes):
+    """The scales at which an interpolant is checked, from its nodes'
+    (<J^2>, |d<J>/dphi|^2) pairs: var relative to the largest |<J^2>| =
+    |var + <J>^2|, a scale at least that of the largest node var, and
+    |d<J>/dphi|^2 relative to the largest node value; both at least 1."""
+    second_moments, dsqs = zip(*nodes)
+    return (max([abs(m2) for m2 in second_moments] + [mpf(1)]),
+            max(list(dsqs) + [mpf(1)]))
 
 
 def check_fit(fit, rep, scales, tol, what, where):

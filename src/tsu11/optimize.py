@@ -5,15 +5,16 @@ basins, so optimization starts a safeguarded Newton descent from the best
 cell of a coarse grid.  Both run on an exact interpolant of the
 landscape.  An LO phase is the phase of the LO's coherent amplitude, not
 a factor of the operator, and each LO mode reaches the detectors
-linearly, never through a squeezer; so var(J) and |d<J>/dphi|^2 are real
-trigonometric polynomials of degree <= 2 in each LO phase, fixed by
-engine reports on a 5 x 5 grid of phases.  Those reports share one
-operator build, since J does not depend on the LO phases.  The coarse
-grid evaluates the interpolant as separable products, one trigonometric
-basis per axis point, and Newton takes the exact derivatives of that
-basis.  The grid and Newton both minimize var / |d<J>/dphi|^2 (Newton its
-logarithm), which orders the phases as the LOD does, and the LOD is taken
-once per reported value, through ``metrology``.
+linearly, never through a squeezer; so <J>, var(J) and <dJ/dphi> are
+Laurent polynomials of degree <= 2 in e^{i phi_p} and e^{i phi_c}.  One
+charge-graded pass of the engine's kernel over J and one over dJ, on the
+one operator build at zero LO phases, return their coefficients, and
+|d<J>/dphi|^2 follows as a product of two of them.  The coarse grid
+evaluates the interpolant as separable products, one trigonometric basis
+per axis point, and Newton takes the exact derivatives of that basis.
+The grid and Newton both minimize var / |d<J>/dphi|^2 (Newton its
+logarithm), which orders the phases as the LOD does, and the LOD is
+taken once per reported value, through ``metrology``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 from mpmath import log10, mp, mpf, pi, workdps
 
-from .circuits import InterferometerParams
+from .algebra import coherent_expectation, coherent_moments
+from .circuits import CIRCUITS, LO_MODES, InterferometerParams
 from .interpolants import check_fit, node_scales, tolerance
-from .metrology import classical_lod, defined_lod, lod_from_ratio, report
+from .metrology import ConsistencyError, classical_lod, defined_lod, lod_from_ratio, report
 
 # bound here only because the benchmark's tracer wraps them as tsu11.optimize.<name>;
 # nelder_mead is unused since the Newton refinement
@@ -72,45 +74,82 @@ def _trig_jet(x):
     return b, (0, -s, c, -2 * s2, 2 * c2), (0, -c, -s, -4 * c2, -4 * s2)
 
 
+def _real_coefficients(laurent, what):
+    """Coefficients over the real basis (1, cos, sin, cos 2, sin 2)^2 of
+    Re sum over charges (a, b) of laurent[a, b] e^{i(a phi_p + b phi_c)}.
+
+    A charge |a| > 2 or |b| > 2 lies outside that basis, which a fit from
+    5 nodes per axis would alias silently.  Such a charge, even with a
+    zero coefficient, comes from an operator term of LO charge 2 or more,
+    so an LO mode that does not reach the detectors linearly; it raises
+    ``ConsistencyError``.
+    """
+    coef = [[mpf(0)] * 5 for _ in range(5)]
+    for charge, c in laurent.items():
+        for axis, k in zip(("phi_p", "phi_c"), charge):
+            if abs(k) > 2:
+                raise ConsistencyError(f"LO-phase {what} has charge {k} on {axis}: "
+                                       "the landscape assumes degree <= 2")
+        # e^{ikx} = cos |k|x + i sign(k) sin |k|x, at basis slots 2|k| - 1, 2|k|
+        (cp, sp, tp), (cc, sc, tc) = ((2 * abs(k) - 1 if k else 0, 2 * abs(k),
+                                       (k > 0) - (k < 0)) for k in charge)
+        coef[cp][cc] += c.real
+        coef[sp][sc] -= tp * tc * c.real
+        coef[sp][cc] -= tp * c.imag
+        coef[cp][sc] -= tc * c.imag
+    return coef
+
+
+def _node_values(coefs, basis):
+    """[[each of ``coefs`` at (x, y)] for x, y over ``basis``], x outer."""
+    halves = [[[mp.fdot(row, v) for row in coef] for coef in coefs] for v in basis]
+    return [[mp.fdot(u, h) for h in hs] for u in basis for hs in halves]
+
+
 class PhaseLandscape:
     """Exact interpolant of var(J) and |d<J>/dphi|^2 over (phi_p, phi_c).
 
-    Engine reports at the 5 x 5 equispaced LO-phase nodes give the
-    coefficients of both trigonometric polynomials by an exact 2-D DFT
-    (5 nodes per axis alias no frequency of degree <= 2).  One report at
-    ``CHECK_PHASES`` must agree with the interpolant to
-    10^-(dps - CHECK_MARGIN) of each quantity's node scale, or
-    ``ConsistencyError`` is raised.
+    The circuit is built once at phi_p = phi_c = 0, where the LO
+    amplitudes are exactly gamma and kappa.  One pass of
+    ``coherent_moments`` over J and one of ``coherent_expectation`` over
+    dJ, graded by the LO charges of ``LO_MODES``, give the Laurent
+    coefficients of <J>, var(J) and D = <dJ/dphi>; |D|^2 takes the charge
+    q - q' from D_q conj(D_q').  Their real parts are mapped onto the
+    real basis (1, cos, sin, cos 2, sin 2) of each phase.  The node scales
+    are the largest |var + <J>^2| and |d<J>/dphi|^2 of the interpolant on
+    the 5 x 5 equispaced phases.  One engine report at ``CHECK_PHASES``
+    must agree with the interpolant to 10^-(dps - CHECK_MARGIN) of each
+    quantity's node scale, or ``ConsistencyError`` is raised.
     """
 
     def __init__(self, p: InterferometerParams, circuit: str):
         self.dps = dps = p.precision
         self.tol = tolerance(dps)
         with workdps(dps):
-            nodes = [2 * pi * k / 5 for k in range(5)]
-            reps = [[report(circuit, p.replace(phi_p=x, phi_c=y)) for y in nodes]
-                    for x in nodes]
-            # projection of node values onto the basis: rows (1/5, 2/5 ...)
-            weights = (mpf(1) / 5,) + (mpf(2) / 5,) * 4
-            proj = [[w * b for b in col]
-                    for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
-            self._var = self._fit(proj, [[r.variance.real for r in row] for row in reps])
-            self._dsq = self._fit(proj, [[r.dj_dphi_sq for r in row] for row in reps])
+            J, dJ, state = CIRCUITS[circuit](p.replace(phi_p=0, phi_c=0))
+            mean, var = coherent_moments(J, state, LO_MODES)
+            deriv = coherent_expectation(dJ, state, LO_MODES)
+            dsq = {}
+            for (a, b), d in deriv.items():
+                for (a2, b2), d2 in deriv.items():
+                    q = (a - a2, b - b2)
+                    dsq[q] = dsq.get(q, 0) + d * d2.conjugate()
+            self._var = _real_coefficients(var, "variance")
+            self._dsq = _real_coefficients(dsq, "derivative")
             # what rounding moves an evaluation by: 10^-dps of the coefficient mass
             self._noise = [mp.fsum(map(abs, sum(c, []))) / mpf(10) ** dps
                            for c in (self._var, self._dsq)]
-            self.var_scale, self.dsq_scale = node_scales([r for row in reps for r in row])
+            basis = [_trig_basis(2 * pi * k / 5) for k in range(5)]
+            nodes = _node_values((_real_coefficients(mean, "mean"), self._var, self._dsq),
+                                 basis)
+            self.var_scale, self.dsq_scale = node_scales((v + m * m, d) for m, v, d in nodes)
+            #: the rounding floor of the derivative, below which var/dsq is inf
+            self.dsq_floor = self.tol * self.dsq_scale
             xc, yc = CHECK_PHASES
             check = report(circuit, p.replace(phi_p=xc, phi_c=yc))
             check_fit(self.at(mpf(xc), mpf(yc)), check, (self.var_scale, self.dsq_scale),
                       self.tol, "LO-phase interpolant",
                       f"phases {CHECK_PHASES} ({dps} digits)")
-
-    @staticmethod
-    def _fit(proj, values):
-        """Coefficients proj . values . proj^T of the real 2-D basis."""
-        half = [[mp.fdot(row, col) for col in zip(*values)] for row in proj]
-        return [[mp.fdot(h, row) for row in proj] for h in half]
 
     def _contract(self, v):
         """Both coefficient matrices contracted with one phi_c basis ``v``."""
@@ -120,7 +159,7 @@ class PhaseLandscape:
         """var / dsq from a phi_p basis and ``_contract``, or inf where dsq
         is at or below the rounding floor of the largest node derivative."""
         var, dsq = (mp.fdot(u, h) for h in halves)
-        if dsq <= self.tol * self.dsq_scale:
+        if dsq <= self.dsq_floor:
             return mpf("inf")
         return var / dsq
 

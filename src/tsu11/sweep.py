@@ -162,7 +162,8 @@ class AxisLandscape:
             for measure in measures:
                 reps = [measure(q.replace(r=x)) for x in nodes]
                 self.fits.append(([r.variance.real for r in reps],
-                                  [r.dj_dphi_sq for r in reps], node_scales(reps)))
+                                  [r.dj_dphi_sq for r in reps],
+                                  node_scales((r.second_moment, r.dj_dphi_sq) for r in reps)))
                 self.checks.append(measure(q.replace(r=self.check_at)))
         self.check_digits = None
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpc, mpf, sqrt, workdps
+from mpmath import exp, mpc, mpf, sqrt, workdps
 
 from tsu11 import (
     ConsistencyError,
@@ -278,6 +278,28 @@ def test_coherent_moments_match_product_route_property(x, state):
         scale = max(abs(m2), abs(m1) ** 2, 1)
         assert mean == m1
         assert abs(var - (m2 - m1 * m1)) <= mpf("1e-30") * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(mode3_term_st, coeff_st, min_size=1, max_size=4).map(
+        lambda d: OperatorExpr(d, dps=40)),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), amp_st),
+    st.floats(-4, 4), st.floats(-4, 4),
+)
+def test_graded_moments_are_laurent_coefficients_property(x, state, ta, tb):
+    # graded by the charges of a and b, the moments summed with
+    # e^{i(q_a ta + q_b tb)} are the plain moments on the state whose a, b
+    # amplitudes are turned by e^{i ta}, e^{i tb}
+    mean, var = coherent_moments(x, state, ("a", "b"))
+    with workdps(40):
+        turned = {**state, "a": state.get("a", 0) * exp(mpc(0, ta)),
+                  "b": state.get("b", 0) * exp(mpc(0, tb))}
+        m1, v1 = coherent_moments(x, turned)
+        scale = max(abs(v1) + abs(m1) ** 2, 1)
+        for graded, plain in ((mean, m1), (var, v1)):
+            total = sum(c * exp(mpc(0, qa * ta + qb * tb)) for (qa, qb), c in graded.items())
+            assert abs(total - plain) <= mpf("1e-30") * scale
 
 
 class TestSerialization:

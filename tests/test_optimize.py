@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from mpmath import mpf, pi, workdps
+from mpmath import mp, mpf, pi, workdps
 
 import tsu11.optimize
 import tsu11.sweep
@@ -13,8 +13,11 @@ from tsu11 import (
     ConsistencyError,
     SweepGrid,
     UndefinedLodError,
+    adjoint,
     build_su11_J,
+    build_tsu11_J,
     coherent_expectation,
+    ladder,
     lod_db,
     lodi_db,
     make_params,
@@ -26,9 +29,16 @@ from tsu11 import (
     variance,
 )
 from tsu11.circuits import _operators
-from tsu11.interpolants import CHECK_MARGIN
+from tsu11.interpolants import CHECK_MARGIN, node_scales
 from tsu11.metrology import lod_from_ratio
-from tsu11.optimize import NEWTON_MAX_ITER, PhaseLandscape, _best_cell, nelder_mead
+from tsu11.optimize import (
+    CHECK_PHASES,
+    NEWTON_MAX_ITER,
+    PhaseLandscape,
+    _best_cell,
+    _trig_basis,
+    nelder_mead,
+)
 from tsu11.sweep import _axis_degree
 
 from test_metrology import LODI_OPT_ETA1
@@ -224,24 +234,81 @@ def test_lod_target_value_is_engine_lod_at_returned_phases():
     assert res.route == "interpolant" and res.check_digits > 40
 
 
-def test_perturbed_node_raises_consistency_error(monkeypatch):
+def _node_dft(circuit, p):
+    """The landscape's former route, kept as an oracle: engine reports at
+    the 5 x 5 LO phases 2 pi k / 5 and their exact 2-D DFT onto the real
+    basis (var, dsq coefficients), with the node scales of those reports."""
+    with workdps(p.precision):
+        nodes = [2 * pi * k / 5 for k in range(5)]
+        reps = [[report(circuit, p.replace(phi_p=x, phi_c=y)) for y in nodes] for x in nodes]
+        weights = (mpf(1) / 5,) + (mpf(2) / 5,) * 4
+        proj = [[w * b for b in col]
+                for w, col in zip(weights, zip(*map(_trig_basis, nodes)))]
+
+        def fit(values):
+            half = [[mp.fdot(row, col) for col in zip(*values)] for row in proj]
+            return [[mp.fdot(h, row) for row in proj] for h in half]
+
+        scales = node_scales((r.second_moment, r.dj_dphi_sq) for row in reps for r in row)
+        return (fit([[r.variance.real for r in row] for row in reps]),
+                fit([[r.dj_dphi_sq for r in row] for row in reps]), scales)
+
+
+@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
+def test_graded_coefficients_match_the_node_dft(circuit, overrides):
+    # one graded pass gives the coefficients that 25 node reports fix
+    p = make_params("paper-start", **overrides)
+    land = PhaseLandscape(p, circuit)
+    var, dsq, scales = _node_dft(circuit, p)
+    with workdps(p.precision):
+        for got, want, scale, node_scale in ((land._var, var, land.var_scale, scales[0]),
+                                             (land._dsq, dsq, land.dsq_scale, scales[1])):
+            gap = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+            assert gap <= mpf("1e-50") * scale
+            assert abs(scale - node_scale) <= mpf("1e-50") * scale
+
+
+def test_charge_beyond_degree_two_raises(monkeypatch):
+    # a g.g term makes J quadratic in the probe LO: its pairs with the
+    # linear terms put charges 3 and 4 on phi_p into var J, which a fit
+    # from 5 nodes per axis would alias silently
+    def with_gg(p):
+        J, dJ, state = build_tsu11_J(p)
+        gg = mul(ladder("g"), ladder("g"))
+        return J + gg + adjoint(gg), dJ, state
+
+    monkeypatch.setitem(CIRCUITS, "tsu11", with_gg)
+    with pytest.raises(ConsistencyError, match="variance has charge -?[34] on phi_p"):
+        PhaseLandscape(make_params("paper-start"), "tsu11")
+
+
+def test_perturbed_coefficient_raises_consistency_error(monkeypatch):
     calls = []
 
-    def perturbed_once(builder, q):
-        rep = report(builder, q)
-        if not calls:
-            with workdps(q.precision):
-                rep.variance *= 1 + mpf("1e-20")
+    def counted(circuit, q):
         calls.append(q)
-        return rep
+        return report(circuit, q)
 
-    monkeypatch.setattr(tsu11.optimize, "report", perturbed_once)
+    monkeypatch.setattr(tsu11.optimize, "report", counted)
+    p = make_params("paper-start")
+    PhaseLandscape(p, "tsu11")
+    # a landscape takes one engine report: the check off the nodes
+    assert [(q.phi_p, q.phi_c) for q in calls] == [CHECK_PHASES]
+
+    moments = tsu11.optimize.coherent_moments
+
+    def perturbed(J, state, phased):
+        mean, var = moments(J, state, phased)
+        with workdps(J.dps):
+            var[0, 0] *= 1 + mpf("1e-20")
+        return mean, var
+
+    monkeypatch.setattr(tsu11.optimize, "coherent_moments", perturbed)
+    calls.clear()
     with pytest.raises(ConsistencyError, match="interpolant"):
-        optimize_phases(make_params("paper-start"), grid_n=4)
+        optimize_phases(p, grid_n=4)
     # the failure comes from the self-check, before any grid evaluation
-    assert len(calls) == 5 * 5 + 1
-    with workdps(60):
-        assert {q.phi_p for q in calls[:25]} == {2 * pi * k / 5 for k in range(5)}
+    assert len(calls) == 1
 
 
 def test_optimize_rejects_unknown_target():
