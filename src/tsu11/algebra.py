@@ -222,12 +222,13 @@ def _amplitudes(state: Mapping[str, object]) -> dict[Factor, mpc]:
 
 
 def _charge(fac: tuple[Factor, ...], phased: tuple[str, ...]) -> tuple[int, ...]:
-    """LO charge of a factor product: per phased mode, the number of its
+    """Charge of a factor product: per phased mode, the number of its
     annihilators less the number of its creators."""
     return tuple(sum(-1 if d else 1 for m, d in fac if m == pm) for pm in phased)
 
 
-def coherent_expectation(x: OperatorExpr, state: Mapping[str, object], phased=()):
+def coherent_expectation(x: OperatorExpr, state: Mapping[str, object],
+                         phased: tuple[str, ...] = ()):
     """Expectation value over a product of coherent states.
 
     ``state`` maps mode labels to complex eigenvalues; absent modes are
@@ -274,7 +275,8 @@ def _displace(table: dict, ops: tuple[Factor, ...], weight: mpc, amp: dict) -> N
             table[key] = table[key] + w if key in table else w
 
 
-def coherent_moments(x: OperatorExpr, state: Mapping[str, object], phased=()):
+def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
+                     phased: tuple[str, ...] = ()):
     """(<x>, <x.x> - <x>^2) over a product of coherent states, exactly.
 
     The displacement a -> a + state[a] maps the coherent state to the
@@ -295,11 +297,11 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object], phased=()):
     ``state`` maps mode labels to amplitudes, absent modes are vacuum.
 
     With ``phased`` modes both moments come back as {charge: coefficient}
-    Laurent polynomials, as in ``coherent_expectation``.  Each term keeps
-    its own pair of tables, keyed by the term's charge q: keeping a creator
-    of a phased mode in M drops its amplitude's charge -1 from cre[M], and
+    Laurent polynomials, as in ``coherent_expectation``.  The terms of
+    each charge q fill their own pair of tables: keeping a creator of a
+    phased mode in M drops its amplitude's charge -1 from cre[M], and
     keeping the annihilator drops +1 from ann[M], so cre[M] ann[M] from
-    terms of charges q, q' carries the charge q + q' whatever M is.
+    tables of charges q, q' carries the charge q + q' whatever M is.
     """
     with workdps(x.dps):
         amp = _amplitudes(state)

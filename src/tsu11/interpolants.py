@@ -1,10 +1,12 @@
 """Exact interpolants of the engine's moments along parameter axes.
 
 var(J) and |d<J>/dphi|^2 are trigonometric polynomials in the LO phases
-and lie in span{e^{kr}} along the gain r, so engine reports at a few
-nodes fix them.  This module holds the node scales and the off-node
-check against the engine that the LO-phase landscape of the optimizer
-and the r landscape of the sweeps share, and the weights of the latter.
+and lie in span{e^{kr}} along the gain r, so a few coefficients fix
+them: the LO-phase landscape of the optimizer takes them from the
+engine's charge-graded moments, the r landscape of the sweeps from
+engine reports at a few nodes.  This module holds the node scales and
+the off-node check against the engine that both share, and the weights
+of the latter.
 """
 
 from __future__ import annotations

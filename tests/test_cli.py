@@ -544,8 +544,9 @@ def test_closed_stdout_exits_1_quietly(argv):
                    "--target", "lodi"]),
 ])
 def test_failed_cross_check_exit_4(capsys, monkeypatch, module, argv):
-    # the first node report is off by 1e-20: the interpolant's off-node
-    # check fails and the command ends with one error line, no traceback
+    # the first report (a node of the sweep, the optimizer's one check)
+    # is off by 1e-20: the interpolant's off-node check fails and the
+    # command ends with one error line, no traceback
     calls = []
 
     def perturbed_once(circuit, q):
