@@ -4,14 +4,15 @@ var(J) and |d<J>/dphi|^2 are trigonometric polynomials in the LO phases
 and lie in span{e^{kr}} along the gain r, so a few coefficients fix
 them: the LO-phase landscape of the optimizer takes them from the
 engine's charge-graded moments, the r landscape of the sweeps from
-engine reports at a few nodes.  This module holds the node scales and
-the off-node check against the engine that both share, and the weights
-of the latter.
+engine reports at a few nodes.  This module holds what both share: the
+scales of their values at a few points (the LO landscape's own, at 5 x 5
+phases), the check against one more engine report and its gap in digits,
+and the r weights.
 """
 
 from __future__ import annotations
 
-from mpmath import exp, mp, mpf
+from mpmath import exp, log10, mp, mpf
 
 from .metrology import ConsistencyError
 
@@ -45,6 +46,12 @@ def check_fit(fit, rep, scales, tol, what, where):
         raise ConsistencyError(f"{what} misses the engine by {mp.nstr(gap, 3)} of the "
                                f"node scale at {where}")
     return gap
+
+
+def agreement_digits(gap, precision: int) -> float:
+    """-log10 of a relative ``gap``, capped at ``precision`` digits and
+    rounded to 0.1; take it at the precision the gap was formed at."""
+    return round(float(min(precision, -log10(gap)) if gap else precision), 1)
 
 
 def exp_weights(nodes, degree: int):

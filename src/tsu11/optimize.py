@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from mpmath import log10, mp, mpf, pi, workdps
 
-from .algebra import coherent_expectation, coherent_moments
+from .algebra import _sum, coherent_expectation, coherent_moments
 from .circuits import CIRCUITS, LO_MODES, InterferometerParams
-from .interpolants import check_fit, node_scales, tolerance
+from .interpolants import agreement_digits, check_fit, node_scales, tolerance
 from .metrology import ConsistencyError, classical_lod, defined_lod, lod_from_ratio, report
 
 # bound here only because the benchmark's tracer wraps them as tsu11.optimize.<name>;
@@ -100,10 +100,14 @@ def _real_coefficients(laurent, what):
     return coef
 
 
-def _node_values(coefs, basis):
-    """[[each of ``coefs`` at (x, y)] for x, y over ``basis``], x outer."""
-    halves = [[[mp.fdot(row, v) for row in coef] for coef in coefs] for v in basis]
-    return [[mp.fdot(u, h) for h in hs] for u in basis for hs in halves]
+def _values(coefs, us, vs):
+    """Per phi_p basis u of ``us``, an iterator of [each of ``coefs`` at
+    (u, v)] over the phi_c bases v of ``vs``.  Each matrix is contracted
+    with each v once; each value is then one length-5 dot product with u,
+    taken as the iterator reaches its cell."""
+    halves = [[[mp.fdot(row, v) for row in coef] for coef in coefs] for v in vs]
+    for u in us:
+        yield ([mp.fdot(u, h) for h in hs] for hs in halves)
 
 
 class PhaseLandscape:
@@ -115,11 +119,12 @@ class PhaseLandscape:
     dJ, graded by the LO charges of ``LO_MODES``, give the Laurent
     coefficients of <J>, var(J) and D = <dJ/dphi>; |D|^2 takes the charge
     q - q' from D_q conj(D_q').  Their real parts are mapped onto the
-    real basis (1, cos, sin, cos 2, sin 2) of each phase.  The node scales
-    are the largest |var + <J>^2| and |d<J>/dphi|^2 of the interpolant on
-    the 5 x 5 equispaced phases.  One engine report at ``CHECK_PHASES``
-    must agree with the interpolant to 10^-(dps - CHECK_MARGIN) of each
-    quantity's node scale, or ``ConsistencyError`` is raised.
+    real basis (1, cos, sin, cos 2, sin 2) of each phase.  ``_values``
+    gives every value of the landscape.  The scales are the largest
+    |var + <J>^2| and |d<J>/dphi|^2 on the 5 x 5 phases 2 pi k / 5.  One
+    engine report at ``CHECK_PHASES`` must agree with the interpolant to
+    10^-(dps - CHECK_MARGIN) of each quantity's scale, or
+    ``ConsistencyError`` is raised.
     """
 
     def __init__(self, p: InterferometerParams, circuit: str):
@@ -128,21 +133,19 @@ class PhaseLandscape:
         with workdps(dps):
             J, dJ, state = CIRCUITS[circuit](p.replace(phi_p=0, phi_c=0))
             mean, var = coherent_moments(J, state, LO_MODES)
-            deriv = coherent_expectation(dJ, state, LO_MODES)
-            dsq = {}
-            for (a, b), d in deriv.items():
-                for (a2, b2), d2 in deriv.items():
-                    q = (a - a2, b - b2)
-                    dsq[q] = dsq.get(q, 0) + d * d2.conjugate()
-            self._var = _real_coefficients(var, "variance")
-            self._dsq = _real_coefficients(dsq, "derivative")
+            deriv = coherent_expectation(dJ, state, LO_MODES).items()
+            dsq = _sum(((a - a2, b - b2), d * d2.conjugate())
+                       for (a, b), d in deriv for (a2, b2), d2 in deriv)
+            #: the (var, dsq) coefficient matrices over the real basis
+            self._coefs = (_real_coefficients(var, "variance"),
+                           _real_coefficients(dsq, "derivative"))
             # what rounding moves an evaluation by: 10^-dps of the coefficient mass
             self._noise = [mp.fsum(map(abs, sum(c, []))) / mpf(10) ** dps
-                           for c in (self._var, self._dsq)]
+                           for c in self._coefs]
             basis = [_trig_basis(2 * pi * k / 5) for k in range(5)]
-            nodes = _node_values((_real_coefficients(mean, "mean"), self._var, self._dsq),
-                                 basis)
-            self.var_scale, self.dsq_scale = node_scales((v + m * m, d) for m, v, d in nodes)
+            values = _values((_real_coefficients(mean, "mean"),) + self._coefs, basis, basis)
+            self.var_scale, self.dsq_scale = node_scales(
+                (v + m * m, d) for row in values for m, v, d in row)
             #: the rounding floor of the derivative, below which var/dsq is inf
             self.dsq_floor = self.tol * self.dsq_scale
             xc, yc = CHECK_PHASES
@@ -151,14 +154,9 @@ class PhaseLandscape:
                       self.tol, "LO-phase interpolant",
                       f"phases {CHECK_PHASES} ({dps} digits)")
 
-    def _contract(self, v):
-        """Both coefficient matrices contracted with one phi_c basis ``v``."""
-        return [[mp.fdot(row, v) for row in coef] for coef in (self._var, self._dsq)]
-
-    def _ratio(self, u, halves):
-        """var / dsq from a phi_p basis and ``_contract``, or inf where dsq
-        is at or below the rounding floor of the largest node derivative."""
-        var, dsq = (mp.fdot(u, h) for h in halves)
+    def _ratio(self, var, dsq):
+        """var / dsq, or inf where dsq is at or below ``dsq_floor``; run at
+        the landscape's precision."""
         if dsq <= self.dsq_floor:
             return mpf("inf")
         return var / dsq
@@ -166,30 +164,28 @@ class PhaseLandscape:
     def at(self, phi_p, phi_c):
         """(var(J), |d<J>/dphi|^2) at the LO phases."""
         with workdps(self.dps):
-            u = _trig_basis(phi_p)
-            return tuple(mp.fdot(u, h) for h in self._contract(_trig_basis(phi_c)))
+            (row,) = _values(self._coefs, [_trig_basis(phi_p)], [_trig_basis(phi_c)])
+            return tuple(next(row))
 
     def ratio(self, x):
         """var / dsq at x = (phi_p, phi_c); inf where the derivative is at
-        or below the rounding floor of the largest node derivative."""
+        or below its rounding floor, ``dsq_floor``."""
         with workdps(self.dps):
-            return self._ratio(_trig_basis(x[0]), self._contract(_trig_basis(x[1])))
+            return self._ratio(*self.at(*x))
 
     def jet(self, x):
         """(var/dsq, its rounding floor, and the gradient (p, c) and Hessian
         (pp, pc, cc) of ln(var/dsq) in the phases) at x = (phi_p, phi_c) from
         the exact derivatives of the basis; None where ``ratio(x)`` is inf."""
         with workdps(self.dps):
-            u, v = _trig_jet(x[0]), _trig_jet(x[1])
-            halves = [self._contract(w) for w in v]
-            ratio = self._ratio(u[0], halves[0])
+            # values[i][j]: (var, dsq) differentiated i times in phi_p, j in phi_c
+            values = [list(row) for row in _values(self._coefs, *map(_trig_jet, x))]
+            ratio = self._ratio(*values[0][0])
             if ratio == mpf("inf"):
                 return None
             floor, logs = 0, []
             for k, noise in enumerate(self._noise):
-                # var (k = 0) or dsq (k = 1) differentiated i, j times in phi_p, phi_c
-                (q, c, cc), (p, pc, _), (pp, _, _) = [[mp.fdot(a, hs[k]) for hs in halves]
-                                                      for a in u]
+                (q, c, cc), (p, pc, _), (pp, _, _) = [[v[k] for v in row] for row in values]
                 p, c = p / q, c / q
                 logs.append((p, c, pp / q - p * p, pc / q - p * c, cc / q - c * c))
                 floor += ratio * noise / q
@@ -198,18 +194,12 @@ class PhaseLandscape:
 
     def grid(self, axis):
         """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
-        as ``ratio((phi_p, phi_c))``, bit for bit.
-
-        The landscape is separable: each axis point's basis is taken once,
-        the coefficients are contracted with the phi_c basis once per
-        phi_c, and each cell is then one length-5 dot product per quantity.
-        """
+        from one ``_values`` pass over the axis's bases."""
         with workdps(self.dps):
             basis = [_trig_basis(x) for x in axis]
-            halves = [self._contract(v) for v in basis]
-            for x, u in zip(axis, basis):
-                for y, h in zip(axis, halves):
-                    yield (x, y), self._ratio(u, h)
+            for x, row in zip(axis, _values(self._coefs, basis, basis)):
+                for y, value in zip(axis, row):
+                    yield (x, y), self._ratio(*value)
 
 
 def _lod_objective_coarse(land: PhaseLandscape):
@@ -263,9 +253,10 @@ def _best_cell(land: PhaseLandscape, axis):
     resolve to the smallest |phi_p| + |phi_c|, the first such cell in grid
     order.  LOD = 5 log10(ratio) is monotone in the ratio, so the cells
     are compared as ratios and the tolerance window on the LOD becomes the
-    factor 10^(tol |log10 ratio|) on the best ratio; one log10 is taken
-    per improvement of the running best, and only the cells inside the
-    current window are kept.
+    factor 10^(tol |log10 ratio|) on the best ratio.  The window shrinks
+    with the running best, so one pass keeps only the cells inside the
+    current window, storing no grid, and takes one log10 per improvement.
+    Where every ratio is inf, so is the window.
     """
     inf = mpf("inf")
     best, window, near = inf, inf, []
@@ -327,9 +318,7 @@ def optimize_phases(
         # refinement starts from the best grid cell and only improves it
         if lod is None or lod > grid_lod:
             xy, jet, lod, stop = best_xy, None, grid_lod, "grid"
-        val = lod_from_ratio(land.ratio(xy))
-        gap = abs(val - lod) / max(abs(lod), 1) if val != lod else 0
-        digits = min(p.precision, -log10(gap)) if gap else p.precision
+        gap = abs(lod_from_ratio(land.ratio(xy)) - lod) / max(abs(lod), 1)
         return OptResult(
             phi_p=xy[0],
             phi_c=xy[1],
@@ -338,7 +327,7 @@ def optimize_phases(
             iterations=iters,
             evaluations=grid_n * grid_n + ev2,
             converged=pd and stop in ("step", "flat"),
-            check_digits=round(float(digits), 1),
+            check_digits=agreement_digits(gap, p.precision),
             stop_reason=stop,
             grad_norm=jet and 5 * mp.hypot(*jet[2]) / mp.ln10,
         )

@@ -27,10 +27,10 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from mpmath import log10, mp, mpf, workdps
+from mpmath import mp, mpf, workdps
 
 from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
-from .interpolants import check_fit, exp_weights, node_scales, tolerance
+from .interpolants import agreement_digits, check_fit, exp_weights, node_scales, tolerance
 from .metrology import (
     UndefinedLodError,
     classical_reference,
@@ -177,8 +177,7 @@ class AxisLandscape:
             gap = max(check_fit(fit, rep, fit[2], tolerance(self.dps),
                                 "r interpolant", where)
                       for fit, rep in zip(self.at(self.check_at), self.checks))
-            digits = min(self.precision, -log10(gap)) if gap else self.precision
-        self.check_digits = round(float(digits), 1)
+            self.check_digits = agreement_digits(gap, self.precision)
 
     def at(self, r):
         """[(var, dsq, node scales of both)] of each measure at gain r."""

@@ -17,6 +17,7 @@ from tsu11 import (
     build_su11_J,
     build_tsu11_J,
     coherent_expectation,
+    coherent_moments,
     ladder,
     lod_db,
     lodi_db,
@@ -28,7 +29,7 @@ from tsu11 import (
     vacuum_noise_map,
     variance,
 )
-from tsu11.circuits import _operators
+from tsu11.circuits import LO_MODES, _operators
 from tsu11.interpolants import CHECK_MARGIN, node_scales
 from tsu11.metrology import lod_from_ratio
 from tsu11.optimize import (
@@ -36,6 +37,7 @@ from tsu11.optimize import (
     NEWTON_MAX_ITER,
     PhaseLandscape,
     _best_cell,
+    _real_coefficients,
     _trig_basis,
     nelder_mead,
 )
@@ -193,6 +195,12 @@ def test_su11_variance_matches_product_route(overrides):
         assert abs(got - want) <= mpf("1e-55") * abs(want)
 
 
+def _axis(n):
+    """The optimizer's n-point grid axis over [-pi, pi); call it at the
+    landscape's precision."""
+    return [-pi + 2 * pi / n * i for i in range(n)]
+
+
 @pytest.mark.parametrize("circuit,overrides",
                          [("tsu11", {})] + [row for row in LANDSCAPE_POINTS if row[0] == "su11"])
 def test_product_grid_matches_per_cell_landscape(circuit, overrides):
@@ -201,7 +209,7 @@ def test_product_grid_matches_per_cell_landscape(circuit, overrides):
     p = make_params("paper-start", **overrides)
     land = PhaseLandscape(p, circuit)
     with workdps(p.precision):
-        axis = [-pi + 2 * pi / 16 * i for i in range(16)]
+        axis = _axis(16)
         lods = {}
         for xy, ratio in land.grid(axis):
             assert ratio == land.ratio(xy)
@@ -211,6 +219,79 @@ def test_product_grid_matches_per_cell_landscape(circuit, overrides):
         per_cell = min((xy for xy, v in lods.items() if v <= tie),
                        key=lambda xy: abs(xy[0]) + abs(xy[1]))
     assert _best_cell(land, axis) == per_cell
+
+
+@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
+def test_grid_ratio_at_and_jet_agree_bit_for_bit(circuit, overrides):
+    # every value of the landscape comes from one evaluator, so the grid,
+    # the ratio, at() and the Newton jet agree to the last bit
+    p = make_params("paper-start", **overrides)
+    land = PhaseLandscape(p, circuit)
+    with workdps(p.precision):
+        for xy, ratio in land.grid(_axis(16)):
+            assert ratio == land.ratio(xy) == land._ratio(*land.at(*xy))
+            jet = land.jet(xy)
+            assert jet is None if ratio == mpf("inf") else jet[0] == ratio
+
+
+def _node_values(coefs, basis):
+    """The landscape's former per-node route, kept as an oracle:
+    [[each of ``coefs`` at (x, y)] for x, y over ``basis``], x outer."""
+    halves = [[[mp.fdot(row, v) for row in coef] for coef in coefs] for v in basis]
+    return [[mp.fdot(u, h) for h in hs] for u in basis for hs in halves]
+
+
+@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
+def test_scales_match_the_per_node_route(circuit, overrides):
+    p = make_params("paper-start", **overrides)
+    land = PhaseLandscape(p, circuit)
+    with workdps(p.precision):
+        J, _, state = CIRCUITS[circuit](p.replace(phi_p=0, phi_c=0))
+        mean = _real_coefficients(coherent_moments(J, state, LO_MODES)[0], "mean")
+        basis = [_trig_basis(2 * pi * k / 5) for k in range(5)]
+        nodes = _node_values((mean,) + land._coefs, basis)
+        assert (land.var_scale, land.dsq_scale) == node_scales(
+            (v + m * m, d) for m, v, d in nodes)
+
+
+def _two_pass_cell(land, axis):
+    """The rule ``_best_cell`` keeps in one running pass, kept as an oracle
+    in two passes over the stored grid: the least ratio fixes the window,
+    then the first cell inside it with the least |phi_p| + |phi_c|."""
+    with workdps(land.dps):
+        cells = list(land.grid(axis))
+        best = min(ratio for _, ratio in cells)
+        window = best * mpf(10) ** (land.tol * abs(mp.log10(best)))
+        return min((xy for xy, ratio in cells if ratio <= window),
+                   key=lambda xy: abs(xy[0]) + abs(xy[1]))
+
+
+class _Tilted:
+    """A landscape whose ratios fall by ``tilt`` relative per radian of
+    |phi_p| + |phi_c|: of two mirror cells the far one has the least
+    ratio, and the near one stays inside the window."""
+
+    def __init__(self, land, tilt):
+        self.land, self.dps, self.tol, self.tilt = land, land.dps, land.tol, mpf(tilt)
+
+    def grid(self, axis):
+        for xy, ratio in self.land.grid(axis):
+            yield xy, ratio * (1 - self.tilt * (abs(xy[0]) + abs(xy[1])))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("circuit,overrides,tilt", [("tsu11", {}, 0), ("tsu11", {}, "1e-50")] + [
+    (*row, 0) for row in LANDSCAPE_POINTS if row[0] in ("su11", "vacuum")])
+def test_best_cell_matches_the_two_pass_rule(circuit, overrides, tilt, n):
+    # the unseeded vacuum circuit has no derivative: every ratio, and so
+    # the window, is inf, and every cell is inside it
+    p = make_params("paper-start", **overrides)
+    land = _Tilted(PhaseLandscape(p, circuit), tilt)
+    with workdps(p.precision):
+        axis = _axis(n)
+        all_inf = all(ratio == mpf("inf") for _, ratio in land.grid(axis))
+    assert all_inf == (circuit == "vacuum")
+    assert _best_cell(land, axis) == _two_pass_cell(land, axis)
 
 
 def test_optimize_builds_each_operator_once():
@@ -261,8 +342,8 @@ def test_graded_coefficients_match_the_node_dft(circuit, overrides):
     land = PhaseLandscape(p, circuit)
     var, dsq, scales = _node_dft(circuit, p)
     with workdps(p.precision):
-        for got, want, scale, node_scale in ((land._var, var, land.var_scale, scales[0]),
-                                             (land._dsq, dsq, land.dsq_scale, scales[1])):
+        for got, want, scale, node_scale in zip(land._coefs, (var, dsq),
+                                                (land.var_scale, land.dsq_scale), scales):
             gap = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
             assert gap <= mpf("1e-50") * scale
             assert abs(scale - node_scale) <= mpf("1e-50") * scale
