@@ -76,26 +76,39 @@ class InterferometerParams:
             raise ValueError(f"precision must be >= 30 digits, got {self.precision}")
         if self.arms not in (ARMS_BOTH, ARMS_PROBE):
             raise ValueError(f"arms must be '{ARMS_BOTH}' or '{ARMS_PROBE}'")
-        with workdps(self.precision):
-            for name in NUMERIC_FIELDS:
-                v = mpf(getattr(self, name))
-                if not isfinite(v):
-                    raise ValueError(f"{name} = {v} is not finite")
-                object.__setattr__(self, name, v)
-        if self.r < 0 or self.s < 0:
+        self._check(NUMERIC_FIELDS)
+
+    def _check(self, names):
+        """Convert the numeric fields ``names``, in field order, to mpf at
+        the working precision and check them, all others being valid:
+        finite values in field order, then the sign of r and s, then each
+        eta in [0, 1]."""
+        for name in names:
+            v = mpf(getattr(self, name), dps=self.precision)
+            if not isfinite(v):
+                raise ValueError(f"{name} = {v} is not finite")
+            object.__setattr__(self, name, v)
+        if ("r" in names and self.r < 0) or ("s" in names and self.s < 0):
             raise ValueError("squeezing parameters r, s must be nonnegative")
-        for name in ("eta_p1", "eta_c1", "eta_p2", "eta_c2", "eta_p3", "eta_c3"):
-            v = getattr(self, name)
-            if not (0 <= v <= 1):
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        for name in names:
+            if name.startswith("eta") and not (0 <= getattr(self, name) <= 1):
+                raise ValueError(f"{name} = {getattr(self, name)} outside [0, 1]")
 
     def replace(self, **changes) -> "InterferometerParams":
-        return replace(self, **changes)
+        """``dataclasses.replace``, which converts and checks every field;
+        a change of numeric fields alone converts and checks only those."""
+        if not changes.keys() <= _NUMERIC:
+            return replace(self, **changes)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        new._check([name for name in NUMERIC_FIELDS if name in changes])
+        return new
 
 
 #: the numeric parameters: every field but ``arms`` and ``precision``
 NUMERIC_FIELDS = tuple(f.name for f in fields(InterferometerParams)
                        if f.name not in ("arms", "precision"))
+_NUMERIC = frozenset(NUMERIC_FIELDS)
 
 #: the LO modes, whose amplitudes carry phi_p and phi_c in this order
 LO_MODES = ("g", "h")

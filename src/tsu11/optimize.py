@@ -10,8 +10,10 @@ Laurent polynomials of degree <= 2 in e^{i phi_p} and e^{i phi_c}.  One
 charge-graded pass of the engine's kernel over J and one over dJ, on the
 one operator build at zero LO phases, return their coefficients, and
 |d<J>/dphi|^2 follows as a product of two of them.  The coarse grid
-evaluates the interpolant as separable products, one trigonometric basis
-per axis point, and Newton takes the exact derivatives of that basis.
+screens its cells in binary64 under a proven rounding bound and
+evaluates the interpolant at working precision only where a cell can win,
+as separable products with one trigonometric basis per axis point;
+Newton takes the exact derivatives of that basis.
 The grid and Newton both minimize var / |d<J>/dphi|^2 (Newton its
 logarithm), which orders the phases as the LOD does, and the LOD is
 taken once per reported value, through ``metrology``.
@@ -19,6 +21,7 @@ taken once per reported value, through ``metrology``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import log10, mp, mpf, pi, workdps
@@ -40,6 +43,10 @@ CHECK_PHASES = (1, 2)
 
 #: Newton steps, and halvings of one step, after which the refinement stops
 NEWTON_MAX_ITER = 30
+
+#: binary64's unit roundoff, and a bound of what underflow moves a cell of
+#: the binary64 screen of ``_screen`` by
+_U, _TINY = 2.0 ** -53, 2.0 ** -1060
 
 
 @dataclass
@@ -192,15 +199,6 @@ class PhaseLandscape:
             p, c, pp, pc, cc = (a - b for a, b in zip(*logs))
             return ratio, floor, (p, c), (pp, pc, cc)
 
-    def grid(self, axis):
-        """Yield ((phi_p, phi_c), var/dsq) over axis x axis, phi_p outer,
-        from one ``_values`` pass over the axis's bases."""
-        with workdps(self.dps):
-            basis = [_trig_basis(x) for x in axis]
-            for x, row in zip(axis, _values(self._coefs, basis, basis)):
-                for y, value in zip(axis, row):
-                    yield (x, y), self._ratio(*value)
-
 
 def _lod_objective_coarse(land: PhaseLandscape):
     """Line-search objective: var/dsq, monotone in the LOD, on the
@@ -246,6 +244,96 @@ def _newton(land: PhaseLandscape, objective, x, cell):
             stop = "flat"
 
 
+def _screen_matrix(coef, noise):
+    """(e, the floats of ``coef`` scaled by 2^-e, and the bound 32 U S' +
+    ``noise`` 2^-e + ``_TINY`` of ``_screen``, S' the scaled |mass|); e is
+    the binary exponent of the largest |entry|, 0 for a zero matrix.  Run
+    at the landscape's precision; the scaling is exact."""
+    e = mp.frexp(max(abs(c) for row in coef for c in row))[1]
+    scaled = [[mp.ldexp(c, -e) for c in row] for row in coef]
+    mass = float(mp.fsum(abs(c) for row in scaled for c in row))
+    bound = 32 * _U * mass + float(mp.ldexp(noise, -e)) + _TINY
+    return e, [[float(c) for c in row] for row in scaled], bound
+
+
+def _cut(hi, shift, tol):
+    """An upper bound of window(hi 2^shift) for a float ``hi`` > 0 (inf for
+    any other): hi (1 + y + y^2) (1 + 64 U), y = tol ln 2 (|k + shift| + 1)
+    for hi = m 2^k, m in [1/2, 1).  No libm enters: 10^(tol |log10 r|) =
+    e^(tol |ln r|), |ln(hi 2^shift)| <= (|k + shift| + 1) ln 2, and e^y <=
+    1 + y + y^2 for 0 <= y <= 1 (inf above).  The slack 64 U holds the few
+    roundings of lo, hi and the cut, and that of the working-precision
+    window."""
+    if not hi > 0:
+        return math.inf
+    y = tol * (abs(math.frexp(hi)[1] + shift) + 1) * 0.6932
+    return hi * (1 + y + y * y) * (1 + 64 * _U) if y <= 1 else math.inf
+
+
+def _screen(land: PhaseLandscape, bases):
+    """The rows and columns (indices into ``bases``) of the grid cells
+    whose working-precision var/dsq can be the best or lie inside its
+    window, from one binary64 pass over the grid that stores none of it;
+    every row and column where no cell has a finite upper bound > 0, the
+    all-inf case among them.
+
+    Each coefficient matrix C is scaled by 2^-e, e the binary exponent of
+    its largest |entry|.  That is exact and keeps the floats C' in range:
+    the CLI accepts gamma = kappa = 1e160 (coefficients of 4.5e333), r =
+    400 (8.7e376) and alpha = 1e-200 (dsq coefficients of 4.5e-389).  The
+    bases are the exact ``_trig_basis`` values rounded to floats, |b| <= 1,
+    so no libm enters.
+
+    The bound: with fl(a op b) = (a op b)(1 + d) + h and |d| <= U = 2^-53,
+    each term u_r C'_rc v_c of a cell's float value meets at most 13
+    roundings, one each converting C_rc, v_c and u_r and 5 in each of the
+    two sequential length-5 dot products (a product and up to 4 sums).  So
+    the float value lies within 13.01 U S' (S' = sum |C'|) of the exact
+    contraction of the working-precision bases, plus under 128 2^-1074
+    from underflow, below ``_TINY``.  The working-precision value lies
+    within noise 2^-e of that contraction: ``_noise``, 10^-dps of the
+    coefficient mass, is over 3 times the 2 2^-prec of it that mpmath's
+    one rounding per dot product can add.  E = 32 U S' + noise 2^-e +
+    _TINY takes over twice the 13; the rest covers the roundings of value
+    -+ E, and for dsq E adds 4 U f for the rounding of the scaled floor f.
+
+    A cell is surely inf where dsq + E <= f.  It may be inf where dsq - E
+    <= f, and then has no upper bound.  Otherwise its ratio lies in [lo,
+    hi] = [(var - E) / (dsq + E), (var + E) / (dsq - E)], in units of
+    2^(e_var - e_dsq).  The best ratio is at most the least hi and window()
+    rises, so a cell inside the final window has lo <= window(least hi) <=
+    ``_cut``(least hi); a cell with lo above the cut of the running least
+    hi is dropped.
+    """
+    (e_var, var, err_var), (e_dsq, dsq, err_dsq) = map(
+        _screen_matrix, land._coefs, land._noise)
+    floor = float(mp.ldexp(land.dsq_floor, -e_dsq))
+    err_dsq += 4 * _U * floor
+    floats = [[float(b) for b in basis] for basis in bases]
+    halves = [[r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
+               for r0, r1, r2, r3, r4 in var + dsq] for v0, v1, v2, v3, v4 in floats]
+    tol, shift = float(land.tol), e_var - e_dsq
+    hi_min = cut = math.inf
+    kept = []
+    for i, (u0, u1, u2, u3, u4) in enumerate(floats):
+        for j, (a0, a1, a2, a3, a4, b0, b1, b2, b3, b4) in enumerate(halves):
+            d = u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 + u4 * b4
+            if d + err_dsq <= floor:
+                continue  # surely inf
+            v = u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3 + u4 * a4
+            lo = (v - err_var) / (d + err_dsq)
+            if lo > cut:
+                continue
+            hi = (v + err_var) / (d - err_dsq) if d - err_dsq > floor else math.inf
+            if hi < hi_min:
+                hi_min, cut = hi, _cut(hi, shift, tol)
+                kept = [c for c in kept if c[2] <= cut]
+            kept.append((i, j, lo))
+    if cut == math.inf:
+        return range(len(bases)), range(len(bases))
+    return sorted({i for i, _, _ in kept}), sorted({j for _, j, _ in kept})
+
+
 def _best_cell(land: PhaseLandscape, axis):
     """The grid cell (phi_p, phi_c) with the least var/dsq, so the least LOD.
 
@@ -253,21 +341,34 @@ def _best_cell(land: PhaseLandscape, axis):
     resolve to the smallest |phi_p| + |phi_c|, the first such cell in grid
     order.  LOD = 5 log10(ratio) is monotone in the ratio, so the cells
     are compared as ratios and the tolerance window on the LOD becomes the
-    factor 10^(tol |log10 ratio|) on the best ratio.  The window shrinks
-    with the running best, so one pass keeps only the cells inside the
-    current window, storing no grid, and takes one log10 per improvement.
-    Where every ratio is inf, so is the window.
+    factor 10^(tol |log10 r|) on the best ratio r: window(r), which rises
+    with r.  Where every ratio is inf, so is the window.
+
+    Every ratio compared is the working-precision value of ``_values``, but
+    only at the cells that the binary64 screen of ``_screen`` (rigorous
+    rounding bounds) cannot exclude: the rows and columns of the cells it
+    keeps, one or two of each on every point measured, go through the rule
+    in grid order from one ``_values`` pass over their product.  The rule
+    over any set of cells that holds the best cell and every cell inside
+    its window picks what it picks over the whole grid.  The window shrinks
+    with the running best, so the pass keeps only the cells inside the
+    current window and takes one log10 per improvement.
     """
     inf = mpf("inf")
     best, window, near = inf, inf, []
     with workdps(land.dps):
-        for xy, ratio in land.grid(axis):
-            if ratio < best:
-                best = ratio
-                window = best * mpf(10) ** (land.tol * abs(log10(best)))
-                near = [c for c in near if c[1] <= window]
-            if ratio <= window:
-                near.append((xy, ratio))
+        bases = [_trig_basis(x) for x in axis]
+        rows, cols = _screen(land, bases)
+        values = _values(land._coefs, [bases[i] for i in rows], [bases[j] for j in cols])
+        for i, row in zip(rows, values):
+            for j, value in zip(cols, row):
+                ratio = land._ratio(*value)
+                if ratio < best:
+                    best = ratio
+                    window = best * mpf(10) ** (land.tol * abs(log10(best)))
+                    near = [c for c in near if c[1] <= window]
+                if ratio <= window:
+                    near.append(((axis[i], axis[j]), ratio))
         return min((xy for xy, _ in near), key=lambda xy: abs(xy[0]) + abs(xy[1]))
 
 

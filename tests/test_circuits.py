@@ -1,8 +1,10 @@
 """Circuit construction against the analytic reference forms."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import cosh, exp, mpc, mpf, sinh, sqrt, workdps
 
 from tsu11 import (
@@ -72,6 +74,43 @@ class TestParamsValidation:
     def test_bad_arms(self):
         with pytest.raises(ValueError):
             InterferometerParams(arms="conjugate")
+
+    def test_error_precedence(self):
+        # precision, arms, non-finite values in field order, the sign of r
+        # and s, then the eta range
+        for kwargs, message in [({"precision": 20, "arms": "x"}, "precision"),
+                                ({"arms": "x", "r": "nan"}, "arms"),
+                                ({"eta_p1": 2, "s": -1, "phi_c": "nan", "theta_f": "inf"},
+                                 "theta_f = [+]inf"),
+                                ({"eta_p1": 2, "s": -1}, "squeezing"),
+                                ({"eta_c3": 2, "eta_p1": -1}, "eta_p1")]:
+            with pytest.raises(ValueError, match=message):
+                InterferometerParams(**kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([40, 60]), st.lists(st.one_of(
+        *[st.tuples(st.sampled_from(NUMERIC_FIELDS), st.one_of(
+            st.sampled_from(["0", "0.25", "1", "-0.3", "1.2", "3e5", "1e-200", "nan", "-inf"]),
+            st.integers(-2, 2), st.floats(-2, 2)))] * 3,
+        st.tuples(st.just("arms"), st.sampled_from(["both", "probe-only", "conjugate"])),
+        st.tuples(st.just("precision"), st.sampled_from([20, 30, 80])),
+        st.tuples(st.sampled_from(["bogus", "eta"]), st.just(1))), max_size=4).map(dict))
+    # a negative s alone, an eta out of range before a later non-finite
+    # field, and two non-finite fields changed out of field order
+    @example(60, {"s": "-0.3"})
+    @example(60, {"eta_p1": "1.2", "phi_c": "nan"})
+    @example(60, {"phi_c": "nan", "r": "-inf"})
+    def test_replace_matches_dataclasses_replace(self, dps, changes):
+        # only the changed fields are converted and checked, to the same
+        # values, the same exception and the same message
+        def outcome(replace):
+            try:
+                q = replace(make_params("paper-start", precision=dps), **changes)
+            except Exception as e:
+                return type(e), str(e)
+            return {k: getattr(v, "_mpf_", v) for k, v in vars(q).items()}
+
+        assert outcome(InterferometerParams.replace) == outcome(dataclasses.replace)
 
     def test_vacuum_requires_zero_seeds(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, pi, workdps
 
 import tsu11.optimize
@@ -30,7 +31,7 @@ from tsu11 import (
     variance,
 )
 from tsu11.circuits import LO_MODES, _operators
-from tsu11.interpolants import CHECK_MARGIN, node_scales
+from tsu11.interpolants import CHECK_MARGIN, node_scales, tolerance
 from tsu11.metrology import lod_from_ratio
 from tsu11.optimize import (
     CHECK_PHASES,
@@ -39,6 +40,7 @@ from tsu11.optimize import (
     _best_cell,
     _real_coefficients,
     _trig_basis,
+    _values,
     nelder_mead,
 )
 from tsu11.sweep import _axis_degree
@@ -161,6 +163,10 @@ LANDSCAPE_POINTS = [
     ("vacuum", {"alpha": "0", "eta": "0.9"}),
 ]
 
+#: tsu11 points the CLI accepts whose coefficients leave binary64's range
+#: (4.5e333 and 8.7e376) or fall below it (dsq down to 4.5e-389)
+FLOAT_RANGE_POINTS = [{"gamma": "1e160", "kappa": "1e160"}, {"r": "400"}, {"alpha": "1e-200"}]
+
 
 @pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
 def test_landscape_is_exact_off_nodes(circuit, overrides):
@@ -201,6 +207,17 @@ def _axis(n):
     return [-pi + 2 * pi / n * i for i in range(n)]
 
 
+def _grid(land, axis):
+    """[((phi_p, phi_c), var/dsq)] over axis x axis, phi_p outer, every
+    cell from one ``_values`` pass at the landscape's precision: the whole
+    grid that ``_best_cell`` screens."""
+    with workdps(land.dps):
+        basis = [_trig_basis(x) for x in axis]
+        return [((x, y), land._ratio(*value))
+                for x, row in zip(axis, _values(land._coefs, basis, basis))
+                for y, value in zip(axis, row)]
+
+
 @pytest.mark.parametrize("circuit,overrides",
                          [("tsu11", {})] + [row for row in LANDSCAPE_POINTS if row[0] == "su11"])
 def test_product_grid_matches_per_cell_landscape(circuit, overrides):
@@ -211,7 +228,7 @@ def test_product_grid_matches_per_cell_landscape(circuit, overrides):
     with workdps(p.precision):
         axis = _axis(16)
         lods = {}
-        for xy, ratio in land.grid(axis):
+        for xy, ratio in _grid(land, axis):
             assert ratio == land.ratio(xy)
             lods[xy] = lod_from_ratio(ratio)
         best = min(lods.values())
@@ -228,7 +245,7 @@ def test_grid_ratio_at_and_jet_agree_bit_for_bit(circuit, overrides):
     p = make_params("paper-start", **overrides)
     land = PhaseLandscape(p, circuit)
     with workdps(p.precision):
-        for xy, ratio in land.grid(_axis(16)):
+        for xy, ratio in _grid(land, _axis(16)):
             assert ratio == land.ratio(xy) == land._ratio(*land.at(*xy))
             jet = land.jet(xy)
             assert jet is None if ratio == mpf("inf") else jet[0] == ratio
@@ -255,42 +272,153 @@ def test_scales_match_the_per_node_route(circuit, overrides):
 
 
 def _two_pass_cell(land, axis):
-    """The rule ``_best_cell`` keeps in one running pass, kept as an oracle
-    in two passes over the stored grid: the least ratio fixes the window,
-    then the first cell inside it with the least |phi_p| + |phi_c|."""
+    """The rule ``_best_cell`` keeps, kept as an oracle in two passes over
+    every cell of the grid at working precision: the least ratio fixes the
+    window, then the first cell inside it with the least |phi_p| + |phi_c|."""
+    cells = _grid(land, axis)
     with workdps(land.dps):
-        cells = list(land.grid(axis))
         best = min(ratio for _, ratio in cells)
         window = best * mpf(10) ** (land.tol * abs(mp.log10(best)))
         return min((xy for xy, ratio in cells if ratio <= window),
                    key=lambda xy: abs(xy[0]) + abs(xy[1]))
 
 
-class _Tilted:
-    """A landscape whose ratios fall by ``tilt`` relative per radian of
-    |phi_p| + |phi_c|: of two mirror cells the far one has the least
-    ratio, and the near one stays inside the window."""
-
-    def __init__(self, land, tilt):
-        self.land, self.dps, self.tol, self.tilt = land, land.dps, land.tol, mpf(tilt)
-
-    def grid(self, axis):
-        for xy, ratio in self.land.grid(axis):
-            yield xy, ratio * (1 - self.tilt * (abs(xy[0]) + abs(xy[1])))
+def _tilted(land, tilt):
+    """``land`` with ``tilt`` times its constant var coefficient added on
+    cos(phi_p), which the joint shift by pi turns over: of two mirror cells
+    the far one (phi_p near pi) has the least ratio, and at a tilt below
+    the tolerance the near one stays inside the window."""
+    with workdps(land.dps):
+        var = [row[:] for row in land._coefs[0]]
+        var[1][0] += mpf(tilt) * var[0][0]
+        land._coefs = (var, land._coefs[1])
+    return land
 
 
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("circuit,overrides,tilt", [("tsu11", {}, 0), ("tsu11", {}, "1e-50")] + [
-    (*row, 0) for row in LANDSCAPE_POINTS if row[0] in ("su11", "vacuum")])
+    (*row, 0) for row in LANDSCAPE_POINTS if row[0] in ("su11", "vacuum")] + [
+    ("tsu11", point, 0) for point in FLOAT_RANGE_POINTS])
 def test_best_cell_matches_the_two_pass_rule(circuit, overrides, tilt, n):
     # the unseeded vacuum circuit has no derivative: every ratio, and so
-    # the window, is inf, and every cell is inside it
+    # the window, is inf, and every cell is inside it; so is alpha = 1e-200,
+    # whose derivative lies below its rounding floor
     p = make_params("paper-start", **overrides)
-    land = _Tilted(PhaseLandscape(p, circuit), tilt)
-    with workdps(p.precision):
+    land = _tilted(PhaseLandscape(p, circuit), tilt)
+    axis = _axis(n)
+    cells = _grid(land, axis)
+    all_inf = all(ratio == mpf("inf") for _, ratio in cells)
+    assert all_inf == (circuit == "vacuum" or "alpha" in overrides)
+    want = _two_pass_cell(land, axis)
+    assert _best_cell(land, axis) == want
+    if tilt:
+        # the window, not the least ratio, picks the cell
+        assert want != min(cells, key=lambda cell: cell[1])[0]
+
+
+def test_screen_keeps_at_most_four_cells(monkeypatch):
+    # paper-start at the CLI grid: the near cell and its mirror across the
+    # joint pi shift tie, and nothing else comes near
+    land = PhaseLandscape(make_params("paper-start"), "tsu11")
+    reached = []
+    values = tsu11.optimize._values
+
+    def counted(coefs, us, vs):
+        reached.append(len(us) * len(vs))
+        return values(coefs, us, vs)
+
+    monkeypatch.setattr(tsu11.optimize, "_values", counted)
+    with workdps(land.dps):
+        axis = _axis(64)
+    _best_cell(land, axis)
+    assert len(reached) == 1 and reached[0] <= 4
+
+
+def test_best_cell_leaves_the_callers_precision():
+    land = PhaseLandscape(make_params("paper-start", precision=40), "tsu11")
+    with workdps(40):
+        axis = _axis(16)
+    dps = mp.dps
+    try:
+        mp.dps = 15
+        cell = _best_cell(land, axis)
+        land.ratio(cell), land.jet(cell), land.at(*cell)
+        assert mp.dps == 15
+    finally:
+        mp.dps = dps
+
+
+def _landscape(coefs, dps, floor):
+    """A landscape of the (var, dsq) coefficient matrices ``coefs`` and the
+    dsq rounding floor ``floor``, with the attributes ``_best_cell`` reads."""
+    land = object.__new__(PhaseLandscape)
+    land.dps, land.tol, land._coefs, land.dsq_floor = dps, tolerance(dps), coefs, floor
+    with workdps(dps):
+        land._noise = [mp.fsum(abs(c) for row in m for c in row) / mpf(10) ** dps for m in coefs]
+    return land
+
+
+def _random_landscape(seed, dps):
+    """Random coefficient matrices: var positive, each matrix at a scale
+    2^k with |k| up to 1330 (10^+-400) and entries spread over 30 decades,
+    both invariant under the joint pi shift but for a term near the
+    window's size, and a dsq floor that makes some cells inf or lies
+    within 1e-20 of the cell (0, 0)."""
+    rng = random.Random(seed)
+    tol = tolerance(dps)
+    odd = [(a, b) for a in range(5) for b in range(5) if (a in (1, 2)) != (b in (1, 2))]
+    with workdps(dps):
+        coefs = []
+        for _ in range(2):
+            scale = mp.ldexp(1, rng.randint(-1330, 1330))
+            coef = [[scale * mpf(rng.uniform(-1, 1)) * mpf(10) ** -rng.randint(0, 30)
+                     * rng.choice((0, 1, 1, 1)) for _ in range(5)] for _ in range(5)]
+            for a, b in odd:
+                coef[a][b] *= rng.choice((0, 0, 1))
+            a, b = rng.choice(odd)
+            coef[a][b] += scale * tol * rng.choice((-1, 1)) * mpf(10) ** rng.uniform(-1, 3.5)
+            coefs.append(coef)
+        (var, dsq), tops = coefs, [max(abs(c) for row in m for c in row) for m in coefs]
+        var[0][0], dsq[0][0] = 25 * tops[0], tops[1] * rng.uniform(0, 30)
+        # or the floor at the cell (0, 0), where cos = cos 2 = 1 and sin = sin 2 = 0
+        at_zero = mp.fsum(dsq[a][b] for a in (0, 1, 3) for b in (0, 1, 3))
+        floor = rng.choice([tops[1] * f for f in (0, 0.01, 0.1, 1, 40)] +
+                           [abs(at_zero) * (1 + mpf(f)) for f in ("-1e-20", "1e-20")])
+    return _landscape((var, dsq), dps, floor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([30, 60]), st.sampled_from([1, 2, 5, 16]))
+# cases that the screen gets wrong without the window factor or its slack
+# (41), without the bound in the surely-inf test (66) or in the finite-hi
+# test (75)
+@example(41, 30, 2)
+@example(66, 30, 2)
+@example(75, 60, 2)
+def test_screened_best_cell_matches_the_two_pass_rule_property(seed, dps, n):
+    land = _random_landscape(seed, dps)
+    with workdps(dps):
         axis = _axis(n)
-        all_inf = all(ratio == mpf("inf") for _, ratio in land.grid(axis))
-    assert all_inf == (circuit == "vacuum")
+    assert _best_cell(land, axis) == _two_pass_cell(land, axis)
+
+
+@pytest.mark.parametrize("offset", ["-1", "-1e-30", "1e-30"])
+@pytest.mark.parametrize("dps", [30, 60])
+def test_screen_at_the_cancellation_edge(dps, offset):
+    # var and dsq are (1 + eps) + cos(phi_p + phi_c) times a scale, so both
+    # cancel to eps on the cells where phi_p + phi_c = +-pi: there the
+    # binary64 values carry 1e-4 relative error, the ratios tie to working
+    # precision and the rounding of |phi_p| + |phi_c| picks the cell; with
+    # the floor at (1 + offset) eps_dsq those cells sit just above or below it
+    with workdps(dps):
+        eps_var, eps_dsq = mpf("1e-13"), mpf("1e-12")
+        coefs = []
+        for scale, eps in ((mp.ldexp(3, 900), eps_var), (mp.ldexp(5, -1100), eps_dsq)):
+            coef = [[mpf(0)] * 5 for _ in range(5)]
+            coef[0][0], coef[1][1], coef[2][2] = (1 + eps) * scale, scale, -scale
+            coefs.append(coef)
+        land = _landscape(tuple(coefs), dps, eps_dsq * mp.ldexp(5, -1100) * (1 + mpf(offset)))
+        axis = _axis(16)
     assert _best_cell(land, axis) == _two_pass_cell(land, axis)
 
 
