@@ -274,8 +274,8 @@ def _screen(land: PhaseLandscape, bases):
     """The rows and columns (indices into ``bases``) of the grid cells
     whose working-precision var/dsq can be the best or lie inside its
     window, from one binary64 pass over the grid that stores none of it;
-    every row and column where no cell has a finite upper bound > 0, the
-    all-inf case among them.
+    none where every cell is surely inf, and every row and column where
+    some cell may be inf but none has a finite upper bound > 0.
 
     Each coefficient matrix C is scaled by 2^-e, e the binary exponent of
     its largest |entry|.  That is exact and keeps the floats C' in range:
@@ -329,7 +329,7 @@ def _screen(land: PhaseLandscape, bases):
                 hi_min, cut = hi, _cut(hi, shift, tol)
                 kept = [c for c in kept if c[2] <= cut]
             kept.append((i, j, lo))
-    if cut == math.inf:
+    if cut == math.inf and kept:
         return range(len(bases)), range(len(bases))
     return sorted({i for i, _, _ in kept}), sorted({j for _, j, _ in kept})
 
@@ -352,13 +352,24 @@ def _best_cell(land: PhaseLandscape, axis):
     over any set of cells that holds the best cell and every cell inside
     its window picks what it picks over the whole grid.  The window shrinks
     with the running best, so the pass keeps only the cells inside the
-    current window and takes one log10 per improvement.
+    current window and takes one log10 per improvement.  Where the screen
+    finds every cell surely inf, every cell is inside the window and no
+    value is taken.
     """
     inf = mpf("inf")
     best, window, near = inf, inf, []
     with workdps(land.dps):
         bases = [_trig_basis(x) for x in axis]
         rows, cols = _screen(land, bases)
+        if not rows:
+            # every cell is inside the inf window.  A rounded sum never falls
+            # as a term rises, so the least |phi_p| + |phi_c| is that of the
+            # least sizes, and the first row that reaches it holds the cell.
+            sizes = [abs(x) for x in axis]
+            small = min(sizes)
+            i = next(i for i, a in enumerate(sizes) if a + small == small + small)
+            j = next(j for j, b in enumerate(sizes) if sizes[i] + b == small + small)
+            return axis[i], axis[j]
         values = _values(land._coefs, [bases[i] for i in rows], [bases[j] for j in cols])
         for i, row in zip(rows, values):
             for j, value in zip(cols, row):

@@ -7,18 +7,19 @@ sweep's circuit, as ``optimize_phases`` does.
 
 An innermost gain axis r runs on an exact interpolant, once per
 combination of the outer axes' values.  Every detector port is linear in
-(e^r, e^-r), so the two moments lie in span{e^{kr}, |k| <= K}; K = 2
-where both homodynes are balanced as the circuit is built, else 4.
-Engine reports at 2K + 1 nodes, equispaced on the run's in-domain span
-of r, fix them.  They are taken with guard digits beyond the working
-precision, more on a wider span (``_guard_dps``).  One off-node report
-checks the fit as the LO-phase landscape is checked, and a miss raises
-``ConsistencyError``.  Rows are evaluated at the guard precision and
-rounded to the working precision.  The per-point engine still evaluates
-every other axis, out-of-domain points, runs of at most 2K + 2 in-domain
-points, runs whose span needs more than ``MAX_GUARD_DPS`` guard digits,
-and rows whose interpolated derivative is at its rounding floor, so an
-undefined LOD keeps the engine's message.
+(e^r, e^-r), so the two moments lie in span{e^{kr}, |k| <= 4}; where
+both homodynes are balanced as the circuit is built they are even, in
+span{e^{-2r}, 1, e^{2r}} (``_axis_degree``).  Engine reports at 3 nodes
+(even) or 9, equispaced on the run's in-domain span of r, fix them.
+They are taken with guard digits beyond the working precision, more on a
+wider span (``_guard_dps``).  One off-node report checks the fit as the
+LO-phase landscape is checked, and a miss raises ``ConsistencyError``.
+Rows are evaluated at the guard precision and rounded to the working
+precision.  The per-point engine still evaluates every other axis,
+out-of-domain points, runs of no more in-domain points than a fit's
+reports (4 or 10), runs whose span needs more than ``MAX_GUARD_DPS``
+guard digits, and rows whose interpolated derivative is at its rounding
+floor, so an undefined LOD keeps the engine's message.
 """
 
 from __future__ import annotations
@@ -113,26 +114,35 @@ def _evaluate_target(grid: SweepGrid, p: InterferometerParams):
     return variance(J, state).real
 
 
-def _axis_degree(circuit: str, p: InterferometerParams) -> int:
-    """K of the r basis at p: 2 where both homodynes are balanced as the
-    circuit is built (every circuit but su11 forces them), else 4.
+def _axis_degree(circuit: str, p: InterferometerParams) -> tuple[int, int]:
+    """(step, d) of the r basis span{e^{k step r}, |k| <= d} at p: (2, 1),
+    the even span{e^{-2r}, 1, e^{2r}}, where both homodynes are balanced
+    as the circuit is built (every circuit but su11 forces them), else
+    (1, 4).  The largest |k| of e^{kr}, K = step d, is 2 or 4.
 
-    Each detector port is linear in (e^r, e^-r).  A balanced homodyne
-    gives J only port' LO terms, of degree one in them; an unbalanced one
-    adds port' port terms, of degree two.  The moments are quadratic in the
-    coefficients of J, so the degree is 2 or 4.
+    Expand each detector port over the input modes.  The seeded and
+    squeezed modes a, b enter with coefficients of degree one in the
+    squeezer's (cosh r, sinh r); the vacuum ports and the LOs with r-free
+    ones.  A balanced homodyne gives J only port' LO terms, so <J> is a
+    port amplitude times an LO amplitude, and the Wick pairing of the
+    vacuum pairs each mode only with itself: every term of var J and of
+    |d<J>/dphi|^2 has degree 0 or 2, in span{1, cosh 2r, sinh 2r}.  An
+    unbalanced homodyne adds port' port terms, which mix degrees one and
+    two in <J>, so odd powers of e^r appear up to e^{+-4r}.
     """
-    return 2 if circuit != "su11" or p.eta_p3 == p.eta_c3 == mpf("0.5") else 4
+    balanced = circuit != "su11" or p.eta_p3 == p.eta_c3 == mpf("0.5")
+    return (2, 1) if balanced else (1, 4)
 
 
 def _guard_dps(degree: int, span) -> int:
     """Digits beyond the working precision of the r interpolant's nodes
     and rows over ``span``.
 
-    The fit loses digits at the bottom of a wide span, where the moments
-    are small next to the node values above: about (K - 1)(hi - lo) / ln 10
-    (23.5 digits for su11 at K = 4 over r in [0, 20], 39 over [0, 30]).
-    The guard adds K (hi - lo) / ln 10 digits to ``GUARD_DPS``.
+    ``degree`` is K, the largest |k| of e^{kr} in the basis.  The fit
+    loses digits at the bottom of a wide span, where the moments are small
+    next to the node values above: about (K - 1)(hi - lo) / ln 10 (23.5
+    digits for su11 at K = 4 over r in [0, 20], 39 over [0, 30]).  The
+    guard adds K (hi - lo) / ln 10 digits to ``GUARD_DPS``.
     """
     lo, hi = span
     return GUARD_DPS + int(mp.ceil(degree * (hi - lo) / mp.ln10))
@@ -142,21 +152,25 @@ class AxisLandscape:
     """Exact interpolant of var(J) and |d<J>/dphi|^2 along the gain r.
 
     ``measures`` map parameters to a metrology report (``report`` of a
-    circuit, ``classical_reference``).  Each is fitted in span{e^{kr},
-    |k| <= K} from engine reports at the same 2K + 1 nodes, equispaced on
-    ``span``, ``_guard_dps`` digits beyond p's precision, and takes one
-    more report in the middle of the first node interval for ``check``.
+    circuit, ``classical_reference``).  Each is fitted in the ``basis``
+    span{e^{k step r}, |k| <= d} of ``_axis_degree`` from engine reports
+    at the same 2d + 1 nodes, equispaced on ``span``, ``_guard_dps``
+    digits beyond p's precision, and takes one more report in the middle
+    of the first node interval for ``check``.  ``dsq_floors`` holds each
+    measure's rounding floor of |d<J>/dphi|^2 at p's precision.
     """
 
-    def __init__(self, p: InterferometerParams, degree: int, span, measures):
+    def __init__(self, p: InterferometerParams, basis, span, measures):
         lo, hi = span
+        self.step, degree = basis
         self.precision = p.precision
-        self.dps = dps = p.precision + _guard_dps(degree, span)
+        self.dps = dps = p.precision + _guard_dps(self.step * degree, span)
+        tol = tolerance(p.precision)
         n = 2 * degree + 1
         with workdps(dps):
             q = p.replace(precision=dps)
             nodes = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-            self.weights = exp_weights(nodes, degree)
+            self.weights = exp_weights([self.step * x for x in nodes], degree)
             self.check_at = lo + (hi - lo) / (2 * n - 2)
             self.fits, self.checks = [], []
             for measure in measures:
@@ -165,6 +179,7 @@ class AxisLandscape:
                                   [r.dj_dphi_sq for r in reps],
                                   node_scales((r.second_moment, r.dj_dphi_sq) for r in reps)))
                 self.checks.append(measure(q.replace(r=self.check_at)))
+            self.dsq_floors = [tol * scales[1] for _, _, scales in self.fits]
         self.check_digits = None
 
     def check(self):
@@ -182,7 +197,7 @@ class AxisLandscape:
     def at(self, r):
         """[(var, dsq, node scales of both)] of each measure at gain r."""
         with workdps(self.dps):
-            w = self.weights(r)
+            w = self.weights(self.step * r)
             return [(mp.fdot(w, var), mp.fdot(w, dsq), scales)
                     for var, dsq, scales in self.fits]
 
@@ -191,20 +206,20 @@ def _run_landscape(grid: SweepGrid, name: str, params):
     """The checked ``AxisLandscape`` of one run of the innermost axis
     ``name`` over the in-domain rows' ``params``, or None where the run
     takes the per-point engine: the axis is not r, the run has no more
-    points than the 2K + 2 reports of each fit, its span needs more than
+    points than the 2d + 2 reports of each fit, its span needs more than
     ``MAX_GUARD_DPS`` guard digits, or the engine refuses a node report."""
     if name != "r" or not params:
         return None
-    degree = _axis_degree(grid.circuit, params[0])
+    step, degree = basis = _axis_degree(grid.circuit, params[0])
     span = (min(p.r for p in params), max(p.r for p in params))
     if (len(params) <= 2 * degree + 2 or span[0] == span[1]
-            or _guard_dps(degree, span) > MAX_GUARD_DPS):
+            or _guard_dps(step * degree, span) > MAX_GUARD_DPS):
         return None
     measures = [functools.partial(report, grid.circuit)]
     if grid.target == "lodi":
         measures.append(classical_reference)
     try:
-        land = AxisLandscape(params[0], degree, span, measures)
+        land = AxisLandscape(params[0], basis, span, measures)
     except (ValueError, ArithmeticError):
         # the engine meets the same refusal row by row and records it
         return None
@@ -215,13 +230,12 @@ def _run_landscape(grid: SweepGrid, name: str, params):
 def _interpolated_target(grid: SweepGrid, land: AxisLandscape, r, dps: int):
     """The target at gain r on ``land``, taken at its guard precision and
     rounded to ``dps`` digits; None where a |d<J>/dphi|^2 is at or below
-    its rounding floor at ``dps``, for the engine to decide."""
-    tol = tolerance(dps)
+    its rounding floor, ``land.dsq_floors``, for the engine to decide."""
     with workdps(land.dps):
         moments = land.at(r)
         if grid.target == "variance":
             value = moments[0][0]
-        elif any(dsq <= tol * scales[1] for _, dsq, scales in moments):
+        elif any(dsq <= floor for (_, dsq, _), floor in zip(moments, land.dsq_floors)):
             return None
         else:
             ratio = moments[0][0] / moments[0][1]

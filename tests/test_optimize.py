@@ -1,11 +1,13 @@
 """Phase optimization and sweeps."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, pi, workdps
 
+import tsu11.metrology
 import tsu11.optimize
 import tsu11.sweep
 from tsu11 import (
@@ -31,7 +33,7 @@ from tsu11 import (
     variance,
 )
 from tsu11.circuits import LO_MODES, _operators
-from tsu11.interpolants import CHECK_MARGIN, node_scales, tolerance
+from tsu11.interpolants import CHECK_MARGIN, check_fit, node_scales, tolerance
 from tsu11.metrology import lod_from_ratio
 from tsu11.optimize import (
     CHECK_PHASES,
@@ -43,7 +45,7 @@ from tsu11.optimize import (
     _values,
     nelder_mead,
 )
-from tsu11.sweep import _axis_degree
+from tsu11.sweep import AxisLandscape, _axis_degree
 
 from test_metrology import LODI_OPT_ETA1
 
@@ -334,6 +336,21 @@ def test_screen_keeps_at_most_four_cells(monkeypatch):
     assert len(reached) == 1 and reached[0] <= 4
 
 
+@pytest.mark.parametrize("circuit,overrides", [("tsu11", {"alpha": "1e-200"}),
+                                               ("vacuum", {"alpha": "0"})])
+def test_all_inf_grid_takes_no_value(monkeypatch, circuit, overrides):
+    # every cell is surely inf, so inside the window: the rule picks the
+    # first cell with the least |phi_p| + |phi_c| without a working-precision
+    # value (128 ms at grid 64 when it took every cell's)
+    land = PhaseLandscape(make_params("paper-start", **overrides), circuit)
+    with workdps(land.dps):
+        axis = _axis(64)
+    want = _two_pass_cell(land, axis)
+    monkeypatch.setattr(tsu11.optimize, "_values",
+                        lambda *args: pytest.fail("the all-inf grid took a value"))
+    assert _best_cell(land, axis) == want
+
+
 def test_best_cell_leaves_the_callers_precision():
     land = PhaseLandscape(make_params("paper-start", precision=40), "tsu11")
     with workdps(40):
@@ -400,6 +417,35 @@ def test_screened_best_cell_matches_the_two_pass_rule_property(seed, dps, n):
     with workdps(dps):
         axis = _axis(n)
     assert _best_cell(land, axis) == _two_pass_cell(land, axis)
+
+
+def test_screen_hands_a_may_be_inf_row_the_whole_grid():
+    # dsq = A (1 - cos phi_p) / 2 peaks at phi_p = -pi, 1e-20 of A below the
+    # floor: binary64 cannot tell that row from the floor, every other cell
+    # is surely inf, and at working precision every ratio is inf; so the
+    # rule takes the cell nearest (0, 0), which that row does not hold
+    with workdps(30):
+        var, dsq = ([[mpf(0)] * 5 for _ in range(5)] for _ in range(2))
+        var[0][0], dsq[0][0], dsq[1][0] = mpf(1), mpf(1) / 2, -mpf(1) / 2
+        land = _landscape((var, dsq), 30, 1 + mpf("1e-20"))
+        axis = _axis(16)
+    want = _two_pass_cell(land, axis)
+    assert want == (axis[8], axis[8])
+    assert _best_cell(land, axis) == want
+
+
+@pytest.mark.parametrize("dps", [30, 60])
+def test_all_inf_grid_breaks_rounded_ties_in_grid_order(dps):
+    # sizes 1 + 1 ulp and 1: (1 + ulp) + 1 rounds (half to even) to 2, so
+    # the first row already holds a cell of the least rounded size
+    with workdps(dps):
+        var, dsq = ([[mpf(0)] * 5 for _ in range(5)] for _ in range(2))
+        var[0][0] = mpf(1)
+        land = _landscape((var, dsq), dps, mpf(1))
+        axis = [-(1 + mp.eps), mpf(1)]
+    want = _two_pass_cell(land, axis)
+    assert want == (axis[0], axis[1])
+    assert _best_cell(land, axis) == want
 
 
 @pytest.mark.parametrize("offset", ["-1", "-1e-30", "1e-30"])
@@ -757,8 +803,67 @@ class TestSweepInterpolant:
     def test_degree_rule(self):
         p = make_params("paper-start", **SU11_K4)
         assert [_axis_degree(c, p) for c in ("tsu11", "classical", "vacuum", "su11")] == \
-            [2, 2, 2, 4]
-        assert _axis_degree("su11", p.replace(eta_p3="0.5")) == 2
+            [(2, 1)] * 3 + [(1, 4)]
+        assert _axis_degree("su11", p.replace(eta_p3="0.5")) == (2, 1)
+        assert _axis_degree("su11", p.replace(eta_p3="0.5", eta_c3="0.6")) == (1, 4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["tsu11", "classical", "vacuum", "su11"]),
+           st.sampled_from(["both", "probe-only"]),
+           st.lists(st.floats(0, 1), min_size=4, max_size=4),
+           st.floats(0, 1.5), st.floats(-7, 7), st.sampled_from(["-3e5", "2e3", "1e6"]),
+           st.floats(0, 2), st.floats(0.05, 4), st.floats(0.01, 0.99))
+    def test_even_basis_is_exact_at_balanced_homodynes_property(
+            self, circuit, arms, etas, s, theta_f, beta, lo, width, at):
+        # every balanced point of the CLI's domain lies in span{e^-2r, 1,
+        # e^2r}: the 3-node fit meets its check and an engine report at a
+        # random point of the span within the tolerance
+        seeds = {"alpha": 0, "beta": 0} if circuit == "vacuum" else {"beta": beta}
+        p = make_params("paper-start", arms=arms, s=s, theta_f=theta_f, **seeds,
+                        **dict(zip(("eta_p1", "eta_c1", "eta_p2", "eta_c2"), etas)))
+        basis = _axis_degree(circuit, p)
+        assert basis == (2, 1)
+        land = AxisLandscape(p, basis, (mpf(lo), mpf(lo) + mpf(width)),
+                             [functools.partial(report, circuit)])
+        land.check()
+        with workdps(land.dps):
+            r = mpf(lo) + mpf(width) * mpf(at)
+            (fit,) = land.at(r)
+            check_fit(fit, report(circuit, p.replace(r=r, precision=land.dps)), fit[2],
+                      tolerance(land.dps), "even r fit", f"r = {r}")
+
+    @pytest.mark.parametrize("s", ["0.3", "0"])
+    def test_unbalanced_su11_misses_the_even_basis(self, monkeypatch, s):
+        # an unbalanced homodyne puts odd powers of e^r in the moments: the
+        # even fit misses by 9.5e-7 of the node scale (4.4e-20 at s = 0),
+        # against a tolerance of 1e-67 at the guard precision
+        monkeypatch.setattr(tsu11.sweep, "_axis_degree", lambda c, p: (2, 1))
+        grid = SweepGrid(axes=(AxisSpec("r", 0, 2, 13),),
+                         base=make_params("paper-start", **{**SU11_K4, "s": s}),
+                         target="lod", circuit="su11")
+        with pytest.raises(ConsistencyError, match="interpolant misses the engine"):
+            run_sweep(grid)
+
+    @pytest.mark.parametrize("circuit,target,axis,overrides,reports", [
+        # 3 nodes and the check, for the circuit and the classical reference
+        ("tsu11", "lodi", AxisSpec("r", 0, 3, 61), {}, 8),
+        # 9 nodes and the check
+        ("su11", "lod", AxisSpec("r", 0, 2, 61), SU11_K4, 10),
+    ])
+    def test_engine_report_count(self, monkeypatch, circuit, target, axis, overrides,
+                                 reports):
+        calls = []
+
+        def counted(c, q):
+            calls.append(c)
+            return report(c, q)
+
+        monkeypatch.setattr(tsu11.sweep, "report", counted)
+        monkeypatch.setattr(tsu11.metrology, "report", counted)
+        grid = SweepGrid(axes=(axis,), base=make_params("paper-start", **overrides),
+                         target=target, circuit=circuit)
+        assert {row["route"] for row in run_sweep(grid)} == {"interpolant"}
+        assert len(calls) == reports
 
     def test_two_axis_sweep_keeps_row_order(self):
         p = make_params("paper-start", precision=40)
@@ -782,9 +887,24 @@ class TestSweepInterpolant:
         _assert_rows_match_engine(grid, rows)
 
     def test_short_run_stays_per_point(self):
-        # 2K + 2 = 6 points cost no more reports per point than the fit
-        grid = SweepGrid(axes=(AxisSpec("r", 0, 3, 6),), base=make_params("paper-start"))
-        assert {row["route"] for row in run_sweep(grid)} == {"engine"}
+        # 4 points cost no more reports per point than the even fit's 3
+        # nodes and its check; 5 take the interpolant
+        routes = [{row["route"] for row in run_sweep(SweepGrid(
+            axes=(AxisSpec("r", 0, 3, n),), base=make_params("paper-start")))}
+            for n in (4, 5)]
+        assert routes == [{"engine"}, {"interpolant"}]
+
+    def test_rows_at_the_derivative_floor_stay_per_point(self):
+        # with both LO phases a quarter turn from the sample phase, d<J>/dphi
+        # vanishes but for the rounding of the phases: every interpolated
+        # derivative lies below its floor and the engine takes the row
+        with workdps(60):
+            quarter = mpf("0.001") + pi / 2
+        grid = SweepGrid(axes=(AxisSpec("r", 0, 3, 9),),
+                         base=make_params("paper-start", phi_p=quarter, phi_c=quarter))
+        rows = run_sweep(grid)
+        assert {row["route"] for row in rows} == {"engine"}
+        _assert_rows_match_engine(grid, rows)
 
     def test_refused_node_report_falls_back_per_point(self):
         # the seeded base refuses the vacuum circuit at the fit's first
@@ -812,8 +932,13 @@ class TestSweepInterpolant:
         ("su11", AxisSpec("r", 0, 2, 13), SU11_K4),
     ])
     def test_degree_one_too_low_raises(self, monkeypatch, circuit, axis, overrides):
-        monkeypatch.setattr(tsu11.sweep, "_axis_degree",
-                            lambda c, p: _axis_degree(c, p) - 1)
+        # span{e^{kr}, |k| <= K - 1}, K the basis' largest |k|: for tsu11
+        # span{e^-r, 1, e^r}, as many nodes as its even basis
+        def one_step_less(c, p):
+            step, degree = _axis_degree(c, p)
+            return 1, step * degree - 1
+
+        monkeypatch.setattr(tsu11.sweep, "_axis_degree", one_step_less)
         grid = SweepGrid(axes=(axis,), base=make_params("paper-start", **overrides),
                          target="lod", circuit=circuit)
         with pytest.raises(ConsistencyError, match="interpolant misses the engine"):
