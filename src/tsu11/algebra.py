@@ -12,7 +12,9 @@ commute; same-mode factors obey [a, a'] = 1.
 
 Expressions are immutable after construction and all operations are pure
 functions, so evaluation is safe to run in parallel across parameter
-points.
+points.  The one thing an expression stores after construction is its
+normal form: ``normal_order`` computes it on the first call and returns
+the stored form on later ones, and a normal form is its own.
 """
 
 from __future__ import annotations
@@ -102,10 +104,11 @@ class OperatorExpr:
 
     No two stored terms share a factor sequence and coefficients that are
     zero at working precision are dropped.  The empty factor tuple is the
-    identity operator.
+    identity operator.  ``_normal`` holds the normal form once
+    ``normal_order`` has taken it.
     """
 
-    __slots__ = ("_terms", "dps")
+    __slots__ = ("_terms", "dps", "_normal")
 
     def __init__(
         self,
@@ -114,6 +117,7 @@ class OperatorExpr:
         _trusted: bool = False,
     ):
         self.dps = int(dps)
+        self._normal = None
         if not terms:
             self._terms = {}
             return
@@ -204,11 +208,18 @@ def adjoint(x: OperatorExpr) -> OperatorExpr:
 
 
 def normal_order(x: OperatorExpr) -> OperatorExpr:
-    """Equal operator with all creations left of all annihilations per term."""
-    with workdps(x.dps):
-        acc = _sum((key, c if mult == 1 else c * mult) for fac, c in x._terms.items()
-                   for key, mult in _reorder(fac))
-    return OperatorExpr(acc, x.dps, _trusted=True)
+    """Equal operator with all creations left of all annihilations per term.
+
+    The form is taken once per expression and stored on it; a later call
+    returns the stored form, whose own normal form is itself (reordering
+    canonical terms changes no key and no coefficient)."""
+    if x._normal is None:
+        with workdps(x.dps):
+            acc = _sum((key, c if mult == 1 else c * mult) for fac, c in x._terms.items()
+                       for key, mult in _reorder(fac))
+        x._normal = form = OperatorExpr(acc, x.dps, _trusted=True)
+        form._normal = form
+    return x._normal
 
 
 def _amplitudes(state: Mapping[str, object]) -> dict[Factor, mpc]:
@@ -259,15 +270,17 @@ def _fock_norm(modes: tuple[str, ...]) -> int:
 def _displace(table: dict, ops: tuple[Factor, ...], weight: mpc, amp: dict) -> None:
     """Add the operator part of weight * prod over ops of (op + amp[op]) to
     ``table``, keyed by the sorted mode labels of the operators kept (at
-    least one); absent modes have amplitude 0."""
+    least one); absent modes have amplitude 0.  The constant part, every
+    factor replaced by its amplitude, is not formed: it belongs to <x>."""
     partial = {(): weight}
-    for op in ops:
+    last = len(ops) - 1
+    for i, op in enumerate(ops):
         a = amp.get(op)
         nxt: dict[tuple[str, ...], mpc] = {}
         for key, w in partial.items():
             kept = key + (op[0],)
             nxt[kept] = nxt[kept] + w if kept in nxt else w
-            if a:
+            if a and (key or i < last):
                 nxt[key] = nxt[key] + w * a if key in nxt else w * a
         partial = nxt
     for key, w in partial.items():

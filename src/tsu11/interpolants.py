@@ -5,11 +5,12 @@ and lie in span{e^{kr}, |k| <= 4} along the gain r, in the even
 span{e^{-2r}, 1, e^{2r}} where both homodynes are balanced, so a few
 coefficients fix them: the LO-phase landscape of the optimizer takes
 them from the engine's charge-graded moments, the r landscape of the
-sweeps from engine reports at 3 or 9 nodes.  This module holds what both
-share: the scales of their values at a few points (the LO landscape's
-own, at 5 x 5 phases), the check against one more engine report and its
-gap in digits, and the weights of span{e^{kx}, |k| <= K}, which the r
-landscape takes in x = 2r for the even span.
+sweeps from engine reports at 3 or 9 nodes.  This module holds the
+check against one more engine report that both share, with its gap in
+digits; the scales of the r landscape's node reports, at which it is
+checked (the LO landscape takes its own in binary64); and the weights of
+span{e^{kx}, |k| <= K}, which the r landscape takes in x = 2r for the
+even span.
 """
 
 from __future__ import annotations

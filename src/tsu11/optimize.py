@@ -9,11 +9,14 @@ linearly, never through a squeezer; so <J>, var(J) and <dJ/dphi> are
 Laurent polynomials of degree <= 2 in e^{i phi_p} and e^{i phi_c}.  One
 charge-graded pass of the engine's kernel over J and one over dJ, on the
 one operator build at zero LO phases, return their coefficients, and
-|d<J>/dphi|^2 follows as a product of two of them.  The coarse grid
-screens its cells in binary64 under a proven rounding bound and
-evaluates the interpolant at working precision only where a cell can win,
-as separable products with one trigonometric basis per axis point;
-Newton takes the exact derivatives of that basis.
+|d<J>/dphi|^2 follows as a product of two of them.  The landscape keeps
+one binary64 image of its coefficient matrices, scaled by powers of two:
+it gives the scales that set the check's tolerance and the derivative's
+rounding floor, and the coarse grid screens its cells on it under a
+proven rounding bound.  The interpolant is evaluated at working precision
+only where a cell can win, as separable products with one trigonometric
+basis per axis point; Newton takes the exact derivatives of that basis,
+reusing the evaluation its line search has just accepted.
 The grid and Newton both minimize var / |d<J>/dphi|^2 (Newton its
 logarithm), which orders the phases as the LOD does, and the LOD is
 taken once per reported value, through ``metrology``.
@@ -21,6 +24,7 @@ taken once per reported value, through ``metrology``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ from mpmath import log10, mp, mpf, pi, workdps
 
 from .algebra import _sum, coherent_expectation, coherent_moments
 from .circuits import CIRCUITS, LO_MODES, InterferometerParams
-from .interpolants import agreement_digits, check_fit, node_scales, tolerance
+from .interpolants import agreement_digits, check_fit, tolerance
 from .metrology import ConsistencyError, classical_lod, defined_lod, lod_from_ratio, report
 
 # bound here only because the benchmark's tracer wraps them as tsu11.optimize.<name>;
@@ -75,10 +79,10 @@ def _trig_basis(x):
     return (mpf(1), c, s, 2 * c * c - 1, 2 * s * c)
 
 
-def _trig_jet(x):
-    """``_trig_basis(x)`` and its first and second derivatives in x."""
-    b = _, c, s, c2, s2 = _trig_basis(x)
-    return b, (0, -s, c, -2 * s2, 2 * c2), (0, -c, -s, -4 * c2, -4 * s2)
+def _trig_derivatives(b):
+    """The first and second derivatives in x of ``b = _trig_basis(x)``."""
+    _, c, s, c2, s2 = b
+    return (0, -s, c, -2 * s2, 2 * c2), (0, -c, -s, -4 * c2, -4 * s2)
 
 
 def _real_coefficients(laurent, what):
@@ -107,14 +111,61 @@ def _real_coefficients(laurent, what):
     return coef
 
 
+def _halves(coefs, v):
+    """Each matrix of ``coefs`` contracted with the phi_c basis ``v``: its
+    rows' dot products with v."""
+    return [[mp.fdot(row, v) for row in coef] for coef in coefs]
+
+
+def _dot(u, halves):
+    """[each matrix of ``halves`` at the phi_p basis ``u``]: one length-5
+    dot product per matrix."""
+    return [mp.fdot(u, h) for h in halves]
+
+
 def _values(coefs, us, vs):
     """Per phi_p basis u of ``us``, an iterator of [each of ``coefs`` at
     (u, v)] over the phi_c bases v of ``vs``.  Each matrix is contracted
     with each v once; each value is then one length-5 dot product with u,
     taken as the iterator reaches its cell."""
-    halves = [[[mp.fdot(row, v) for row in coef] for coef in coefs] for v in vs]
+    halves = [_halves(coefs, v) for v in vs]
     for u in us:
-        yield ([mp.fdot(u, h) for h in hs] for hs in halves)
+        yield (_dot(u, hs) for hs in halves)
+
+
+def _float_values(mats, us, vs):
+    """The binary64 mirror of ``_values`` over float matrices and bases:
+    per u of ``us``, an iterator of (each of ``mats`` at (u, v)) over the v
+    of ``vs``, each value from the two sequential length-5 dot products
+    whose roundings ``_screen`` bounds."""
+    halves = [[[r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4 for r0, r1, r2, r3, r4 in m]
+               for v0, v1, v2, v3, v4 in vs] for m in mats]
+    for u0, u1, u2, u3, u4 in us:
+        yield zip(*([u0 * h0 + u1 * h1 + u2 * h2 + u3 * h3 + u4 * h4
+                     for h0, h1, h2, h3, h4 in hm] for hm in halves))
+
+
+#: the float bases (1, cos, sin, cos 2, sin 2) of the phases 2 pi k / 5
+#: at which ``_scales`` takes the landscape's scales
+_SCALE_BASES = [(1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t))
+                for t in (2 * math.pi * k / 5 for k in range(5))]
+
+
+def _scales(mean, var, dsq):
+    """(the largest |var + <J>^2|, the largest |d<J>/dphi|^2) over the 5 x 5
+    phases 2 pi k / 5, each at least 1, from the ``_screen_matrix`` images
+    (e, floats scaled by 2^-e, bound) of the mean, var and dsq matrices.
+    var and <J>^2 are added at the exponent of the larger scale and the
+    maxima scaled back exactly; binary64 puts them within about 1e-13 of
+    the working-precision values, enough for the tolerances they set."""
+    (e_mean, mean, _), (e_var, var, _), (e_dsq, dsq, _) = mean, var, dsq
+    e = max(e_var, 2 * e_mean)
+    second = top = 0.0
+    for row in _float_values((mean, var, dsq), _SCALE_BASES, _SCALE_BASES):
+        for m, v, d in row:
+            second = max(second, abs(math.ldexp(v, e_var - e) + math.ldexp(m * m, 2 * e_mean - e)))
+            top = max(top, d)
+    return max(mp.ldexp(second, e), mpf(1)), max(mp.ldexp(top, e_dsq), mpf(1))
 
 
 class PhaseLandscape:
@@ -127,12 +178,17 @@ class PhaseLandscape:
     coefficients of <J>, var(J) and D = <dJ/dphi>; |D|^2 takes the charge
     q - q' from D_q conj(D_q').  Their real parts are mapped onto the
     real basis (1, cos, sin, cos 2, sin 2) of each phase.  ``_values``
-    gives every value of the landscape.  The scales are the largest
-    |var + <J>^2| and |d<J>/dphi|^2 on the 5 x 5 phases 2 pi k / 5.  One
-    engine report at ``CHECK_PHASES`` must agree with the interpolant to
-    10^-(dps - CHECK_MARGIN) of each quantity's scale, or
+    gives every value of the landscape.  The scales, the largest
+    |var + <J>^2| and |d<J>/dphi|^2 on the 5 x 5 phases 2 pi k / 5, come
+    from the binary64 images of the coefficient matrices (``_scales``).
+    One engine report at ``CHECK_PHASES`` must agree with the interpolant
+    to 10^-(dps - CHECK_MARGIN) of each quantity's scale, or
     ``ConsistencyError`` is raised.
     """
+
+    #: (x, phi_p basis, phi_c basis, phi_c halves, (var, dsq)) of the last
+    #: point evaluated, which ``jet`` reuses at the same x
+    _last = None
 
     def __init__(self, p: InterferometerParams, circuit: str):
         self.dps = dps = p.precision
@@ -149,10 +205,8 @@ class PhaseLandscape:
             # what rounding moves an evaluation by: 10^-dps of the coefficient mass
             self._noise = [mp.fsum(map(abs, sum(c, []))) / mpf(10) ** dps
                            for c in self._coefs]
-            basis = [_trig_basis(2 * pi * k / 5) for k in range(5)]
-            values = _values((_real_coefficients(mean, "mean"),) + self._coefs, basis, basis)
-            self.var_scale, self.dsq_scale = node_scales(
-                (v + m * m, d) for row in values for m, v, d in row)
+            self.var_scale, self.dsq_scale = _scales(
+                _screen_matrix(_real_coefficients(mean, "mean"), 0), *self._images)
             #: the rounding floor of the derivative, below which var/dsq is inf
             self.dsq_floor = self.tol * self.dsq_scale
             xc, yc = CHECK_PHASES
@@ -161,6 +215,13 @@ class PhaseLandscape:
                       self.tol, "LO-phase interpolant",
                       f"phases {CHECK_PHASES} ({dps} digits)")
 
+    @functools.cached_property
+    def _images(self):
+        """The ``_screen_matrix`` images of the (var, dsq) coefficient
+        matrices, built on first use."""
+        with workdps(self.dps):
+            return tuple(map(_screen_matrix, self._coefs, self._noise))
+
     def _ratio(self, var, dsq):
         """var / dsq, or inf where dsq is at or below ``dsq_floor``; run at
         the landscape's precision."""
@@ -168,31 +229,45 @@ class PhaseLandscape:
             return mpf("inf")
         return var / dsq
 
+    def _point(self, x):
+        """Evaluate the landscape at x = (phi_p, phi_c) and keep the point
+        as ``_last``; run at the landscape's precision."""
+        u, v = map(_trig_basis, x)
+        halves = _halves(self._coefs, v)
+        self._last = point = (x, u, v, halves, _dot(u, halves))
+        return point
+
     def at(self, phi_p, phi_c):
         """(var(J), |d<J>/dphi|^2) at the LO phases."""
         with workdps(self.dps):
-            (row,) = _values(self._coefs, [_trig_basis(phi_p)], [_trig_basis(phi_c)])
-            return tuple(next(row))
+            return tuple(self._point((phi_p, phi_c))[-1])
 
     def ratio(self, x):
         """var / dsq at x = (phi_p, phi_c); inf where the derivative is at
         or below its rounding floor, ``dsq_floor``."""
         with workdps(self.dps):
-            return self._ratio(*self.at(*x))
+            return self._ratio(*self._point(x)[-1])
 
     def jet(self, x):
         """(var/dsq, its rounding floor, and the gradient (p, c) and Hessian
         (pp, pc, cc) of ln(var/dsq) in the phases) at x = (phi_p, phi_c) from
-        the exact derivatives of the basis; None where ``ratio(x)`` is inf."""
+        the exact derivatives of the basis; None where ``ratio(x)`` is inf.
+        At the point last evaluated its bases, phi_c halves and value are
+        reused, so a jet there takes the same bits as a jet from scratch."""
         with workdps(self.dps):
-            # values[i][j]: (var, dsq) differentiated i times in phi_p, j in phi_c
-            values = [list(row) for row in _values(self._coefs, *map(_trig_jet, x))]
-            ratio = self._ratio(*values[0][0])
+            last = self._last
+            _, u, v, halves, value = last if last and last[0] == x else self._point(x)
+            ratio = self._ratio(*value)
             if ratio == mpf("inf"):
                 return None
+            # only the 6 cells of total order <= 2: (var, dsq) differentiated
+            # i times in phi_p and j times in phi_c for i + j <= 2
+            (u1, u2), (v1, v2) = map(_trig_derivatives, (u, v))
+            h1, h2 = _halves(self._coefs, v1), _halves(self._coefs, v2)
+            cells = zip(value, _dot(u, h1), _dot(u, h2),
+                        _dot(u1, halves), _dot(u1, h1), _dot(u2, halves))
             floor, logs = 0, []
-            for k, noise in enumerate(self._noise):
-                (q, c, cc), (p, pc, _), (pp, _, _) = [[v[k] for v in row] for row in values]
+            for (q, c, cc, p, pc, pp), noise in zip(cells, self._noise):
                 p, c = p / q, c / q
                 logs.append((p, c, pp / q - p * p, pc / q - p * c, cc / q - c * c))
                 floor += ratio * noise / q
@@ -278,7 +353,8 @@ def _screen(land: PhaseLandscape, bases):
     some cell may be inf but none has a finite upper bound > 0.
 
     Each coefficient matrix C is scaled by 2^-e, e the binary exponent of
-    its largest |entry|.  That is exact and keeps the floats C' in range:
+    its largest |entry| (the landscape's ``_images``).  That is exact and
+    keeps the floats C' in range:
     the CLI accepts gamma = kappa = 1e160 (coefficients of 4.5e333), r =
     400 (8.7e376) and alpha = 1e-200 (dsq coefficients of 4.5e-389).  The
     bases are the exact ``_trig_basis`` values rounded to floats, |b| <= 1,
@@ -305,22 +381,17 @@ def _screen(land: PhaseLandscape, bases):
     ``_cut``(least hi); a cell with lo above the cut of the running least
     hi is dropped.
     """
-    (e_var, var, err_var), (e_dsq, dsq, err_dsq) = map(
-        _screen_matrix, land._coefs, land._noise)
+    (e_var, var, err_var), (e_dsq, dsq, err_dsq) = land._images
     floor = float(mp.ldexp(land.dsq_floor, -e_dsq))
     err_dsq += 4 * _U * floor
     floats = [[float(b) for b in basis] for basis in bases]
-    halves = [[r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
-               for r0, r1, r2, r3, r4 in var + dsq] for v0, v1, v2, v3, v4 in floats]
     tol, shift = float(land.tol), e_var - e_dsq
     hi_min = cut = math.inf
     kept = []
-    for i, (u0, u1, u2, u3, u4) in enumerate(floats):
-        for j, (a0, a1, a2, a3, a4, b0, b1, b2, b3, b4) in enumerate(halves):
-            d = u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 + u4 * b4
+    for i, row in enumerate(_float_values((var, dsq), floats, floats)):
+        for j, (v, d) in enumerate(row):
             if d + err_dsq <= floor:
                 continue  # surely inf
-            v = u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3 + u4 * a4
             lo = (v - err_var) / (d + err_dsq)
             if lo > cut:
                 continue

@@ -1,6 +1,7 @@
 """Unit tests for the ladder-operator algebra."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from tsu11 import (
     normal_order,
     variance,
 )
-from tsu11.algebra import ZERO_MARGIN
+from tsu11.algebra import ZERO_MARGIN, _amplitudes, _charge, _fock_norm, _reorder, _sum
 
 from conftest import random_expr, random_state
 from fock_oracle import factored_expectation
@@ -97,12 +98,33 @@ class TestNormalOrder:
         }
 
     def test_idempotent(self):
+        # a fresh expression of the normal form's terms, so that the form
+        # is taken again rather than read back from ``once``
         rng = random.Random(5)
         for _ in range(30):
             x = random_expr(rng)
             once = normal_order(x)
-            twice = normal_order(once)
+            twice = normal_order(OperatorExpr(term_dict(once), x.dps))
             assert term_dict(once) == term_dict(twice)
+
+    def test_second_call_returns_the_stored_form(self):
+        x = random_expr(random.Random(7), max_degree=4)
+        once = normal_order(x)
+        assert normal_order(x) is once
+        assert normal_order(once) is once
+        assert term_dict(once) == term_dict(_uncached_normal_order(x))
+
+    @pytest.mark.parametrize("order", [(40, 60), (60, 40)])
+    def test_precisions_never_share_a_form(self, order):
+        # 0.1 rounds differently at 40 and 60 digits
+        terms = {(("a", False), ("a", True)): "0.1", (("b", False),): mpc("0.1", "-0.3")}
+        forms = {}
+        for dps in order:
+            x = OperatorExpr(terms, dps)
+            forms[dps] = normal_order(x)
+            assert forms[dps].dps == dps
+            assert term_dict(forms[dps]) == term_dict(_uncached_normal_order(x))
+        assert term_dict(forms[40]) != term_dict(forms[60])
 
     def test_canonical_factor_ordering(self):
         # creations first (mode ascending), then annihilations
@@ -235,7 +257,7 @@ expr_st = st.dictionaries(term_st, coeff_st, min_size=1, max_size=4).map(
 @given(expr_st)
 def test_normal_order_idempotent_property(x):
     once = normal_order(x)
-    assert term_dict(normal_order(once)) == term_dict(once)
+    assert term_dict(normal_order(OperatorExpr(term_dict(once), x.dps))) == term_dict(once)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,6 +326,78 @@ def test_graded_moments_are_laurent_coefficients_property(x, state, ta, tb):
             total = sum(c * exp(mpc(0, qa * mpf(ta) + qb * mpf(tb)))
                         for (qa, qb), c in graded.items())
             assert abs(total - plain) <= mpf("1e-30") * scale
+
+
+def _uncached_normal_order(x):
+    """The normal ordering without the stored form, kept as a reference."""
+    with workdps(x.dps):
+        acc = _sum((key, c if mult == 1 else c * mult) for fac, c in x.terms()
+                   for key, mult in _reorder(fac))
+    return OperatorExpr(acc, x.dps, _trusted=True)
+
+
+def _reference_displace(table, ops, weight, amp):
+    """The displacement kernel that forms the constant part too, kept as a
+    reference: the operator part of weight * prod (op + amp[op]) into table."""
+    partial = {(): weight}
+    for op in ops:
+        a = amp.get(op)
+        nxt = {}
+        for key, w in partial.items():
+            kept = key + (op[0],)
+            nxt[kept] = nxt[kept] + w if kept in nxt else w
+            if a:
+                nxt[key] = nxt[key] + w * a if key in nxt else w * a
+        partial = nxt
+    for key, w in partial.items():
+        if key:
+            table[key] = table[key] + w if key in table else w
+
+
+def _reference_moments(x, state, phased=()):
+    """(mean, var) of ``coherent_moments`` from ``_uncached_normal_order``
+    and ``_reference_displace``, in the kernel's order of operations."""
+    with workdps(x.dps):
+        amp = _amplitudes(state)
+        form = _uncached_normal_order(x)
+        mean = _sum((phased and _charge(fac, phased),
+                     math.prod((amp.get(f, 0) for f in fac), start=c))
+                    for fac, c in form.terms())
+        cre, ann = {}, {}
+        for fac, c in form.terms():
+            q = phased and _charge(fac, phased)
+            n_cre = sum(d for _, d in fac)
+            creators, annihilators = fac[:n_cre], fac[n_cre:]
+            to_cre = math.prod((amp.get(f, 0) for f in annihilators), start=c)
+            to_ann = math.prod((amp.get(f, 0) for f in creators), start=c)
+            if to_cre:
+                _reference_displace(cre.setdefault(q, {}), creators, to_cre, amp)
+            if to_ann:
+                _reference_displace(ann.setdefault(q, {}), annihilators, to_ann, amp)
+        var = _sum((tuple(map(operator.add, q, q2)),
+                    sum((c * ann_q[key] * _fock_norm(key) for key, c in cre_q.items()
+                         if key in ann_q), mpc(0)))
+                   for q, cre_q in cre.items() for q2, ann_q in ann.items())
+        if phased:
+            return mean, var
+        return mean.get((), mpc(0)), var.get((), mpc(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(mode3_term_st, coeff_st, min_size=1, max_size=5).map(
+        lambda d: OperatorExpr(d, dps=40)),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), amp_st),
+    st.sampled_from([(), ("a",), ("a", "b"), ("c", "a")]),
+)
+def test_kernel_matches_the_reference_route_bit_for_bit_property(x, state, phased):
+    # the stored normal form and the displacement that skips the constant
+    # part change no bit of either moment, graded or not; the second round
+    # reads the form the first one stored
+    want_mean, want_var = _reference_moments(x, state, phased)
+    for _ in range(2):
+        assert coherent_moments(x, state, phased) == (want_mean, want_var)
+        assert coherent_expectation(x, state, phased) == want_mean
 
 
 class TestSerialization:

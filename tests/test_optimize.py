@@ -260,8 +260,18 @@ def _node_values(coefs, basis):
     return [[mp.fdot(u, h) for h in hs] for u in basis for hs in halves]
 
 
-@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
+#: relative gap allowed between the binary64 scales and their
+#: working-precision values: about 1e-13 from the roundings of the
+#: coefficient images and of the two length-5 dot products, with room
+SCALE_RTOL = mpf("1e-12")
+
+
+@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS + [
+    ("tsu11", point) for point in FLOAT_RANGE_POINTS])
 def test_scales_match_the_per_node_route(circuit, overrides):
+    # the scales come from binary64 images of the coefficient matrices,
+    # scaled by powers of two, so they stay finite and at least 1 where
+    # the coefficients leave binary64's range
     p = make_params("paper-start", **overrides)
     land = PhaseLandscape(p, circuit)
     with workdps(p.precision):
@@ -269,8 +279,10 @@ def test_scales_match_the_per_node_route(circuit, overrides):
         mean = _real_coefficients(coherent_moments(J, state, LO_MODES)[0], "mean")
         basis = [_trig_basis(2 * pi * k / 5) for k in range(5)]
         nodes = _node_values((mean,) + land._coefs, basis)
-        assert (land.var_scale, land.dsq_scale) == node_scales(
-            (v + m * m, d) for m, v, d in nodes)
+        want = node_scales((v + m * m, d) for m, v, d in nodes)
+        for got, node_scale in zip((land.var_scale, land.dsq_scale), want):
+            assert mp.isfinite(got) and got >= 1
+            assert abs(got - node_scale) <= SCALE_RTOL * node_scale
 
 
 def _two_pass_cell(land, axis):
@@ -294,6 +306,8 @@ def _tilted(land, tilt):
         var = [row[:] for row in land._coefs[0]]
         var[1][0] += mpf(tilt) * var[0][0]
         land._coefs = (var, land._coefs[1])
+    # the binary64 images of the coefficients are built again from the tilt
+    del land._images
     return land
 
 
@@ -478,6 +492,76 @@ def test_optimize_builds_each_operator_once():
     assert info.hits > 0
 
 
+def _count_fdot(monkeypatch):
+    """A list whose length counts the working-precision ``mp.fdot`` calls
+    made from here on."""
+    calls, fdot = [], mp.fdot
+
+    def counted(*args):
+        calls.append(args)
+        return fdot(*args)
+
+    monkeypatch.setattr(mp, "fdot", counted)
+    return calls
+
+
+def test_working_precision_dot_products_are_pinned(monkeypatch):
+    # a landscape's only working-precision dot products are those of its
+    # check (10 halves, 2 values); its scales come from binary64 images.  A
+    # run adds 28 for the 2 x 2 kept grid cells, 42 for Newton's first jet,
+    # 12 per line-search trial, 30 per accepted point's jet and 12 for the
+    # final ratio: 220 where the working-precision scales and full jets
+    # took 430
+    p = make_params("paper-start")
+    _operators.cache_clear()
+    calls = _count_fdot(monkeypatch)
+    PhaseLandscape(p, "tsu11")
+    assert len(calls) == 12
+    _operators.cache_clear()
+    calls.clear()
+    optimize_phases(p, grid_n=16)
+    assert len(calls) == 220
+
+
+def test_each_expression_is_normal_ordered_once(monkeypatch):
+    # a run's 15 normal_order calls meet 4 distinct expressions, J and dJ
+    # of the tsu11 and the classical operator, and each is ordered on its
+    # first call only
+    forms, normal_order = [], tsu11.algebra.normal_order
+
+    def recorded(x):
+        forms.append(normal_order(x))
+        return forms[-1]
+
+    monkeypatch.setattr(tsu11.algebra, "normal_order", recorded)
+    _operators.cache_clear()
+    optimize_phases(make_params("paper-start"), grid_n=16)
+    assert len(forms) == 15
+    assert len({id(form) for form in forms}) == 4
+
+
+@pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS)
+def test_jet_after_ratio_is_the_cold_jet(monkeypatch, circuit, overrides):
+    # Newton's jet at the point its line search just accepted reuses that
+    # evaluation (30 dot products, not 42) and takes the same bits
+    p = make_params("paper-start", **overrides)
+    land = PhaseLandscape(p, circuit)
+    rng = random.Random(3)
+    calls = _count_fdot(monkeypatch)
+    with workdps(p.precision):
+        points = [(mpf(rng.uniform(-3, 3)), mpf(rng.uniform(-3, 3))) for _ in range(3)]
+    for x, elsewhere in zip(points, points[1:] + points[:1]):
+        land.ratio(elsewhere)
+        calls.clear()
+        cold = land.jet(x)
+        cold_calls = len(calls)
+        land.ratio(x)
+        calls.clear()
+        assert land.jet(x) == cold
+        if cold is not None:
+            assert (cold_calls, len(calls)) == (42, 30)
+
+
 def test_lod_target_value_is_engine_lod_at_returned_phases():
     overrides = dict(LANDSCAPE_POINTS[2][1])
     p = make_params("paper-start", **overrides)
@@ -520,7 +604,7 @@ def test_graded_coefficients_match_the_node_dft(circuit, overrides):
                                                 (land.var_scale, land.dsq_scale), scales):
             gap = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
             assert gap <= mpf("1e-50") * scale
-            assert abs(scale - node_scale) <= mpf("1e-50") * scale
+            assert abs(scale - node_scale) <= SCALE_RTOL * node_scale
 
 
 def test_charge_beyond_degree_two_raises(monkeypatch):
