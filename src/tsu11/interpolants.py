@@ -8,9 +8,9 @@ them from the engine's charge-graded moments, the r landscape of the
 sweeps from engine reports at 3 or 9 nodes.  This module holds the
 check against one more engine report that both share, with its gap in
 digits; the scales of the r landscape's node reports, at which it is
-checked (the LO landscape takes its own in binary64); and the weights of
-span{e^{kx}, |k| <= K}, which the r landscape takes in x = 2r for the
-even span.
+checked (the LO landscape has no nodes and bounds its own by its
+coefficient mass); and the weights of span{e^{kx}, |k| <= K}, which the
+r landscape takes in x = 2r for the even span.
 """
 
 from __future__ import annotations

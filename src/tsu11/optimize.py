@@ -9,14 +9,16 @@ linearly, never through a squeezer; so <J>, var(J) and <dJ/dphi> are
 Laurent polynomials of degree <= 2 in e^{i phi_p} and e^{i phi_c}.  One
 charge-graded pass of the engine's kernel over J and one over dJ, on the
 one operator build at zero LO phases, return their coefficients, and
-|d<J>/dphi|^2 follows as a product of two of them.  The landscape keeps
-one binary64 image of its coefficient matrices, scaled by powers of two:
-it gives the scales that set the check's tolerance and the derivative's
-rounding floor, and the coarse grid screens its cells on it under a
-proven rounding bound.  The interpolant is evaluated at working precision
-only where a cell can win, as separable products with one trigonometric
-basis per axis point; Newton takes the exact derivatives of that basis,
-reusing the evaluation its line search has just accepted.
+|d<J>/dphi|^2 follows as a product of two of them.  No basis value
+exceeds 1 in size, so the coefficient mass of each quantity bounds it at
+every phase and sets the scales of the check's tolerance and of the
+derivative's rounding floor.  The coarse grid screens its cells on
+binary64 images of the coefficient matrices, scaled by powers of two,
+under a proven rounding bound.  The interpolant is evaluated at working
+precision only where a cell can win, as separable products with one
+trigonometric basis per axis point; Newton takes the exact derivatives
+of that basis, and the landscape keeps its last point, so a value just
+taken is not taken again.
 The grid and Newton both minimize var / |d<J>/dphi|^2 (Newton its
 logarithm), which orders the phases as the LOD does, and the LOD is
 taken once per reported value, through ``metrology``.
@@ -24,7 +26,6 @@ taken once per reported value, through ``metrology``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ class OptResult:
     value_db: mpf
     grid_value_db: mpf
     iterations: int
+    #: grid_n^2 cells screened, plus Newton's landscape evaluations
+    #: (line-search trials and jets)
     evaluations: int
     converged: bool
     #: what the grid and Newton searched: the engine-checked interpolant
@@ -133,41 +136,6 @@ def _values(coefs, us, vs):
         yield (_dot(u, hs) for hs in halves)
 
 
-def _float_values(mats, us, vs):
-    """The binary64 mirror of ``_values`` over float matrices and bases:
-    per u of ``us``, an iterator of (each of ``mats`` at (u, v)) over the v
-    of ``vs``, each value from the two sequential length-5 dot products
-    whose roundings ``_screen`` bounds."""
-    halves = [[[r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4 for r0, r1, r2, r3, r4 in m]
-               for v0, v1, v2, v3, v4 in vs] for m in mats]
-    for u0, u1, u2, u3, u4 in us:
-        yield zip(*([u0 * h0 + u1 * h1 + u2 * h2 + u3 * h3 + u4 * h4
-                     for h0, h1, h2, h3, h4 in hm] for hm in halves))
-
-
-#: the float bases (1, cos, sin, cos 2, sin 2) of the phases 2 pi k / 5
-#: at which ``_scales`` takes the landscape's scales
-_SCALE_BASES = [(1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t))
-                for t in (2 * math.pi * k / 5 for k in range(5))]
-
-
-def _scales(mean, var, dsq):
-    """(the largest |var + <J>^2|, the largest |d<J>/dphi|^2) over the 5 x 5
-    phases 2 pi k / 5, each at least 1, from the ``_screen_matrix`` images
-    (e, floats scaled by 2^-e, bound) of the mean, var and dsq matrices.
-    var and <J>^2 are added at the exponent of the larger scale and the
-    maxima scaled back exactly; binary64 puts them within about 1e-13 of
-    the working-precision values, enough for the tolerances they set."""
-    (e_mean, mean, _), (e_var, var, _), (e_dsq, dsq, _) = mean, var, dsq
-    e = max(e_var, 2 * e_mean)
-    second = top = 0.0
-    for row in _float_values((mean, var, dsq), _SCALE_BASES, _SCALE_BASES):
-        for m, v, d in row:
-            second = max(second, abs(math.ldexp(v, e_var - e) + math.ldexp(m * m, 2 * e_mean - e)))
-            top = max(top, d)
-    return max(mp.ldexp(second, e), mpf(1)), max(mp.ldexp(top, e_dsq), mpf(1))
-
-
 class PhaseLandscape:
     """Exact interpolant of var(J) and |d<J>/dphi|^2 over (phi_p, phi_c).
 
@@ -178,16 +146,17 @@ class PhaseLandscape:
     coefficients of <J>, var(J) and D = <dJ/dphi>; |D|^2 takes the charge
     q - q' from D_q conj(D_q').  Their real parts are mapped onto the
     real basis (1, cos, sin, cos 2, sin 2) of each phase.  ``_values``
-    gives every value of the landscape.  The scales, the largest
-    |var + <J>^2| and |d<J>/dphi|^2 on the 5 x 5 phases 2 pi k / 5, come
-    from the binary64 images of the coefficient matrices (``_scales``).
-    One engine report at ``CHECK_PHASES`` must agree with the interpolant
-    to 10^-(dps - CHECK_MARGIN) of each quantity's scale, or
+    gives every value of the landscape.  No basis value exceeds 1 in
+    size, so the scales bound |var + <J>^2| and |d<J>/dphi|^2 at every
+    phase: the coefficient mass of var plus the square of sum |<J>_q|,
+    and the coefficient mass of dsq, each at least 1.  One engine report
+    at ``CHECK_PHASES`` must agree with the interpolant to
+    10^-(dps - CHECK_MARGIN) of each quantity's scale, or
     ``ConsistencyError`` is raised.
     """
 
     #: (x, phi_p basis, phi_c basis, phi_c halves, (var, dsq)) of the last
-    #: point evaluated, which ``jet`` reuses at the same x
+    #: point evaluated, which ``_point`` returns again at the same x
     _last = None
 
     def __init__(self, p: InterferometerParams, circuit: str):
@@ -202,11 +171,11 @@ class PhaseLandscape:
             #: the (var, dsq) coefficient matrices over the real basis
             self._coefs = (_real_coefficients(var, "variance"),
                            _real_coefficients(dsq, "derivative"))
+            masses = [mp.fsum(map(abs, sum(c, []))) for c in self._coefs]
             # what rounding moves an evaluation by: 10^-dps of the coefficient mass
-            self._noise = [mp.fsum(map(abs, sum(c, []))) / mpf(10) ** dps
-                           for c in self._coefs]
-            self.var_scale, self.dsq_scale = _scales(
-                _screen_matrix(_real_coefficients(mean, "mean"), 0), *self._images)
+            self._noise = [mass / mpf(10) ** dps for mass in masses]
+            self.var_scale = max(masses[0] + mp.fsum(map(abs, mean.values())) ** 2, mpf(1))
+            self.dsq_scale = max(masses[1], mpf(1))
             #: the rounding floor of the derivative, below which var/dsq is inf
             self.dsq_floor = self.tol * self.dsq_scale
             xc, yc = CHECK_PHASES
@@ -214,13 +183,6 @@ class PhaseLandscape:
             check_fit(self.at(mpf(xc), mpf(yc)), check, (self.var_scale, self.dsq_scale),
                       self.tol, "LO-phase interpolant",
                       f"phases {CHECK_PHASES} ({dps} digits)")
-
-    @functools.cached_property
-    def _images(self):
-        """The ``_screen_matrix`` images of the (var, dsq) coefficient
-        matrices, built on first use."""
-        with workdps(self.dps):
-            return tuple(map(_screen_matrix, self._coefs, self._noise))
 
     def _ratio(self, var, dsq):
         """var / dsq, or inf where dsq is at or below ``dsq_floor``; run at
@@ -230,8 +192,12 @@ class PhaseLandscape:
         return var / dsq
 
     def _point(self, x):
-        """Evaluate the landscape at x = (phi_p, phi_c) and keep the point
-        as ``_last``; run at the landscape's precision."""
+        """The landscape at x = (phi_p, phi_c), kept as ``_last``: that
+        point again where it is at x, so a value is taken once and a jet
+        there takes the same bits as a jet from scratch; run at the
+        landscape's precision."""
+        if self._last and self._last[0] == x:
+            return self._last
         u, v = map(_trig_basis, x)
         halves = _halves(self._coefs, v)
         self._last = point = (x, u, v, halves, _dot(u, halves))
@@ -251,12 +217,9 @@ class PhaseLandscape:
     def jet(self, x):
         """(var/dsq, its rounding floor, and the gradient (p, c) and Hessian
         (pp, pc, cc) of ln(var/dsq) in the phases) at x = (phi_p, phi_c) from
-        the exact derivatives of the basis; None where ``ratio(x)`` is inf.
-        At the point last evaluated its bases, phi_c halves and value are
-        reused, so a jet there takes the same bits as a jet from scratch."""
+        the exact derivatives of the basis; None where ``ratio(x)`` is inf."""
         with workdps(self.dps):
-            last = self._last
-            _, u, v, halves, value = last if last and last[0] == x else self._point(x)
+            _, u, v, halves, value = self._point(x)
             ratio = self._ratio(*value)
             if ratio == mpf("inf"):
                 return None
@@ -353,8 +316,8 @@ def _screen(land: PhaseLandscape, bases):
     some cell may be inf but none has a finite upper bound > 0.
 
     Each coefficient matrix C is scaled by 2^-e, e the binary exponent of
-    its largest |entry| (the landscape's ``_images``).  That is exact and
-    keeps the floats C' in range:
+    its largest |entry| (``_screen_matrix``).  That is exact and keeps the
+    floats C' in range:
     the CLI accepts gamma = kappa = 1e160 (coefficients of 4.5e333), r =
     400 (8.7e376) and alpha = 1e-200 (dsq coefficients of 4.5e-389).  The
     bases are the exact ``_trig_basis`` values rounded to floats, |b| <= 1,
@@ -381,17 +344,22 @@ def _screen(land: PhaseLandscape, bases):
     ``_cut``(least hi); a cell with lo above the cut of the running least
     hi is dropped.
     """
-    (e_var, var, err_var), (e_dsq, dsq, err_dsq) = land._images
+    (e_var, var, err_var), (e_dsq, dsq, err_dsq) = map(
+        _screen_matrix, land._coefs, land._noise)
     floor = float(mp.ldexp(land.dsq_floor, -e_dsq))
     err_dsq += 4 * _U * floor
     floats = [[float(b) for b in basis] for basis in bases]
+    halves = [[r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
+               for r0, r1, r2, r3, r4 in var + dsq] for v0, v1, v2, v3, v4 in floats]
     tol, shift = float(land.tol), e_var - e_dsq
     hi_min = cut = math.inf
     kept = []
-    for i, row in enumerate(_float_values((var, dsq), floats, floats)):
-        for j, (v, d) in enumerate(row):
+    for i, (u0, u1, u2, u3, u4) in enumerate(floats):
+        for j, (a0, a1, a2, a3, a4, b0, b1, b2, b3, b4) in enumerate(halves):
+            d = u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 + u4 * b4
             if d + err_dsq <= floor:
                 continue  # surely inf
+            v = u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3 + u4 * a4
             lo = (v - err_var) / (d + err_dsq)
             if lo > cut:
                 continue

@@ -260,29 +260,36 @@ def _node_values(coefs, basis):
     return [[mp.fdot(u, h) for h in hs] for u in basis for hs in halves]
 
 
-#: relative gap allowed between the binary64 scales and their
-#: working-precision values: about 1e-13 from the roundings of the
-#: coefficient images and of the two length-5 dot products, with room
-SCALE_RTOL = mpf("1e-12")
+def _assert_scale_bound(scale, top):
+    """``scale`` is finite, at least 1 and bounds ``top``, the largest
+    value of its quantity sampled, up to 1e-40 of rounding; where ``top``
+    is at least 1 it lies within a factor 2 of it, so the bound says
+    something."""
+    assert mp.isfinite(scale) and scale >= 1
+    assert top <= scale * (1 + mpf("1e-40"))
+    if top >= 1:
+        assert scale <= 2 * top
 
 
 @pytest.mark.parametrize("circuit,overrides", LANDSCAPE_POINTS + [
     ("tsu11", point) for point in FLOAT_RANGE_POINTS])
 def test_scales_match_the_per_node_route(circuit, overrides):
-    # the scales come from binary64 images of the coefficient matrices,
-    # scaled by powers of two, so they stay finite and at least 1 where
-    # the coefficients leave binary64's range
+    # the per-node route's values lie within the scales: coefficient
+    # masses, which bound |var + <J>^2| and dsq between the 5 x 5 phases
+    # 2 pi k / 5 too, where the largest node value falls short by up to
+    # 10.5%.  They stay finite and at least 1 where the coefficients leave
+    # binary64's range
     p = make_params("paper-start", **overrides)
     land = PhaseLandscape(p, circuit)
+    rng = random.Random(7)
     with workdps(p.precision):
         J, _, state = CIRCUITS[circuit](p.replace(phi_p=0, phi_c=0))
         mean = _real_coefficients(coherent_moments(J, state, LO_MODES)[0], "mean")
-        basis = [_trig_basis(2 * pi * k / 5) for k in range(5)]
-        nodes = _node_values((mean,) + land._coefs, basis)
-        want = node_scales((v + m * m, d) for m, v, d in nodes)
-        for got, node_scale in zip((land.var_scale, land.dsq_scale), want):
-            assert mp.isfinite(got) and got >= 1
-            assert abs(got - node_scale) <= SCALE_RTOL * node_scale
+        # the 25 nodes, 7 x 7 random phases and the mixed pairs
+        phases = [2 * pi * k / 5 for k in range(5)] + [mpf(rng.uniform(-4, 4)) for _ in range(7)]
+        cells = _node_values((mean,) + land._coefs, [_trig_basis(x) for x in phases])
+        _assert_scale_bound(land.var_scale, max(abs(v + m * m) for m, v, _ in cells))
+        _assert_scale_bound(land.dsq_scale, max(d for _, _, d in cells))
 
 
 def _two_pass_cell(land, axis):
@@ -306,8 +313,8 @@ def _tilted(land, tilt):
         var = [row[:] for row in land._coefs[0]]
         var[1][0] += mpf(tilt) * var[0][0]
         land._coefs = (var, land._coefs[1])
-    # the binary64 images of the coefficients are built again from the tilt
-    del land._images
+    # the point the landscape keeps was evaluated before the tilt
+    land._last = None
     return land
 
 
@@ -507,11 +514,11 @@ def _count_fdot(monkeypatch):
 
 def test_working_precision_dot_products_are_pinned(monkeypatch):
     # a landscape's only working-precision dot products are those of its
-    # check (10 halves, 2 values); its scales come from binary64 images.  A
-    # run adds 28 for the 2 x 2 kept grid cells, 42 for Newton's first jet,
-    # 12 per line-search trial, 30 per accepted point's jet and 12 for the
-    # final ratio: 220 where the working-precision scales and full jets
-    # took 430
+    # check (10 halves, 2 values); its scales are coefficient masses.  A run
+    # adds 28 for the 2 x 2 kept grid cells, 42 for Newton's first jet, 12
+    # per line-search trial and 30 per accepted point's jet, and its final
+    # ratio reuses Newton's last point: 208 where the working-precision
+    # scales and full jets took 430
     p = make_params("paper-start")
     _operators.cache_clear()
     calls = _count_fdot(monkeypatch)
@@ -520,7 +527,7 @@ def test_working_precision_dot_products_are_pinned(monkeypatch):
     _operators.cache_clear()
     calls.clear()
     optimize_phases(p, grid_n=16)
-    assert len(calls) == 220
+    assert len(calls) == 208
 
 
 def test_each_expression_is_normal_ordered_once(monkeypatch):
@@ -604,7 +611,7 @@ def test_graded_coefficients_match_the_node_dft(circuit, overrides):
                                                 (land.var_scale, land.dsq_scale), scales):
             gap = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
             assert gap <= mpf("1e-50") * scale
-            assert abs(scale - node_scale) <= SCALE_RTOL * node_scale
+            _assert_scale_bound(scale, node_scale)
 
 
 def test_charge_beyond_degree_two_raises(monkeypatch):
