@@ -15,16 +15,22 @@ functions, so evaluation is safe to run in parallel across parameter
 points.  The one thing an expression stores after construction is its
 normal form: ``normal_order`` computes it on the first call and returns
 the stored form on later ones, and a normal form is its own.
+
+The coherent-state kernel works on exact integer triples and rounds each
+value it returns once; only terms more than 2 prec + 64 bits apart (prec
+the working precision in bits) are truncated to that gap (``_add``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Iterable, Mapping
 
-from mpmath import mpc, workdps
+from mpmath import mp, mpc, workdps
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 #: (mode label, dagger flag); dagger=True is a creation operator.
 Factor = tuple[str, bool]
@@ -37,6 +43,8 @@ DEFAULT_DPS = 60
 ZERO_MARGIN = 5
 _LOG2_10 = math.log2(10)
 _NO_BITS = float("-inf")
+#: the exact triple of 0
+_ZERO = (0, 0, 0)
 
 
 class PrecisionMismatch(ValueError):
@@ -222,14 +230,63 @@ def normal_order(x: OperatorExpr) -> OperatorExpr:
     return x._normal
 
 
-def _amplitudes(state: Mapping[str, object]) -> dict[Factor, mpc]:
-    """Eigenvalue of each ladder factor on a coherent product state:
-    state[m] for an annihilator of mode m, its conjugate for a creator."""
-    amp: dict[Factor, mpc] = {}
-    for m, v in state.items():
-        a = amp[(m, False)] = mpc(v)
-        amp[(m, True)] = a.conjugate()
-    return amp
+def _add(x: tuple, y: tuple, limit: int) -> tuple:
+    """x + y of exact triples (re, im, e), of value (re + i im) 2^e; an exact
+    zero returns the other.  Exponents more than ``limit`` bits apart
+    truncate the operand of the smaller one to the larger less ``limit``
+    in place of growing the integers by the whole gap."""
+    if not (x[0] or x[1]):
+        return y
+    if not (y[0] or y[1]):
+        return x
+    (r1, i1, e1), (r2, i2, e2) = (x, y) if x[2] <= y[2] else (y, x)
+    gap = e2 - e1
+    if gap > limit:
+        return (r1 >> gap - limit) + (r2 << limit), (i1 >> gap - limit) + (i2 << limit), e2 - limit
+    return r1 + (r2 << gap), i1 + (i2 << gap), e1
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    (a, b, e), (c, d, f) = x, y
+    return a * c - b * d, a * d + b * c, e + f
+
+
+def _product(weight: tuple, factors: tuple[Factor, ...], amp: dict):
+    """weight times the amplitudes of ``factors``; None where one is 0."""
+    for f in factors:
+        if f not in amp:
+            return None
+        weight = _mul(weight, amp[f])
+    return weight
+
+
+def _kernel(x: OperatorExpr, state: Mapping[str, object]):
+    """(x's precision in bits, the ``_add`` limit: twice those plus 64, the
+    triple of each factor's eigenvalue on the coherent state, x's normal
+    form as (factors, triple)), triples read exactly from the mpf tuples
+    (sign, mantissa, exponent, bits); a zero amplitude is left out."""
+    prec = dps_to_prec(x.dps)
+    limit = 2 * prec + 64
+
+    def triple(c):
+        (rs, rm, re, _), (is_, im, ie, _) = c._mpc_
+        return _add((-rm if rs else rm, 0, re), (0, -im if is_ else im, ie), limit)
+
+    amp: dict[Factor, tuple] = {}
+    with workdps(x.dps):
+        for m, v in state.items():
+            re, im, e = triple(mpc(v))
+            if re or im:
+                amp[(m, False)], amp[(m, True)] = (re, im, e), (re, -im, e)
+    return prec, limit, amp, [(fac, triple(c)) for fac, c in normal_order(x).terms()]
+
+
+def _rounded(acc: dict, prec: int, phased: tuple[str, ...]):
+    """Each triple of ``acc`` rounded once, to nearest at ``prec`` bits:
+    {charge: value}, or without phased modes the value of charge ()."""
+    values = {q: mp.make_mpc(tuple(from_man_exp(m, t[2], prec, round_nearest) for m in t[:2]))
+              for q, t in acc.items()}
+    return values if phased else values.get((), mpc(0))
 
 
 def _charge(fac: tuple[Factor, ...], phased: tuple[str, ...]) -> tuple[int, ...]:
@@ -244,21 +301,23 @@ def coherent_expectation(x: OperatorExpr, state: Mapping[str, object],
 
     ``state`` maps mode labels to complex eigenvalues; absent modes are
     vacuum.  After normal ordering, each creation factor of mode m becomes
-    conj(state[m]) and each annihilation factor becomes state[m].
+    conj(state[m]) and each annihilation factor becomes state[m].  Sums
+    and products are exact on integer triples and each value returned is
+    rounded once.
 
     With ``phased`` modes (p_1, p_2, ...), the amplitude of p_k taken as
     state[p_k] e^{i t_k}, the mean is a Laurent polynomial in the e^{i t_k}.
     A term then goes to the coefficient of its charge (q_1, q_2, ...),
-    q_k its annihilators of p_k less its creators of p_k, and the
-    coefficients come back as {charge: value}.
+    q_k its annihilators of p_k less its creators of p_k, zero products
+    included, and the coefficients come back as {charge: value}.
     """
-    with workdps(x.dps):
-        amp = _amplitudes(state)
+    prec, limit, amp, terms = _kernel(x, state)
+    acc: dict[tuple[int, ...], tuple] = {}
+    for fac, c in terms:
         # with no phased modes every term has the charge ()
-        acc = _sum((phased and _charge(fac, phased),
-                    math.prod((amp.get(f, 0) for f in fac), start=c))
-                   for fac, c in normal_order(x).terms())
-        return acc if phased else acc.get((), mpc(0))
+        q = phased and _charge(fac, phased)
+        acc[q] = _add(acc.get(q, _ZERO), _product(c, fac, amp) or _ZERO, limit)
+    return _rounded(acc, prec, phased)
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,7 +326,8 @@ def _fock_norm(modes: tuple[str, ...]) -> int:
     return math.prod(math.factorial(modes.count(m)) for m in set(modes))
 
 
-def _displace(table: dict, ops: tuple[Factor, ...], weight: mpc, amp: dict) -> None:
+def _displace(table: dict, ops: tuple[Factor, ...], weight: tuple, amp: dict,
+              limit: int) -> None:
     """Add the operator part of weight * prod over ops of (op + amp[op]) to
     ``table``, keyed by the sorted mode labels of the operators kept (at
     least one); absent modes have amplitude 0.  The constant part, every
@@ -276,16 +336,16 @@ def _displace(table: dict, ops: tuple[Factor, ...], weight: mpc, amp: dict) -> N
     last = len(ops) - 1
     for i, op in enumerate(ops):
         a = amp.get(op)
-        nxt: dict[tuple[str, ...], mpc] = {}
+        nxt: dict[tuple[str, ...], tuple] = {}
         for key, w in partial.items():
             kept = key + (op[0],)
-            nxt[kept] = nxt[kept] + w if kept in nxt else w
+            nxt[kept] = _add(nxt.get(kept, _ZERO), w, limit)
             if a and (key or i < last):
-                nxt[key] = nxt[key] + w * a if key in nxt else w * a
+                nxt[key] = _add(nxt.get(key, _ZERO), _mul(w, a), limit)
         partial = nxt
     for key, w in partial.items():
         if key:
-            table[key] = table[key] + w if key in table else w
+            table[key] = _add(table.get(key, _ZERO), w, limit)
 
 
 def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
@@ -307,7 +367,9 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
     The constant term left out of both tables is <x>, which is taken by
     ``coherent_expectation``, the engine's one route to a mean.  No
     product x.x is formed and nothing cancels; Hermiticity is not assumed.
-    ``state`` maps mode labels to amplitudes, absent modes are vacuum.
+    As there, all is exact until each value is rounded once, so var of a
+    Hermitian x is exactly real.  ``state`` maps mode labels to
+    amplitudes, absent modes are vacuum.
 
     With ``phased`` modes both moments come back as {charge: coefficient}
     Laurent polynomials, as in ``coherent_expectation``.  The terms of
@@ -316,23 +378,23 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
     keeping the annihilator drops +1 from ann[M], so cre[M] ann[M] from
     tables of charges q, q' carries the charge q + q' whatever M is.
     """
-    with workdps(x.dps):
-        amp = _amplitudes(state)
-        cre: dict[tuple, dict[tuple[str, ...], mpc]] = {}
-        ann: dict[tuple, dict[tuple[str, ...], mpc]] = {}
-        for fac, c in normal_order(x).terms():
-            q = phased and _charge(fac, phased)
-            n_cre = sum(d for _, d in fac)
-            creators, annihilators = fac[:n_cre], fac[n_cre:]
-            to_cre = math.prod((amp.get(f, 0) for f in annihilators), start=c)
-            to_ann = math.prod((amp.get(f, 0) for f in creators), start=c)
-            if to_cre:
-                _displace(cre.setdefault(q, {}), creators, to_cre, amp)
-            if to_ann:
-                _displace(ann.setdefault(q, {}), annihilators, to_ann, amp)
-        var = _sum((tuple(map(operator.add, q, q2)),
-                    sum((c * ann_q[key] * _fock_norm(key) for key, c in cre_q.items()
-                         if key in ann_q), mpc(0)))
-                   for q, cre_q in cre.items() for q2, ann_q in ann.items())
-        mean = coherent_expectation(x, state, phased)
-        return (mean, var) if phased else (mean, var.get((), mpc(0)))
+    prec, limit, amp, terms = _kernel(x, state)
+    cre: dict[tuple, dict[tuple[str, ...], tuple]] = {}
+    ann: dict[tuple, dict[tuple[str, ...], tuple]] = {}
+    for fac, c in terms:
+        q = phased and _charge(fac, phased)
+        n_cre = sum(d for _, d in fac)
+        creators, annihilators = fac[:n_cre], fac[n_cre:]
+        for table, ops, w in ((cre, creators, _product(c, annihilators, amp)),
+                              (ann, annihilators, _product(c, creators, amp))):
+            if w and (w[0] or w[1]):
+                _displace(table.setdefault(q, {}), ops, w, amp, limit)
+    var: dict[tuple[int, ...], tuple] = {}
+    for (q, cre_q), (q2, ann_q) in itertools.product(cre.items(), ann.items()):
+        k = tuple(map(operator.add, q, q2))
+        var[k] = var.get(k, _ZERO)
+        for key, c in cre_q.items():
+            if key in ann_q:
+                re, im, e = _mul(c, ann_q[key])
+                var[k] = _add(var[k], (re * _fock_norm(key), im * _fock_norm(key), e), limit)
+    return coherent_expectation(x, state, phased), _rounded(var, prec, phased)

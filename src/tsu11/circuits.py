@@ -197,6 +197,20 @@ def _operators(key):
     return Jm + Jn, dJm + dJn
 
 
+#: circuit name -> the fields its builder forces, so ignores, and their
+#: values: all but su11 drop the second amplifier, the external loss and
+#: the homodyne imbalance
+_TRUNCATED = {"s": 0, "eta_p2": 1, "eta_c2": 1, "eta_p3": 0.5, "eta_c3": 0.5}
+FORCED = {"classical": _TRUNCATED, "tsu11": _TRUNCATED, "su11": {}, "vacuum": _TRUNCATED}
+
+
+def forced(p: InterferometerParams, values: dict) -> InterferometerParams:
+    """p with the fields of ``values`` set, replacing only those that
+    differ: a point that holds them all is returned as it is."""
+    changes = {name: v for name, v in values.items() if getattr(p, name) != v}
+    return p.replace(**changes) if changes else p
+
+
 def _state(p: InterferometerParams, alpha, beta):
     """Coherent assignment: seeds alpha, beta on a, b and the LOs
     gamma e^{i phi_p}, kappa e^{i phi_c} on g, h.  The LO phases live here
@@ -221,7 +235,7 @@ def build_tsu11_J(p: InterferometerParams):
     splitters; eta_p1, eta_c1 keep their given values as the internal
     losses.  Returns (J, dJ, state).
     """
-    return build_su11_J(p.replace(s=0, eta_p2=1, eta_c2=1, eta_p3=0.5, eta_c3=0.5))
+    return build_su11_J(forced(p, FORCED["tsu11"]))
 
 
 def build_vacuum_J(p: InterferometerParams):
@@ -251,8 +265,7 @@ def build_classical_J(p: InterferometerParams):
     seeds are rescaled by ``classical_seeds`` so the photon numbers on the
     sampled arms match the squeezed circuit at p.  Returns (J, dJ, state).
     """
-    J, dJ = _chain(p.replace(r=0, s=0, eta_p1=1, eta_c1=1, eta_p2=1, eta_c2=1,
-                             eta_p3=0.5, eta_c3=0.5))
+    J, dJ = _chain(forced(p, {**FORCED["classical"], "r": 0, "eta_p1": 1, "eta_c1": 1}))
     return J, dJ, _state(p, *classical_seeds(p))
 
 

@@ -175,23 +175,24 @@ def cmd_lod(args) -> int:
     p = _build_params(args)
     circuit = args.circuit
     rep = report(circuit, p)
+    lod = rep.lod_db
     print(f"circuit        : {circuit}")
     with workdps(p.precision):
         print(f"mean_j         : {mp.nstr(rep.mean_j, 12)}")
         print(f"variance       : {mp.nstr(rep.variance.real, 12)}")
         print(f"dj_dphi_sq     : {mp.nstr(rep.dj_dphi_sq, 12)}")
-    if rep.lod_db is None:
+    if lod is None:
         print("lod_db         : undefined (phase derivative of <J> vanishes)")
     else:
-        print(f"lod_db         : {_db4(rep.lod_db)}")
-    cells = _decimals(vars(rep), p.precision)
+        print(f"lod_db         : {_db4(lod)}")
+    cells = _decimals({**vars(rep), "lod_db": lod}, p.precision)
     rows = [[circuit, cells["variance"]["re"], cells["dj_dphi_sq"],
              cells["lod_db"] or "undefined"]]
     sidecar = {"command": "lod", "circuit": circuit, "report": cells}
     code = _write_outputs(args, rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"],
                           sidecar, p)
     # a failed write outranks the undefined LOD
-    return EXIT_UNDEFINED if code == EXIT_OK and rep.lod_db is None else code
+    return EXIT_UNDEFINED if code == EXIT_OK and lod is None else code
 
 
 def cmd_lodi(args) -> int:

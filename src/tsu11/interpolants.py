@@ -9,13 +9,15 @@ sweeps from engine reports at 3 or 9 nodes.  This module holds the
 check against one more engine report that both share, with its gap in
 digits; the scales of the r landscape's node reports, at which it is
 checked (the LO landscape has no nodes and bounds its own by its
-coefficient mass); and the weights of span{e^{kx}, |k| <= K}, which the
-r landscape takes in x = 2r for the even span.
+coefficient mass); and the Lagrange numerators of span{e^{kx}, |k| <=
+K}, which the r landscape takes in x = 2r for the even span: its rows
+are exact in integers from z = e^x on, up to one rounded division.
 """
 
 from __future__ import annotations
 
-from mpmath import exp, log10, mp, mpf
+from mpmath import log10, mp, mpf
+from mpmath.libmp import fzero, mpf_div, round_nearest
 
 from .metrology import ConsistencyError
 
@@ -57,27 +59,53 @@ def agreement_digits(gap, precision: int) -> float:
     return round(float(min(precision, -log10(gap)) if gap else precision), 1)
 
 
-def exp_weights(nodes, degree: int):
-    """x -> the weights of the node values in the interpolant from
-    span{e^{kx}, |k| <= ``degree``} on the ``nodes``.
+def fixed(values):
+    """(integers m_i, exponent e), values[i] = m_i 2^e exactly, of finite
+    mpf ``values``; with ``at_most``, ``lagrange_products`` and
+    ``quotient`` the exact arithmetic of the r landscape's rows."""
+    parts = [v._mpf_ for v in values]
+    e = min((x for _, m, x, _ in parts if m), default=0)
+    return [(-m if s else m) << x - e if m else 0 for s, m, x, _ in parts], e
 
-    With z = e^x that interpolant is z^-K P(z), P the polynomial of degree
-    2K through the lifted values z_i^K y_i, taken in the first barycentric
-    form, which stays accurate on wide and narrow spans alike (the second
-    form loses digits once e^{Kx} spans many decades).  At a node the
-    weights select its value.
-    """
-    zs = [exp(x) for x in nodes]
-    bary = [1 / mp.fprod(zi - zj for j, zj in enumerate(zs) if j != i)
+
+def at_most(x, y) -> bool:
+    """x <= y for exact (integer, exponent) pairs."""
+    shift = x[1] - y[1]
+    return x[0] << shift <= y[0] if shift >= 0 else x[0] <= y[0] << -shift
+
+
+def lagrange_lifts(zs, degree: int):
+    """z_i^K / prod_{j != i} (z_i - z_j) at each node z_i = e^{x_i}.
+
+    With z = e^x, the interpolant from span{e^{kx}, |k| <= K = ``degree``}
+    through values y_i is z^-K P(z), P the polynomial of degree 2K through
+    z_i^K y_i; so z^K times it is the sum of the Lagrange numerators c_i
+    prod_{j != i} (z - z_j), c_i the lift of y_i times y_i: exact in z,
+    with no division, on wide and narrow spans alike."""
+    return [zi ** degree / mp.fprod(zi - zj for j, zj in enumerate(zs) if j != i)
             for i, zi in enumerate(zs)]
-    lifted = [w * zi ** degree for w, zi in zip(bary, zs)]
 
-    def weights(x):
-        z = exp(x)
-        d = [z - zi for zi in zs]
-        if 0 in d:
-            return [mpf(di == 0) for di in d]
-        scale = mp.fprod(d) / z ** degree
-        return [w * scale / di for w, di in zip(lifted, d)]
 
-    return weights
+def lagrange_products(z, nodes, degree: int):
+    """(the products prod_{j != i} (z - z_j) per node, their exponent, z^K
+    as a pair) for ``nodes`` = ``fixed(zs)``, exactly, from prefix and
+    suffix products of the differences."""
+    zs, e_nodes = nodes
+    (m,), e_z = fixed([z])
+    e = min(e_z, e_nodes)
+    d = [(m << e_z - e) - (v << e_nodes - e) for v in zs]
+    pre, suf = [1], [1]
+    for a, b in zip(d[:-1], d[:0:-1]):
+        pre.append(pre[-1] * a)
+        suf.append(suf[-1] * b)
+    return [a * b for a, b in zip(pre, reversed(suf))], e * (len(d) - 1), (m ** degree,
+                                                                           e_z * degree)
+
+
+def quotient(num, den):
+    """num / den of exact pairs, rounded once to nearest at the working
+    precision; ``mpf_div`` takes them as raw mpf tuples, trailing zero
+    bits and all."""
+    def raw(m, e):
+        return (int(m < 0), abs(m), e, abs(m).bit_length()) if m else fzero
+    return mp.make_mpf(mpf_div(raw(*num), raw(*den), mp.prec, round_nearest))

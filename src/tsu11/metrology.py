@@ -11,7 +11,7 @@ Every LOD, LODI and undefined-LOD error of the package is taken here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import log10, mpc, mpf, sqrt, workdps
 
@@ -45,12 +45,14 @@ class MetrologyReport:
     dj_dphi_sq: mpf
     source: str  # "engine" or "closed-form"
     precision: int
-    lod_db: mpf | None = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def lod_db(self) -> mpf | None:
+        """The LOD, taken where it is read: a report that feeds an
+        interpolant takes none."""
         with workdps(self.precision):
             dsq = self.dj_dphi_sq
-            self.lod_db = lod_from_ratio(self.variance.real / dsq) if dsq > 0 else None
+            return lod_from_ratio(self.variance.real / dsq) if dsq > 0 else None
 
 
 @dataclass
@@ -96,9 +98,10 @@ def lod_from_ratio(ratio):
 def defined_lod(rep: MetrologyReport, message: str, variance=None):
     """``rep.lod_db``, or ``UndefinedLodError(message, variance)`` where the
     phase derivative of <J> vanishes."""
-    if rep.lod_db is None:
+    lod = rep.lod_db
+    if lod is None:
         raise UndefinedLodError(message, variance)
-    return rep.lod_db
+    return lod
 
 
 def report(circuit: str, p: InterferometerParams) -> MetrologyReport:
@@ -134,10 +137,15 @@ def classical_reference(p: InterferometerParams) -> MetrologyReport:
     is evaluated there; it shares the arms setting of the circuit under
     comparison.
     """
+    return report("classical", classical_point(p))
+
+
+def classical_point(p: InterferometerParams) -> InterferometerParams:
+    """p with both LO phases at the sample phase, where the classical
+    reference is evaluated."""
     with workdps(p.precision):
         phi = sampling_phase(p.theta_f, p.precision)
-    q = p.replace(phi_p=phi, phi_c=phi)
-    return report("classical", q)
+    return p.replace(phi_p=phi, phi_c=phi)
 
 
 def classical_lod(p: InterferometerParams):

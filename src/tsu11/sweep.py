@@ -14,8 +14,11 @@ span{e^{-2r}, 1, e^{2r}} (``_axis_degree``).  Engine reports at 3 nodes
 They are taken with guard digits beyond the working precision, more on a
 wider span (``_guard_dps``).  One off-node report checks the fit as the
 LO-phase landscape is checked, and a miss raises ``ConsistencyError``.
-Rows are evaluated at the guard precision and rounded to the working
-precision.  The per-point engine still evaluates every other axis,
+Rows come from exact Lagrange numerators: past z = e^{step r}, rounded
+once at the guard precision, a row is integer arithmetic up to one
+rounded division, and its value is rounded to the working precision.
+An axis over a field the circuit's builder forces (``FORCED``) is
+refused.  The per-point engine still evaluates every other axis,
 out-of-domain points, runs of no more in-domain points than a fit's
 reports (4 or 10), runs whose span needs more than ``MAX_GUARD_DPS``
 guard digits, and rows whose interpolated derivative is at its rounding
@@ -24,17 +27,18 @@ floor, so an undefined LOD keeps the engine's message.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
-from mpmath import mp, mpf, workdps
+from mpmath import exp, mp, mpf, workdps
 
-from .circuits import CIRCUITS, NUMERIC_FIELDS, InterferometerParams
-from .interpolants import agreement_digits, check_fit, exp_weights, node_scales, tolerance
+from .circuits import CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams, forced
+from .interpolants import (agreement_digits, at_most, check_fit, fixed, lagrange_lifts,
+                           lagrange_products, node_scales, quotient, tolerance)
 from .metrology import (
     UndefinedLodError,
-    classical_reference,
+    classical_point,
     lod_db,
     lod_from_ratio,
     lodi_db,
@@ -99,6 +103,10 @@ class SweepGrid:
             if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
                 raise ValueError(f"unknown sweep axis {ax.name!r}")
             for f in PARAM_ALIASES.get(ax.name, (ax.name,)):
+                if f in FORCED[self.circuit]:
+                    raise ValueError(f"the {self.circuit} circuit forces {f} = "
+                                     f"{FORCED[self.circuit][f]}: sweep axis {ax.name!r} "
+                                     "would not move it")
                 if f in self.owner:
                     raise ValueError(f"sweep axes {self.owner[f]!r} and {ax.name!r} "
                                      f"both set {f}")
@@ -151,35 +159,40 @@ def _guard_dps(degree: int, span) -> int:
 class AxisLandscape:
     """Exact interpolant of var(J) and |d<J>/dphi|^2 along the gain r.
 
-    ``measures`` map parameters to a metrology report (``report`` of a
-    circuit, ``classical_reference``).  Each is fitted in the ``basis``
-    span{e^{k step r}, |k| <= d} of ``_axis_degree`` from engine reports
-    at the same 2d + 1 nodes, equispaced on ``span``, ``_guard_dps``
-    digits beyond p's precision, and takes one more report in the middle
-    of the first node interval for ``check``.  ``dsq_floors`` holds each
-    measure's rounding floor of |d<J>/dphi|^2 at p's precision.
+    ``measures`` are (circuit, point) pairs, the circuit's ``report`` at
+    point(p) with its ``FORCED`` fields set and r moved.  Each is fitted in
+    the ``basis`` span{e^{k step r}, |k| <= d} of ``_axis_degree`` from
+    reports at the same 2d + 1 nodes, equispaced on ``span``,
+    ``_guard_dps`` digits beyond p's precision, and kept as the Lagrange
+    coefficients c_i of its var and |d<J>/dphi|^2, and takes one more
+    report in the middle of the first node interval for ``check``.
+    ``dsq_floors`` holds each measure's rounding floor of |d<J>/dphi|^2 at
+    p's precision.  Coefficients and floors are exact (``fixed``).
     """
 
     def __init__(self, p: InterferometerParams, basis, span, measures):
         lo, hi = span
-        self.step, degree = basis
+        self.step, self.degree = basis
         self.precision = p.precision
-        self.dps = dps = p.precision + _guard_dps(self.step * degree, span)
+        self.dps = dps = p.precision + _guard_dps(self.step * self.degree, span)
         tol = tolerance(p.precision)
-        n = 2 * degree + 1
+        n = 2 * self.degree + 1
         with workdps(dps):
             q = p.replace(precision=dps)
             nodes = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-            self.weights = exp_weights([self.step * x for x in nodes], degree)
+            zs = [exp(self.step * x) for x in nodes]
+            lifts = lagrange_lifts(zs, self.degree)
+            self._nodes = fixed(zs)
             self.check_at = lo + (hi - lo) / (2 * n - 2)
             self.fits, self.checks = [], []
-            for measure in measures:
-                reps = [measure(q.replace(r=x)) for x in nodes]
-                self.fits.append(([r.variance.real for r in reps],
-                                  [r.dj_dphi_sq for r in reps],
+            for circuit, point in measures:
+                base = forced(point(q), FORCED[circuit])
+                reps = [report(circuit, base.replace(r=x)) for x in nodes]
+                self.fits.append((fixed([c * r.variance.real for c, r in zip(lifts, reps)]),
+                                  fixed([c * r.dj_dphi_sq for c, r in zip(lifts, reps)]),
                                   node_scales((r.second_moment, r.dj_dphi_sq) for r in reps)))
-                self.checks.append(measure(q.replace(r=self.check_at)))
-            self.dsq_floors = [tol * scales[1] for _, _, scales in self.fits]
+                self.checks.append(report(circuit, base.replace(r=self.check_at)))
+            self.dsq_floors = [fixed([tol * scales[1]]) for _, _, scales in self.fits]
         self.check_digits = None
 
     def check(self):
@@ -194,12 +207,20 @@ class AxisLandscape:
                       for fit, rep in zip(self.at(self.check_at), self.checks))
             self.check_digits = agreement_digits(gap, self.precision)
 
+    def numerators(self, r):
+        """(z^K, [(var, dsq) numerators of each measure]) at gain r, exact,
+        for z = e^{step r} rounded at the guard precision, at which it runs;
+        each value is its numerator over z^K."""
+        products, e, zk = lagrange_products(exp(self.step * r), self._nodes, self.degree)
+        return zk, [tuple((sum(map(operator.mul, cs, products)), ec + e) for cs, ec in fit[:2])
+                    for fit in self.fits]
+
     def at(self, r):
         """[(var, dsq, node scales of both)] of each measure at gain r."""
         with workdps(self.dps):
-            w = self.weights(self.step * r)
-            return [(mp.fdot(w, var), mp.fdot(w, dsq), scales)
-                    for var, dsq, scales in self.fits]
+            zk, numerators = self.numerators(r)
+            return [(quotient(var, zk), quotient(dsq, zk), fit[2])
+                    for (var, dsq), fit in zip(numerators, self.fits)]
 
 
 def _run_landscape(grid: SweepGrid, name: str, params):
@@ -215,9 +236,9 @@ def _run_landscape(grid: SweepGrid, name: str, params):
     if (len(params) <= 2 * degree + 2 or span[0] == span[1]
             or _guard_dps(step * degree, span) > MAX_GUARD_DPS):
         return None
-    measures = [functools.partial(report, grid.circuit)]
+    measures = [(grid.circuit, lambda q: q)]
     if grid.target == "lodi":
-        measures.append(classical_reference)
+        measures.append(("classical", classical_point))
     try:
         land = AxisLandscape(params[0], basis, span, measures)
     except (ValueError, ArithmeticError):
@@ -228,21 +249,24 @@ def _run_landscape(grid: SweepGrid, name: str, params):
 
 
 def _interpolated_target(grid: SweepGrid, land: AxisLandscape, r, dps: int):
-    """The target at gain r on ``land``, taken at its guard precision and
-    rounded to ``dps`` digits; None where a |d<J>/dphi|^2 is at or below
-    its rounding floor, ``land.dsq_floors``, for the engine to decide."""
+    """The target at gain r on ``land``, from its exact numerators and one
+    rounded division at its guard precision, rounded to ``dps`` digits;
+    None where a |d<J>/dphi|^2 is at or below its rounding floor,
+    ``land.dsq_floors``, for the engine to decide."""
     with workdps(land.dps):
-        moments = land.at(r)
+        (zk, ek), numerators = land.numerators(r)
         if grid.target == "variance":
-            value = moments[0][0]
-        elif any(dsq <= floor for (_, dsq, _), floor in zip(moments, land.dsq_floors)):
+            value = quotient(numerators[0][0], (zk, ek))
+        elif any(at_most(dsq, (floor * zk, e + ek))
+                 for (_, dsq), ([floor], e) in zip(numerators, land.dsq_floors)):
             return None
         else:
-            ratio = moments[0][0] / moments[0][1]
-            if grid.target == "lodi":
-                # LOD - LOD_classical is the LOD of the ratio of the ratios
-                ratio /= moments[1][0] / moments[1][1]
-            value = lod_from_ratio(ratio)
+            (var, dsq), *reference = numerators
+            # z^-K cancels from var / dsq; LOD - LOD_classical is the LOD of
+            # the ratio of the ratios
+            for (ref_var, ref_e), (ref_dsq, ref_f) in reference:
+                var, dsq = (var[0] * ref_dsq, var[1] + ref_f), (dsq[0] * ref_var, dsq[1] + ref_e)
+            value = lod_from_ratio(quotient(var, dsq))
     with workdps(dps):
         return +value
 

@@ -3,10 +3,13 @@
 import math
 import operator
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import exp, mpc, mpf, sqrt, workdps
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from tsu11 import (
     ConsistencyError,
@@ -18,11 +21,14 @@ from tsu11 import (
     coherent_expectation,
     coherent_moments,
     ladder,
+    make_params,
     mul,
     normal_order,
+    report,
     variance,
 )
-from tsu11.algebra import ZERO_MARGIN, _amplitudes, _charge, _fock_norm, _reorder, _sum
+from tsu11 import algebra
+from tsu11.algebra import ZERO_MARGIN, _reorder, _sum
 
 from conftest import random_expr, random_state
 from fock_oracle import factored_expectation
@@ -336,68 +342,135 @@ def _uncached_normal_order(x):
     return OperatorExpr(acc, x.dps, _trusted=True)
 
 
-def _reference_displace(table, ops, weight, amp):
-    """The displacement kernel that forms the constant part too, kept as a
-    reference: the operator part of weight * prod (op + amp[op]) into table."""
-    partial = {(): weight}
-    for op in ops:
-        a = amp.get(op)
-        nxt = {}
-        for key, w in partial.items():
-            kept = key + (op[0],)
-            nxt[kept] = nxt[kept] + w if kept in nxt else w
-            if a:
-                nxt[key] = nxt[key] + w * a if key in nxt else w * a
-        partial = nxt
-    for key, w in partial.items():
-        if key:
-            table[key] = table[key] + w if key in table else w
+def _exact(c):
+    """The exact value of an mpc as a pair (re, im) of Fractions, read from
+    its mpf tuples (sign, mantissa, exponent, bit count)."""
+    def part(t):
+        sign, man, e, _ = t
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** e
+    return part(c._mpc_[0]), part(c._mpc_[1])
 
 
-def _reference_moments(x, state, phased=()):
-    """(mean, var) of ``coherent_moments`` from ``_uncached_normal_order``
-    and ``_reference_displace``, in the kernel's order of operations."""
+def _times(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _exact_moments(x, state, phased):
+    """Exact {charge: (re, im)} of <x> and of <x.x> - <x>^2, with their
+    magnitude sums (L1 over the terms summed), from the Fractions of x's
+    stored normal form and of the amplitudes at x's precision.  <x.x>
+    takes every product of two terms in normal order (``_reorder``), so
+    it shares no step with the displaced vacuum of ``coherent_moments``."""
     with workdps(x.dps):
-        amp = _amplitudes(state)
-        form = _uncached_normal_order(x)
-        mean = _sum((phased and _charge(fac, phased),
-                     math.prod((amp.get(f, 0) for f in fac), start=c))
-                    for fac, c in form.terms())
-        cre, ann = {}, {}
-        for fac, c in form.terms():
-            q = phased and _charge(fac, phased)
-            n_cre = sum(d for _, d in fac)
-            creators, annihilators = fac[:n_cre], fac[n_cre:]
-            to_cre = math.prod((amp.get(f, 0) for f in annihilators), start=c)
-            to_ann = math.prod((amp.get(f, 0) for f in creators), start=c)
-            if to_cre:
-                _reference_displace(cre.setdefault(q, {}), creators, to_cre, amp)
-            if to_ann:
-                _reference_displace(ann.setdefault(q, {}), annihilators, to_ann, amp)
-        var = _sum((tuple(map(operator.add, q, q2)),
-                    sum((c * ann_q[key] * _fock_norm(key) for key, c in cre_q.items()
-                         if key in ann_q), mpc(0)))
-                   for q, cre_q in cre.items() for q2, ann_q in ann.items())
-        if phased:
-            return mean, var
-        return mean.get((), mpc(0)), var.get((), mpc(0))
+        amp = {}
+        for m, v in state.items():
+            re, im = amp[(m, False)] = _exact(mpc(v))
+            amp[(m, True)] = re, -im
+    terms = [(fac, _exact(c)) for fac, c in normal_order(x).terms()]
+
+    def value(c, fac):
+        for f in fac:
+            c = _times(c, amp.get(f, (0, 0)))
+        return c
+
+    def charge(fac):
+        return tuple(sum(-1 if d else 1 for m, d in fac if m == pm) for pm in phased)
+
+    def add(acc, q, v):
+        old = acc.get(q, (0, 0))
+        acc[q] = old[0] + v[0], old[1] + v[1]
+
+    mean, xx, mass = {}, {}, [0, 0]
+    for fac, c in terms:
+        v = value(c, fac)
+        add(mean, charge(fac), v)
+        mass[0] += abs(v[0]) + abs(v[1])
+    for f1, c1 in terms:
+        for f2, c2 in terms:
+            for key, mult in _reorder(f1 + f2):
+                v = value(_times(c1, c2), key)
+                add(xx, charge(key), (mult * v[0], mult * v[1]))
+                mass[1] += mult * (abs(v[0]) + abs(v[1]))
+    var = dict(xx)
+    for q, m in mean.items():
+        for q2, m2 in mean.items():
+            add(var, tuple(map(operator.add, q, q2)), tuple(-p for p in _times(m, m2)))
+    return (mean, mass[0]), (var, mass[1])
 
 
-@settings(max_examples=80, deadline=None)
+def _assert_rounded_once(got, want, mass, prec, truncated):
+    """Each part of ``got`` is that of ``want`` rounded once to nearest at
+    prec bits, bit for bit, unless the kernel ``truncated`` an operand at
+    its alignment bound (exponents more than 2 prec + 64 bits apart).
+    Then a part is within one rounding plus mass 2^-(2 prec), ``mass`` the
+    magnitude sum of the terms summed."""
+    for g, part, w in zip(got._mpc_, _exact(got), want):
+        if truncated:
+            assert abs(part - w) <= abs(w) * Fraction(2) ** -prec + mass * Fraction(2) ** (-2 * prec)
+        else:
+            assert g == from_rational(w.numerator, w.denominator, prec, round_nearest)
+
+
+amplitude_st = st.one_of(
+    st.just(0),
+    st.tuples(st.complex_numbers(min_magnitude=0.1, max_magnitude=1, allow_nan=False,
+                                 allow_infinity=False), st.integers(-100, 100)))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.dictionaries(mode3_term_st, coeff_st, min_size=1, max_size=5).map(
-        lambda d: OperatorExpr(d, dps=40)),
-    st.dictionaries(st.sampled_from(["a", "b", "c"]), amp_st),
+    st.integers(30, 120),
+    st.dictionaries(mode3_term_st, coeff_st, min_size=1, max_size=5),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), amplitude_st),
     st.sampled_from([(), ("a",), ("a", "b"), ("c", "a")]),
 )
-def test_kernel_matches_the_reference_route_bit_for_bit_property(x, state, phased):
-    # the stored normal form and the displacement that skips the constant
-    # part change no bit of either moment, graded or not; the second round
-    # reads the form the first one stored
-    want_mean, want_var = _reference_moments(x, state, phased)
+@example(30, {(("a", True), ("a", False)): 1, (): 1}, {"a": (1, 100), "b": 0}, ())
+# a product at a rounding tie, broken by a real part the bound truncates
+@example(30, {(("a", False),): 1.1349741389255453e-294 + 1.5j}, {"a": (0.5 + 0.5j, -1)}, ())
+def test_kernel_rounds_the_exact_moments_once_property(dps, terms, amplitudes, phased):
+    # amplitudes from 1e-100 to 1e100 in size, zero or absent, at 30-120
+    # digits: each mean, variance and charge coefficient is the exact value
+    # of the stored terms and amplitudes, rounded once, unless an operand met
+    # the alignment bound; the second round reads the normal form the first
+    # one stored
+    x = OperatorExpr(terms, dps=dps)
+    with workdps(dps):
+        state = {m: a and mpc(a[0]) * mpf(10) ** a[1] for m, a in amplitudes.items()}
+    prec, truncated = dps_to_prec(dps), []
+
+    def add(x, y, limit):
+        if (x[0] or x[1]) and (y[0] or y[1]) and abs(x[2] - y[2]) > limit:
+            truncated.append((x, y))
+        return exact_add(x, y, limit)
+
+    exact_add = algebra._add
     for _ in range(2):
-        assert coherent_moments(x, state, phased) == (want_mean, want_var)
-        assert coherent_expectation(x, state, phased) == want_mean
+        with mock.patch.object(algebra, "_add", add):
+            moments = coherent_moments(x, state, phased)
+        assert coherent_expectation(x, state, phased) == moments[0]
+        for got, (want, mass) in zip(moments, _exact_moments(x, state, phased)):
+            got = got if phased else {(): got}
+            for q in got.keys() | want.keys():
+                _assert_rounded_once(got.get(q, mpc(0)), want.get(q, (0, 0)), mass, prec,
+                                     truncated)
+
+
+@pytest.mark.parametrize("dps,ref_dps", [(30, 120), (120, 240)])
+@pytest.mark.parametrize("circuit", ["tsu11", "classical"])
+@pytest.mark.parametrize("point", [{"alpha": "1e-200"}, {"gamma": "1e160", "kappa": "1e160"},
+                                   {"r": "400"}], ids=["alpha", "gamma_kappa", "r"])
+def test_extreme_points_keep_the_working_precision(dps, ref_dps, circuit, point):
+    # the CLI's extremes put the terms of a sum thousands of bits apart,
+    # past the kernel's alignment bound (2 prec + 64 bits): each moment
+    # still agrees with a higher-precision engine run to the working
+    # precision, a 30-digit run with a 120-digit one
+    rep, ref = (report(circuit, make_params("paper-start", precision=d, **point))
+                for d in (dps, ref_dps))
+    with workdps(ref_dps):
+        for got, want in ((rep.mean_j, ref.mean_j), (rep.variance, ref.variance),
+                          (rep.dj_dphi_sq, ref.dj_dphi_sq)):
+            assert abs(got - want) <= abs(want) * mpf(10) ** (3 - dps)
+    assert rep.variance.imag == 0
 
 
 class TestSerialization:

@@ -291,6 +291,21 @@ class TestSweepCommand:
         assert out.splitlines()[1].startswith("1.0e-400,")
         assert '"lo": "1e-400"' in out
 
+    @pytest.mark.parametrize("circuit", ["tsu11", "vacuum", "classical"])
+    @pytest.mark.parametrize("field", ["s", "eta_p2", "eta_c2", "eta_p3", "eta_c3"])
+    def test_axis_over_a_forced_field_exit_2(self, capsys, circuit, field):
+        # the builder forces the field, so the sweep would write a constant
+        # column; su11 keeps it
+        code, out, err = run_cli(capsys, "sweep", "--preset", "paper-start",
+                                 "--circuit", circuit, "--axis", f"{field}:0.1:0.9:3")
+        assert code == EXIT_CONFIG
+        assert f"the {circuit} circuit forces {field}" in err
+        assert out == ""
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "paper-start", "--circuit", "su11",
+                               "--axis", f"{field}:0.1:0.9:3")
+        assert code == EXIT_OK
+        assert len({row.split(",")[1] for row in out.splitlines()[1:4]}) == 3
+
     def test_axis_bound_keeps_every_typed_digit(self, capsys):
         r = "0.1234567890123456789012345"
         code, out, _ = run_cli(capsys, "sweep", "--preset", "paper-start",
@@ -348,9 +363,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
     def test_out_of_domain_point_is_an_error_row(self, capsys, tmp_path, field):
         # each point's parameters are built in its own row, so a value
-        # outside the field's domain fills that row's error cell
+        # outside the field's domain fills that row's error cell; su11 is
+        # the circuit that forces no field
         out = tmp_path / "sweep.csv"
-        code, _, err = run_cli(capsys, "sweep", "--preset", "paper-start",
+        code, _, err = run_cli(capsys, "sweep", "--preset", "paper-start", "--circuit", "su11",
                                "--axis", f"{field}:-1:2:2", "--out", str(out))
         assert code == EXIT_OK
         assert "Traceback" not in err

@@ -1,6 +1,5 @@
 """Phase optimization and sweeps."""
 
-import functools
 import random
 
 import pytest
@@ -915,7 +914,7 @@ class TestSweepInterpolant:
         basis = _axis_degree(circuit, p)
         assert basis == (2, 1)
         land = AxisLandscape(p, basis, (mpf(lo), mpf(lo) + mpf(width)),
-                             [functools.partial(report, circuit)])
+                             [(circuit, lambda q: q)])
         land.check()
         with workdps(land.dps):
             r = mpf(lo) + mpf(width) * mpf(at)
