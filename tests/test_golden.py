@@ -22,7 +22,7 @@ GOLDEN = {
     "lod --preset paper-start --circuit tsu11":
         "e9f1aaed2ca679cacef770468a8ae401d8e74e95fcfcbb378f7828d35e283c91",
     "lod --preset paper-start --circuit su11 --s 0.3 --beta 1e5 --eta_p3 0.3":
-        "e36e9f06e76b5a76c153f777c1d75b01f15f5df5d75a97fb1661b259e5920e84",
+        "c7f5fdb2bd77a3be7b1fe78db0df82b6f77514b30efb6546e2cef0687245e36a",
     "lod --preset paper-start --circuit vacuum":
         "69cf92dc84ffcb6a677f3e1a50bcbbe977c846fd7a7611a5dfa1569eaec6c484",
     "lodi --preset paper-start --phi_p 0.001 --phi_c 0.001":
@@ -41,7 +41,7 @@ GOLDEN = {
     "--axis r:0:2:21 --target variance":
         "c6ef55d9a3cb3fabd1564a7cc3de35723ad2a4e5199d131511f1cc2d6fd1479f",
     "vacuum --preset paper-start --axis phi:-0.05:0.05:41 --axis phi_p:-0.08:0.08:5":
-        "5904a75d42f358d022f5e17c3b6d2a8e256a702c7fc57c48024c8304ba36afb6",
+        "fa9330027d7f4cf21f9ce4dd0689d2b636c5f8ca8dbb60d7479f12b5019b91a3",
 }
 
 
