@@ -30,7 +30,7 @@ import operator
 from typing import Iterable, Mapping
 
 from mpmath import mp, mpc, workdps
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, mpc_pos, round_nearest
 
 #: (mode label, dagger flag); dagger=True is a creation operator.
 Factor = tuple[str, bool]
@@ -269,16 +269,21 @@ def _kernel(x: OperatorExpr, state: Mapping[str, object]):
     limit = 2 * prec + 64
 
     def triple(c):
-        (rs, rm, re, _), (is_, im, ie, _) = c._mpc_
+        (rs, rm, re, _), (is_, im, ie, _) = c
         return _add((-rm if rs else rm, 0, re), (0, -im if is_ else im, ie), limit)
 
     amp: dict[Factor, tuple] = {}
-    with workdps(x.dps):
-        for m, v in state.items():
-            re, im, e = triple(mpc(v))
-            if re or im:
-                amp[(m, False)], amp[(m, True)] = (re, im, e), (re, -im, e)
-    return prec, limit, amp, [(fac, triple(c)) for fac, c in normal_order(x).terms()]
+    for m, v in state.items():
+        # an amplitude rounded to x's precision, as mpc(v) there would be
+        if isinstance(v, mpc):
+            v = mpc_pos(v._mpc_, prec, round_nearest)
+        else:
+            with workdps(x.dps):
+                v = mpc(v)._mpc_
+        re, im, e = triple(v)
+        if re or im:
+            amp[(m, False)], amp[(m, True)] = (re, im, e), (re, -im, e)
+    return prec, limit, amp, [(fac, triple(c._mpc_)) for fac, c in normal_order(x).terms()]
 
 
 def _rounded(acc: dict, prec: int, phased: tuple[str, ...]):

@@ -32,6 +32,7 @@ import operator
 from dataclasses import dataclass, field
 
 from mpmath import exp, mp, mpf, workdps
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
 
 from .circuits import CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams, forced
 from .interpolants import (agreement_digits, at_most, check_fit, fixed, lagrange_lifts,
@@ -212,8 +213,9 @@ class AxisLandscape:
         for z = e^{step r} rounded at the guard precision, at which it runs;
         each value is its numerator over z^K."""
         products, e, zk = lagrange_products(exp(self.step * r), self._nodes, self.degree)
-        return zk, [tuple((sum(map(operator.mul, cs, products)), ec + e) for cs, ec in fit[:2])
-                    for fit in self.fits]
+        return zk, [((sum(map(operator.mul, var, products)), ev + e),
+                     (sum(map(operator.mul, dsq, products)), ed + e))
+                    for (var, ev), (dsq, ed), _ in self.fits]
 
     def at(self, r):
         """[(var, dsq, node scales of both)] of each measure at gain r."""
@@ -250,8 +252,8 @@ def _run_landscape(grid: SweepGrid, name: str, params):
 
 def _interpolated_target(grid: SweepGrid, land: AxisLandscape, r, dps: int):
     """The target at gain r on ``land``, from its exact numerators and one
-    rounded division at its guard precision, rounded to ``dps`` digits;
-    None where a |d<J>/dphi|^2 is at or below its rounding floor,
+    rounded division at its guard precision, rounded to nearest at ``dps``
+    digits; None where a |d<J>/dphi|^2 is at or below its rounding floor,
     ``land.dsq_floors``, for the engine to decide."""
     with workdps(land.dps):
         (zk, ek), numerators = land.numerators(r)
@@ -267,8 +269,7 @@ def _interpolated_target(grid: SweepGrid, land: AxisLandscape, r, dps: int):
             for (ref_var, ref_e), (ref_dsq, ref_f) in reference:
                 var, dsq = (var[0] * ref_dsq, var[1] + ref_f), (dsq[0] * ref_var, dsq[1] + ref_e)
             value = lod_from_ratio(quotient(var, dsq))
-    with workdps(dps):
-        return +value
+    return mp.make_mpf(mpf_pos(value._mpf_, dps_to_prec(dps), round_nearest))
 
 
 def _engine_result(value=None, error: str = "") -> dict:
