@@ -80,8 +80,8 @@ def lagrange_lifts(zs, degree: int):
     With z = e^x, the interpolant from span{e^{kx}, |k| <= K = ``degree``}
     through values y_i is z^-K P(z), P the polynomial of degree 2K through
     z_i^K y_i; so z^K times it is the sum of the Lagrange numerators c_i
-    prod_{j != i} (z - z_j), c_i the lift of y_i times y_i: exact in z,
-    with no division, on wide and narrow spans alike."""
+    prod_{j != i} (z - z_j), c_i = lift_i y_i: exact in z, with no
+    division, on wide and narrow spans alike."""
     return [zi ** degree / mp.fprod(zi - zj for j, zj in enumerate(zs) if j != i)
             for i, zi in enumerate(zs)]
 
