@@ -436,14 +436,13 @@ def test_kernel_rounds_the_exact_moments_once_property(dps, terms, amplitudes, p
     x = OperatorExpr(terms, dps=dps)
     with workdps(dps):
         state = {m: a and mpc(a[0]) * mpf(10) ** a[1] for m, a in amplitudes.items()}
-    prec, truncated = dps_to_prec(dps), []
+    prec, truncated, exact_add = dps_to_prec(dps), [], algebra._add
 
-    def add(x, y, limit):
-        if (x[0] or x[1]) and (y[0] or y[1]) and abs(x[2] - y[2]) > limit:
-            truncated.append((x, y))
-        return exact_add(x, y, limit)
+    def add(a, b, limit):
+        if (a[0] or a[1]) and (b[0] or b[1]) and abs(a[2] - b[2]) > limit:
+            truncated.append((a, b))
+        return exact_add(a, b, limit)
 
-    exact_add = algebra._add
     for _ in range(2):
         with mock.patch.object(algebra, "_add", add):
             moments = coherent_moments(x, state, phased)
