@@ -32,7 +32,8 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, fields, replace
-from mpmath import cosh, exp, isfinite, mpc, mpf, sinh, sqrt, workdps
+from mpmath import exp, isfinite, mp, mpc, mpf, sqrt, workdps
+from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
 from .algebra import DEFAULT_DPS, OperatorExpr, adjoint, ladder, mul, zero
 from .jones import sampling_phase
@@ -145,7 +146,8 @@ def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr
 
 def _squeeze(x: OperatorExpr, y: OperatorExpr, r):
     """Two-mode squeezer: x -> x cosh r + y' sinh r, y -> x' sinh r + y cosh r."""
-    return x * cosh(r) + adjoint(y) * sinh(r), adjoint(x) * sinh(r) + y * cosh(r)
+    ch, sh = map(mp.make_mpf, mpf_cosh_sinh(r._mpf_, mp.prec, round_nearest))
+    return x * ch + adjoint(y) * sh, adjoint(x) * sh + y * ch
 
 
 def _chain(p: InterferometerParams):
@@ -216,8 +218,9 @@ def _state(p: InterferometerParams, alpha, beta):
     gamma e^{i phi_p}, kappa e^{i phi_c} on g, h.  The LO phases live here
     and not in the operators; a zero phase leaves the amplitude exact."""
     with workdps(p.precision):
-        return {"a": mpc(alpha), "b": mpc(beta),
-                "g": p.gamma * exp(mpc(0, p.phi_p)), "h": p.kappa * exp(mpc(0, p.phi_c))}
+        g = exp(mpc(0, p.phi_p))
+        h = g if p.phi_c == p.phi_p else exp(mpc(0, p.phi_c))
+        return {"a": mpc(alpha), "b": mpc(beta), "g": p.gamma * g, "h": p.kappa * h}
 
 
 def build_su11_J(p: InterferometerParams):
@@ -253,8 +256,8 @@ def classical_seeds(p: InterferometerParams):
     alpha*sqrt(eta_c1)*sinh(r): the mean fields the squeezed circuit puts
     on its sampled arms."""
     with workdps(p.precision):
-        return (p.alpha * sqrt(p.eta_p1) * cosh(p.r),
-                p.alpha * sqrt(p.eta_c1) * sinh(p.r))
+        ch, sh = map(mp.make_mpf, mpf_cosh_sinh(p.r._mpf_, mp.prec, round_nearest))
+        return p.alpha * sqrt(p.eta_p1) * ch, p.alpha * sqrt(p.eta_c1) * sh
 
 
 def build_classical_J(p: InterferometerParams):

@@ -6,10 +6,11 @@ version; numbers are decimal strings at the working precision and output
 is byte-identical across runs of the same configuration.
 
 Exit codes: 0 ok, 1 stdout closed before the output was written, 2 usage
-or configuration error (including a bad sweep axis, target or circuit),
-3 undefined result (e.g. vacuum-seeded LOD), 4 failed internal
-cross-check (``ConsistencyError``, e.g. an interpolant that misses the
-engine).
+or configuration error (including a bad sweep axis, target or circuit,
+and a flag or config-file value that sets a field the command's circuit
+forces, ``circuits.FORCED``, to another value), 3 undefined result (e.g.
+vacuum-seeded LOD), 4 failed internal cross-check (``ConsistencyError``,
+e.g. an interpolant that misses the engine).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from mpmath import isfinite, mp, mpc, mpf, workdps
 
 from . import __version__
-from .circuits import ARMS_PROBE, CIRCUITS, NUMERIC_FIELDS, InterferometerParams
+from .circuits import ARMS_PROBE, CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams
 from .metrology import ConsistencyError, UndefinedLodError, lodi_db, report
 from .optimize import OPTIMIZE_TARGETS, optimize_phases
 from .sweep import SWEEP_TARGETS, AxisSpec, SweepGrid, run_sweep, vacuum_noise_map
@@ -118,6 +119,12 @@ def _build_params(args) -> InterferometerParams:
         p = make_params(preset, **overrides)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # lodi compares tsu11; the builder would drop a value it forces
+    circuit = "vacuum" if args.command == "vacuum" else getattr(args, "circuit", "tsu11")
+    for name, value in FORCED[circuit].items():
+        if name in overrides and getattr(p, name) != value:
+            raise ConfigError(f"the {circuit} circuit forces {name} = {value}: "
+                              f"{name} = {overrides[name]} would not move it")
     # the vacuum circuit is unseeded by definition; presets seed the others
     if "vacuum" in (args.command, getattr(args, "circuit", None)):
         p = p.replace(alpha=0, beta=0)

@@ -10,8 +10,9 @@ check against one more engine report that both share, with its gap in
 digits; the scales of the r landscape's node reports, at which it is
 checked (the LO landscape has no nodes and bounds its own by its
 coefficient mass); and the Lagrange numerators of span{e^{kx}, |k| <=
-K}, which the r landscape takes in x = 2r for the even span: its rows
-are exact in integers from z = e^x on, up to one rounded division.
+K}, which the r landscape takes in x = 2r for the even span, expanded
+once into monomial integer coefficients: its rows are Horner in integers
+from z = e^x on, up to one rounded division on raw mpf tuples.
 """
 
 from __future__ import annotations
@@ -61,17 +62,11 @@ def agreement_digits(gap, precision: int) -> float:
 
 def fixed(values):
     """(integers m_i, exponent e), values[i] = m_i 2^e exactly, of finite
-    mpf ``values``; with ``at_most``, ``lagrange_products`` and
-    ``quotient`` the exact arithmetic of the r landscape's rows."""
+    mpf ``values``; with ``monomials``, ``horner`` and ``quotient`` the
+    exact arithmetic of the r landscape's rows."""
     parts = [v._mpf_ for v in values]
     e = min((x for _, m, x, _ in parts if m), default=0)
     return [(-m if s else m) << x - e if m else 0 for s, m, x, _ in parts], e
-
-
-def at_most(x, y) -> bool:
-    """x <= y for exact (integer, exponent) pairs."""
-    shift = x[1] - y[1]
-    return x[0] << shift <= y[0] if shift >= 0 else x[0] <= y[0] << -shift
 
 
 def lagrange_lifts(zs, degree: int):
@@ -86,26 +81,31 @@ def lagrange_lifts(zs, degree: int):
             for i, zi in enumerate(zs)]
 
 
-def lagrange_products(z, nodes, degree: int):
-    """(the products prod_{j != i} (z - z_j) per node, their exponent, z^K
-    as a pair) for ``nodes`` = ``fixed(zs)``, exactly, from prefix and
-    suffix products of the differences."""
-    zs, e_nodes = nodes
-    (m,), e_z = fixed([z])
-    e = min(e_z, e_nodes)
-    d = [(m << e_z - e) - (v << e_nodes - e) for v in zs]
-    pre, suf = [1], [1]
-    for a, b in zip(d[:-1], d[:0:-1]):
-        pre.append(pre[-1] * a)
-        suf.append(suf[-1] * b)
-    return [a * b for a, b in zip(pre, reversed(suf))], e * (len(d) - 1), (m ** degree,
-                                                                           e_z * degree)
+def monomials(coefs, nodes):
+    """The coefficients, highest power first, of sum_i c_i prod_{j != i}
+    (z - z_j) for integers c_i = ``coefs`` and z_j = ``nodes``, exact."""
+    total = [0] * len(nodes)
+    for i, c in enumerate(coefs):
+        poly = [c]
+        for zj in nodes[:i] + nodes[i + 1:]:
+            poly = [a - zj * b for a, b in zip(poly + [0], [0] + poly)]
+        total = [t + a for t, a in zip(total, poly)]
+    return total
 
 
-def quotient(num, den):
-    """num / den of exact pairs, rounded once to nearest at the working
-    precision; ``mpf_div`` takes them as raw mpf tuples, trailing zero
+def horner(coefs, z: int) -> int:
+    """The polynomial with ``coefs``, highest power first, at integer z:
+    the sum ``monomials`` expands, bit for bit."""
+    value = 0
+    for c in coefs:
+        value = value * z + c
+    return value
+
+
+def quotient(num, den, prec: int):
+    """num / den of exact pairs as a raw mpf, rounded once to nearest at
+    ``prec`` bits; ``mpf_div`` takes them as raw tuples, trailing zero
     bits and all."""
     def raw(m, e):
         return (int(m < 0), abs(m), e, abs(m).bit_length()) if m else fzero
-    return mp.make_mpf(mpf_div(raw(*num), raw(*den), mp.prec, round_nearest))
+    return mpf_div(raw(*num), raw(*den), prec, round_nearest)

@@ -11,9 +11,11 @@ Every LOD, LODI and undefined-LOD error of the package is taken here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from mpmath import log10, mpc, mpf, sqrt, workdps
+from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul_int, mpf_sqrt, round_nearest
 
 from .algebra import OperatorExpr, coherent_expectation, coherent_moments
 # the benchmark's tracer self-test checks that this binding is restored
@@ -90,9 +92,20 @@ def variance(J: OperatorExpr, state) -> mpc:
     return _moments(J, state)[2]
 
 
+#: ln 10 at a precision in bits, as mpmath's log10 takes it on every call
+_ln10 = functools.cache(lambda prec: mpf_log(from_int(10), prec, round_nearest))
+
+
+def raw_lod(ratio, prec: int):
+    """The LOD of the raw mpf ``ratio`` at ``prec`` bits: the steps of
+    mpmath's 10*log10(sqrt(ratio)), both logarithms 20 bits beyond prec."""
+    ln = mpf_log(mpf_sqrt(ratio, prec, round_nearest), prec + 20, round_nearest)
+    return mpf_mul_int(mpf_div(ln, _ln10(prec + 20), prec, round_nearest), 10, prec, round_nearest)
+
+
 def lod_from_ratio(ratio):
-    """The LOD in dB(rad) of ratio = var / |d<J>/dphi|^2."""
-    return 10 * log10(sqrt(ratio))
+    """The LOD in dB(rad) of the mpf ratio = var / |d<J>/dphi|^2."""
+    return mp.make_mpf(raw_lod(ratio._mpf_, mp.prec))
 
 
 def defined_lod(rep: MetrologyReport, message: str, variance=None):

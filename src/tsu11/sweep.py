@@ -14,9 +14,9 @@ span{e^{-2r}, 1, e^{2r}} (``_axis_degree``).  Engine reports at 3 nodes
 They are taken with guard digits beyond the working precision, more on a
 wider span (``_guard_dps``).  One off-node report checks the fit as the
 LO-phase landscape is checked, and a miss raises ``ConsistencyError``.
-Rows come from exact Lagrange numerators: past z = e^{step r}, rounded
-once at the guard precision, a row is integer arithmetic up to one
-rounded division, and its value is rounded to the working precision.
+A run's rows are one pass on raw mpf tuples (``AxisLandscape.values``):
+past z = e^{step r}, rounded at the guard precision, a row is Horner in
+integers, one rounded division and the LOD, rounded to working precision.
 An axis over a field the circuit's builder forces (``FORCED``) is
 refused.  The per-point engine still evaluates every other axis,
 out-of-domain points, runs of no more in-domain points than a fit's
@@ -27,22 +27,22 @@ floor, so an undefined LOD keeps the engine's message.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from mpmath import exp, mp, mpf, workdps
-from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
+from mpmath.libmp import dps_to_prec, mpf_exp, mpf_mul_int, mpf_pos, round_nearest
 
 from .circuits import CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams, forced
-from .interpolants import (agreement_digits, at_most, check_fit, fixed, lagrange_lifts,
-                           lagrange_products, node_scales, quotient, tolerance)
+from .interpolants import (agreement_digits, check_fit, fixed, horner, lagrange_lifts,
+                           monomials, node_scales, quotient, tolerance)
 from .metrology import (
     UndefinedLodError,
     classical_point,
     lod_db,
-    lod_from_ratio,
     lodi_db,
+    raw_lod,
     report,
     variance,
 )
@@ -76,11 +76,11 @@ class AxisSpec:
     def points(self, dps: int):
         with workdps(dps):
             lo, hi = mpf(str(self.lo)), mpf(str(self.hi))
-            n = self.count
             if self.log:
-                llo, lhi = mp.log10(lo), mp.log10(hi)
-                return [mpf(10) ** (llo + (lhi - llo) * k / (n - 1)) for k in range(n)]
-            return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+                lo, hi = mp.log10(lo), mp.log10(hi)
+            width, n = hi - lo, self.count
+            xs = [lo + width * k / (n - 1) for k in range(n)]
+            return [mpf(10) ** x for x in xs] if self.log else xs
 
 
 @dataclass
@@ -164,11 +164,11 @@ class AxisLandscape:
     point(p) with its ``FORCED`` fields set and r moved.  Each is fitted in
     the ``basis`` span{e^{k step r}, |k| <= d} of ``_axis_degree`` from
     reports at the same 2d + 1 nodes, equispaced on ``span``,
-    ``_guard_dps`` digits beyond p's precision, and kept as the Lagrange
-    coefficients c_i of its var and |d<J>/dphi|^2, and takes one more
-    report in the middle of the first node interval for ``check``.
-    ``dsq_floors`` holds each measure's rounding floor of |d<J>/dphi|^2 at
-    p's precision.  Coefficients and floors are exact (``fixed``).
+    ``_guard_dps`` digits beyond p's precision, and takes one more report
+    in the middle of the first node interval for ``check``.  ``fits`` holds
+    its var and |d<J>/dphi|^2 as Lagrange numerators over Z^d, Z = e^{step
+    r} 2^-e an integer on the span: monomial coefficients in Z and the
+    quotient's exponent, then the floor of |d<J>/dphi|^2 at p's precision.
     """
 
     def __init__(self, p: InterferometerParams, basis, span, measures):
@@ -176,6 +176,7 @@ class AxisLandscape:
         self.step, self.degree = basis
         self.precision = p.precision
         self.dps = dps = p.precision + _guard_dps(self.step * self.degree, span)
+        self.prec = dps_to_prec(dps)
         tol = tolerance(p.precision)
         n = 2 * self.degree + 1
         with workdps(dps):
@@ -183,17 +184,24 @@ class AxisLandscape:
             nodes = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
             zs = [exp(self.step * x) for x in nodes]
             lifts = lagrange_lifts(zs, self.degree)
-            self._nodes = fixed(zs)
+            # z at r >= lo exceeds z_0 / 2 and has prec bits
+            self._e = e = zs[0]._mpf_[2] + zs[0]._mpf_[3] - 2 - self.prec
+            zints = [m << x - e for _, m, x, _ in (z._mpf_ for z in zs)]
             self.check_at = lo + (hi - lo) / (2 * n - 2)
-            self.fits, self.checks = [], []
+            self.fits, self.scales, self.checks = [], [], []
             for circuit, point in measures:
                 base = forced(point(q), FORCED[circuit])
                 reps = [report(circuit, base.replace(r=x)) for x in nodes]
-                self.fits.append((fixed([c * r.variance.real for c, r in zip(lifts, reps)]),
-                                  fixed([c * r.dj_dphi_sq for c, r in zip(lifts, reps)]),
-                                  node_scales((r.second_moment, r.dj_dphi_sq) for r in reps)))
+                self.scales.append(node_scales((r.second_moment, r.dj_dphi_sq) for r in reps))
+                var, ev = fixed([c * r.variance.real for c, r in zip(lifts, reps)])
+                dsq, ed = fixed([c * r.dj_dphi_sq for c, r in zip(lifts, reps)])
+                (floor,), ef = fixed([tol * self.scales[-1][1]])
+                # a numerator's 2d node differences over Z^d leave 2^{d e};
+                # dsq 2^ed <= floor 2^ef Z^d for integer dsq: dsq <= floor' Z^d >> s
+                ev, ed = ev + self.degree * e, ed + self.degree * e
+                self.fits.append((monomials(var, zints), ev, monomials(dsq, zints), ed,
+                                  floor << max(ef - ed, 0), max(ed - ef, 0)))
                 self.checks.append(report(circuit, base.replace(r=self.check_at)))
-            self.dsq_floors = [fixed([tol * scales[1]]) for _, _, scales in self.fits]
         self.check_digits = None
 
     def check(self):
@@ -208,88 +216,86 @@ class AxisLandscape:
                       for fit, rep in zip(self.at(self.check_at), self.checks))
             self.check_digits = agreement_digits(gap, self.precision)
 
-    def numerators(self, r):
-        """(z^K, [(var, dsq) numerators of each measure]) at gain r, exact,
-        for z = e^{step r} rounded at the guard precision, at which it runs;
-        each value is its numerator over z^K."""
-        products, e, zk = lagrange_products(exp(self.step * r), self._nodes, self.degree)
-        return zk, [((sum(map(operator.mul, var, products)), ev + e),
-                     (sum(map(operator.mul, dsq, products)), ed + e))
-                    for (var, ev), (dsq, ed), _ in self.fits]
+    def _z(self, r):
+        _, m, e, _ = mpf_exp(mpf_mul_int(r._mpf_, self.step, self.prec, round_nearest),
+                             self.prec, round_nearest)
+        return m << e - self._e
 
     def at(self, r):
-        """[(var, dsq, node scales of both)] of each measure at gain r."""
-        with workdps(self.dps):
-            zk, numerators = self.numerators(r)
-            return [(quotient(var, zk), quotient(dsq, zk), fit[2])
-                    for (var, dsq), fit in zip(numerators, self.fits)]
+        """[(var, dsq, node scales of both)] of each measure at gain r of the
+        span, at the guard precision."""
+        z = self._z(r)
+        zk = z ** self.degree, 0
+        return [(mp.make_mpf(quotient((horner(var, z), ev), zk, self.prec)),
+                 mp.make_mpf(quotient((horner(dsq, z), ed), zk, self.prec)), scales)
+                for (var, ev, dsq, ed, _, _), scales in zip(self.fits, self.scales)]
+
+    def values(self, rs, target: str, dps: int):
+        """The sweep ``target`` at each gain r of ``rs`` in the span, rounded
+        to nearest at ``dps`` digits; None where a |d<J>/dphi|^2 is at or
+        below its floor, for the engine to decide."""
+        prec, values = dps_to_prec(dps), []
+        for r in rs:
+            z = self._z(r)
+            zk, parts = z ** self.degree, []
+            for var, ev, dsq, ed, floor, shift in self.fits:
+                dsq = horner(dsq, z)
+                if target != "variance" and dsq <= floor * zk >> shift:
+                    values.append(None)
+                    break
+                parts.append((horner(var, z), ev, dsq, ed))
+            else:
+                (var, ev, dsq, ed), *reference = parts
+                # Z^-d cancels from var / dsq; LOD - LOD_classical is the LOD
+                # of the ratio of the ratios
+                for ref_var, ref_ev, ref_dsq, ref_ed in reference:
+                    var, ev, dsq, ed = var * ref_dsq, ev + ref_ed, dsq * ref_var, ed + ref_ev
+                value = (quotient((var, ev), (zk, 0), self.prec) if target == "variance" else
+                         raw_lod(quotient((var, ev), (dsq, ed), self.prec), self.prec))
+                values.append(mp.make_mpf(mpf_pos(value, prec, round_nearest)))
+        return values
 
 
-def _run_landscape(grid: SweepGrid, name: str, params):
-    """The checked ``AxisLandscape`` of one run of the innermost axis
-    ``name`` over the in-domain rows' ``params``, or None where the run
-    takes the per-point engine: the axis is not r, the run has no more
-    points than the 2d + 2 reports of each fit, its span needs more than
-    ``MAX_GUARD_DPS`` guard digits, or the engine refuses a node report."""
-    if name != "r" or not params:
-        return None
-    step, degree = basis = _axis_degree(grid.circuit, params[0])
-    span = (min(p.r for p in params), max(p.r for p in params))
-    if (len(params) <= 2 * degree + 2 or span[0] == span[1]
+def _params(grid: SweepGrid, row: dict) -> InterferometerParams:
+    return grid.base.replace(**{f: row[name] for f, name in grid.owner.items()})
+
+
+def _run_landscape(grid: SweepGrid, run: list[dict], span):
+    """(the checked ``AxisLandscape`` of an r ``run`` of ``span``, the rows
+    in domain that it covers), or None where the run takes the per-point
+    engine: it has no more such rows than the 2d + 2 reports of each fit,
+    their span needs more than ``MAX_GUARD_DPS`` guard digits, or the
+    engine refuses a node report.  r's domain is [0, inf): where the lowest
+    r is in domain, every row is, and only its parameters are built."""
+    try:
+        p = _params(grid, {**run[0], "r": span[0]})
+    except ValueError:
+        inside = []
+        for row in run:
+            with contextlib.suppress(ValueError):
+                p = _params(grid, row)
+                inside.append(row)
+        if not inside:
+            return None
+        run, span = inside, (min(row["r"] for row in inside), max(row["r"] for row in inside))
+    step, degree = basis = _axis_degree(grid.circuit, p)
+    if (len(run) <= 2 * degree + 2 or span[0] == span[1]
             or _guard_dps(step * degree, span) > MAX_GUARD_DPS):
         return None
     measures = [(grid.circuit, lambda q: q)]
     if grid.target == "lodi":
         measures.append(("classical", classical_point))
     try:
-        land = AxisLandscape(params[0], basis, span, measures)
+        land = AxisLandscape(p, basis, span, measures)
     except (ValueError, ArithmeticError):
         # the engine meets the same refusal row by row and records it
         return None
     land.check()
-    return land
-
-
-def _interpolated_target(grid: SweepGrid, land: AxisLandscape, r, dps: int):
-    """The target at gain r on ``land``, from its exact numerators and one
-    rounded division at its guard precision, rounded to nearest at ``dps``
-    digits; None where a |d<J>/dphi|^2 is at or below its rounding floor,
-    ``land.dsq_floors``, for the engine to decide."""
-    with workdps(land.dps):
-        (zk, ek), numerators = land.numerators(r)
-        if grid.target == "variance":
-            value = quotient(numerators[0][0], (zk, ek))
-        elif any(at_most(dsq, (floor * zk, e + ek))
-                 for (_, dsq), ([floor], e) in zip(numerators, land.dsq_floors)):
-            return None
-        else:
-            (var, dsq), *reference = numerators
-            # z^-K cancels from var / dsq; LOD - LOD_classical is the LOD of
-            # the ratio of the ratios
-            for (ref_var, ref_e), (ref_dsq, ref_f) in reference:
-                var, dsq = (var[0] * ref_dsq, var[1] + ref_f), (dsq[0] * ref_var, dsq[1] + ref_e)
-            value = lod_from_ratio(quotient(var, dsq))
-    return mp.make_mpf(mpf_pos(value._mpf_, dps_to_prec(dps), round_nearest))
+    return land, run
 
 
 def _engine_result(value=None, error: str = "") -> dict:
     return {"value": value, "error": error, "route": "engine", "check_digits": None}
-
-
-def _row_result(grid: SweepGrid, land, p: InterferometerParams) -> dict:
-    """"value", "error", "route" and "check_digits" of the row at p: on the
-    run's interpolant where it has one and the row's derivatives clear
-    their floor, else from the engine, which records a domain error or an
-    undefined target in the row."""
-    if land is not None:
-        value = _interpolated_target(grid, land, p.r, p.precision)
-        if value is not None:
-            return {"value": value, "error": "", "route": "interpolant",
-                    "check_digits": land.check_digits}
-    try:
-        return _engine_result(_evaluate_target(grid, p))
-    except (UndefinedLodError, ValueError, ArithmeticError) as exc:
-        return _engine_result(error=str(exc))
 
 
 def run_sweep(grid: SweepGrid) -> list[dict]:
@@ -308,20 +314,25 @@ def run_sweep(grid: SweepGrid) -> list[dict]:
     names, dps = [ax.name for ax in grid.axes], grid.base.precision
     *outer, inner = grid.axes
     points = inner.points(dps)
+    span = (min(points), max(points)) if inner.name == "r" else None
     rows = []
     for head in itertools.product(*(ax.points(dps) for ax in outer)):
-        run, pending = [], []
-        for x in points:
-            row = dict(zip(names, head + (x,)))
-            run.append(row)
+        run = [dict(zip(names, head + (x,))) for x in points]
+        found = span and _run_landscape(grid, run, span)
+        if found:
+            land, inside = found
+            rs = [row["r"] for row in inside]
+            for row, value in zip(inside, land.values(rs, grid.target, dps)):
+                if value is not None:
+                    row.update(value=value, error="", route="interpolant",
+                               check_digits=land.check_digits)
+        for row in [row for row in run if "route" not in row]:
+            # the engine records a domain error, an undefined target or a
+            # failed check in the row
             try:
-                pending.append((row, grid.base.replace(
-                    **{f: row[name] for f, name in grid.owner.items()})))
-            except ValueError as exc:
+                row.update(_engine_result(_evaluate_target(grid, _params(grid, row))))
+            except (UndefinedLodError, ValueError, ArithmeticError) as exc:
                 row.update(_engine_result(error=str(exc)))
-        land = _run_landscape(grid, inner.name, [p for _, p in pending])
-        for row, p in pending:
-            row.update(_row_result(grid, land, p))
         rows += run
     return rows
 

@@ -25,7 +25,7 @@ from tsu11 import (
     report,
     variance,
 )
-from tsu11.circuits import NUMERIC_FIELDS, _operators
+from tsu11.circuits import NUMERIC_FIELDS, _operators, classical_seeds
 
 from conftest import expr_close, rel_diff
 
@@ -401,3 +401,14 @@ def test_operator_memo_key_is_complete(circuit):
         warm = _report_or_error(circuit, q)
         _operators.cache_clear()
         assert warm == _report_or_error(circuit, q), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(30, 240), st.sampled_from(["0", "1e-30", "0.01", "0.88", "2.413", "40"]),
+       st.floats(0, 1), st.floats(0, 1), st.floats(1e-3, 1e9))
+def test_classical_seeds_are_the_cosh_sinh_route_property(dps, r, eta_p1, eta_c1, alpha):
+    # one mpf_cosh_sinh serves both seeds, as mpmath's cosh and sinh each call it
+    p = InterferometerParams(r=r, alpha=alpha, eta_p1=eta_p1, eta_c1=eta_c1, precision=dps)
+    with workdps(dps):
+        want = (p.alpha * sqrt(p.eta_p1) * cosh(p.r), p.alpha * sqrt(p.eta_c1) * sinh(p.r))
+    assert [x._mpf_ for x in classical_seeds(p)] == [x._mpf_ for x in want]

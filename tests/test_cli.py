@@ -16,7 +16,7 @@ import tsu11
 import tsu11.optimize
 import tsu11.sweep
 from tsu11 import lodi_db, make_params, report
-from tsu11.circuits import NUMERIC_FIELDS
+from tsu11.circuits import FORCED, NUMERIC_FIELDS
 from tsu11.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
@@ -129,6 +129,63 @@ def test_overlapping_axes_exit_2(capsys, command, first, second):
     assert code == EXIT_CONFIG
     assert "both set" in err
     assert out == ""
+
+
+#: command lines and the circuit each runs
+FORCING_COMMANDS = [
+    (["lod"], "tsu11"),
+    (["lod", "--circuit", "classical"], "classical"),
+    (["lod", "--circuit", "vacuum"], "vacuum"),
+    (["lodi"], "tsu11"),
+    (["optimize", "--grid", "2"], "tsu11"),
+    (["optimize", "--grid", "2", "--circuit", "classical", "--target", "lod"], "classical"),
+    (["optimize", "--grid", "2", "--circuit", "vacuum", "--target", "lod"], "vacuum"),
+    (["sweep", "--axis", "r:0:1:2"], "tsu11"),
+    (["sweep", "--axis", "r:0:1:2", "--circuit", "classical"], "classical"),
+    (["sweep", "--axis", "r:0:1:2", "--circuit", "vacuum"], "vacuum"),
+    (["vacuum"], "vacuum"),
+]
+
+
+class TestForcedFields:
+    """A base value that sets a field the command's circuit forces, by
+    flag or by config file, exits 2 as a sweep axis over it does; the
+    builder would drop it and the sidecar would record it."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("field", sorted(FORCED["tsu11"]))
+    @pytest.mark.parametrize("argv,circuit", FORCING_COMMANDS)
+    def test_other_value_exit_2(self, capsys, tmp_path, argv, circuit, field, source):
+        if source == "flag":
+            given = [f"--{field}", "0.7"]
+        else:
+            conf = tmp_path / "forced.conf"
+            conf.write_text(f"{field} = 0.7\n")
+            given = ["--config", str(conf)]
+        code, out, err = run_cli(capsys, *argv, "--preset", "paper-start", *given)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (f"error: the {circuit} circuit forces {field} = "
+                       f"{FORCED[circuit][field]}: {field} = 0.7 would not move it\n")
+
+    @pytest.mark.parametrize("command", ["lod", "lodi"])
+    def test_the_forced_value_is_accepted(self, capsys, command):
+        _, expected, _ = run_cli(capsys, command, "--preset", "paper-start")
+        for field, value in FORCED["tsu11"].items():
+            code, out, _ = run_cli(capsys, command, "--preset", "paper-start",
+                                   f"--{field}", str(value))
+            assert code == EXIT_OK
+            assert out == expected
+
+    @pytest.mark.parametrize("field", sorted(FORCED["tsu11"]))
+    def test_su11_takes_every_field(self, capsys, field):
+        code, out, _ = run_cli(capsys, "lod", "--circuit", "su11", "--preset", "paper-start",
+                               f"--{field}", "0.7")
+        assert code == EXIT_OK
+        assert f'"{field}": "0.7' in out
+        code, _, _ = run_cli(capsys, "sweep", "--circuit", "su11", "--preset", "paper-start",
+                             "--axis", "r:0:1:2", f"--{field}", "0.7")
+        assert code == EXIT_OK
 
 
 class TestOptimizeEndsCleanly:

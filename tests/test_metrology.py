@@ -5,7 +5,8 @@ import random
 import re
 
 import pytest
-from mpmath import mpc, mpf, workdps
+from hypothesis import example, given, settings, strategies as st
+from mpmath import log10, mp, mpc, mpf, sqrt, workdps
 
 from tsu11 import (
     InterferometerParams,
@@ -26,6 +27,7 @@ from tsu11 import (
     variance,
 )
 from tsu11.cli import _decimals
+from tsu11.metrology import lod_from_ratio
 
 from conftest import rel_diff
 from test_circuits import random_params
@@ -307,3 +309,19 @@ def test_variance_keeps_full_precision_at_large_amplitudes(amp, dps, tol):
     got = variance(J, state)
     want = closed_form_report("tsu11", p).variance
     assert rel_diff(got, want) < mpf(tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(30, 240), st.integers(-300, 300), st.integers(1, 2 ** 400),
+       st.integers(0, 60))
+@example(60, 0, 1, 0)
+@example(83, 300, 2 ** 400, 20)
+def test_lod_from_ratio_is_mpmaths_route_bit_for_bit_property(dps, decade, mantissa, extra):
+    # the raw route takes mpmath's steps, with ln 10 cached per precision;
+    # the ratio may carry more digits than the working precision
+    with workdps(dps + extra):
+        ratio = mpf(mantissa) / 2 ** 400 * mpf(10) ** decade
+    with workdps(dps):
+        assert lod_from_ratio(ratio)._mpf_ == (10 * log10(sqrt(ratio)))._mpf_
+        for special in (mpf(0), mp.inf, mpf(1), mpf(10)):
+            assert lod_from_ratio(special) == 10 * log10(sqrt(special))

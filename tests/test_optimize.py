@@ -31,9 +31,9 @@ from tsu11 import (
     vacuum_noise_map,
     variance,
 )
-from tsu11.circuits import LO_MODES, _operators
+from tsu11.circuits import LO_MODES, InterferometerParams, _operators
 from tsu11.interpolants import CHECK_MARGIN, check_fit, node_scales, tolerance
-from tsu11.metrology import lod_from_ratio
+from tsu11.metrology import classical_point, lod_from_ratio
 from tsu11.optimize import (
     CHECK_PHASES,
     NEWTON_MAX_ITER,
@@ -527,6 +527,28 @@ def test_working_precision_dot_products_are_pinned(monkeypatch):
     calls.clear()
     optimize_phases(p, grid_n=16)
     assert len(calls) == 208
+
+
+def test_r_sweep_row_work_is_pinned(monkeypatch):
+    # a landscape builds parameters for its precision, the classical LO
+    # phases, its 2 x (3 nodes + check) reports and the classical builds,
+    # which set r = 0, off the node at r = 0: 13.  A 61-point r run adds
+    # one, its lowest point's, and none per row; it takes one exp per row
+    # and one for the check
+    p = make_params("paper-start")
+    replaces, exps = [], []
+    replace, mpf_exp = InterferometerParams.replace, tsu11.sweep.mpf_exp
+    monkeypatch.setattr(InterferometerParams, "replace",
+                        lambda self, **changes: replaces.append(changes) or replace(self, **changes))
+    monkeypatch.setattr(tsu11.sweep, "mpf_exp", lambda *args: exps.append(args) or mpf_exp(*args))
+    AxisLandscape(p, (2, 1), (mpf(0), mpf(3)),
+                  [("tsu11", lambda q: q), ("classical", classical_point)]).check()
+    assert (len(replaces), len(exps)) == (13, 1)
+    replaces.clear()
+    exps.clear()
+    rows = run_sweep(SweepGrid(axes=(AxisSpec("r", 0, 3, 61),), base=p, target="lodi"))
+    assert {row["route"] for row in rows} == {"interpolant"}
+    assert (len(replaces), len(exps)) == (14, 62)
 
 
 def test_each_expression_is_normal_ordered_once(monkeypatch):
