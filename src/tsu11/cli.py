@@ -5,10 +5,16 @@ as CSV plus a JSON sidecar carrying the fixed parameters and engine
 version; numbers are decimal strings at the working precision and output
 is byte-identical across runs of the same configuration.
 
+Each command reads the parameters ``main`` builds once and returns its
+rows, header, sidecar and exit code; ``main`` writes them.
+
 Exit codes: 0 ok, 1 stdout closed before the output was written, 2 usage
-or configuration error (including a bad sweep axis, target or circuit,
-and a flag or config-file value that sets a field the command's circuit
-forces, ``circuits.FORCED``, to another value), 3 undefined result (e.g.
+or configuration error (including a bad sweep axis, target or circuit; a
+config-file key given twice; two values that set one field, as ``eta``
+and ``eta_p1`` from the same source; a flag or config-file value that
+sets a field the command's circuit forces, ``circuits.FORCED``, or a
+nonzero seed of the vacuum circuit, to another value; and an output that
+cannot be written, which outranks exit 3), 3 undefined result (e.g.
 vacuum-seeded LOD), 4 failed internal cross-check (``ConsistencyError``,
 e.g. an interpolant that misses the engine).
 """
@@ -27,11 +33,12 @@ from pathlib import Path
 from mpmath import isfinite, mp, mpc, mpf, workdps
 
 from . import __version__
-from .circuits import ARMS_PROBE, CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams
+from .circuits import (ARMS_PROBE, CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams,
+                       forced)
 from .metrology import ConsistencyError, UndefinedLodError, lodi_db, report
 from .optimize import OPTIMIZE_TARGETS, optimize_phases
 from .sweep import SWEEP_TARGETS, AxisSpec, SweepGrid, run_sweep, vacuum_noise_map
-from .presets import PRESETS, make_params
+from .presets import PRESETS, expand, make_params
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -40,7 +47,7 @@ EXIT_UNDEFINED = 3
 EXIT_CONSISTENCY = 4
 
 _PARAM_FIELDS = tuple(f.name for f in fields(InterferometerParams))
-#: parameter flags; the eta shorthand is applied after the fields
+#: parameter flags: the numeric fields and the eta shorthand
 _PARAM_FLAGS = NUMERIC_FIELDS + ("eta",)
 
 
@@ -55,6 +62,13 @@ _COMMAND_OPTIONS = {
     "optimize": {"circuit": _CIRCUIT, "target": (OPTIMIZE_TARGETS, "lodi")},
     "sweep": {"circuit": _CIRCUIT, "target": (SWEEP_TARGETS, "lod")},
 }
+
+#: the circuit of each command that takes no --circuit: lodi compares tsu11
+_COMMAND_CIRCUIT = {"lodi": "tsu11", "vacuum": "vacuum"}
+#: what the vacuum circuit pins beyond ``FORCED``: it is unseeded by
+#: definition.  Not in ``FORCED``, whose fields the r interpolant pins on
+#: its nodes: a seeded library sweep of it must stay refused by the engine
+_UNSEEDED = {"alpha": 0, "beta": 0}
 
 #: keys a config file may carry
 _CONFIG_KEYS = frozenset(_PARAM_FIELDS + _PARAM_FLAGS + ("preset", "circuit", "target"))
@@ -76,6 +90,8 @@ def _parse_config_file(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
         if key == "precision" and not val.isdigit():
             raise ConfigError(f"{path}:{lineno}: precision must be an integer, "
                               f"got {val!r}")
@@ -103,32 +119,32 @@ def _resolve_options(args, file_values: dict) -> None:
 
 
 def _build_params(args) -> InterferometerParams:
+    """The command's parameters: the preset, then the config file, then
+    the flags, each source's shorthands expanded on their own so that a
+    flag overrides the file field by field; the command's circuit then
+    pins its ``FORCED`` fields (and the vacuum circuit its seeds), and a
+    given value that would not hold is a ConfigError."""
     file_values = _parse_config_file(args.config) if args.config else {}
     from_file = file_values.pop("preset", None)
     preset = args.preset or from_file
     _resolve_options(args, file_values)
-    overrides = dict(file_values)
-    for name in _PARAM_FLAGS + ("precision", "arms"):
-        flag = getattr(args, name)
-        if flag is not None:
-            overrides[name] = flag
-    # "probe" is the documented spelling, by flag or by file
-    if overrides.get("arms") == "probe":
-        overrides["arms"] = ARMS_PROBE
+    flags = ((name, getattr(args, name)) for name in _PARAM_FLAGS + ("precision", "arms"))
     try:
+        overrides = {**expand(file_values.items()),
+                     **expand((name, flag) for name, flag in flags if flag is not None)}
+        # "probe" is the documented spelling, by flag or by file
+        if overrides.get("arms") == "probe":
+            overrides["arms"] = ARMS_PROBE
         p = make_params(preset, **overrides)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    # lodi compares tsu11; the builder would drop a value it forces
-    circuit = "vacuum" if args.command == "vacuum" else getattr(args, "circuit", "tsu11")
-    for name, value in FORCED[circuit].items():
+    circuit = _COMMAND_CIRCUIT.get(args.command) or args.circuit
+    pins = {**FORCED[circuit], **(_UNSEEDED if circuit == "vacuum" else {})}
+    for name, value in pins.items():
         if name in overrides and getattr(p, name) != value:
             raise ConfigError(f"the {circuit} circuit forces {name} = {value}: "
                               f"{name} = {overrides[name]} would not move it")
-    # the vacuum circuit is unseeded by definition; presets seed the others
-    if "vacuum" in (args.command, getattr(args, "circuit", None)):
-        p = p.replace(alpha=0, beta=0)
-    return p
+    return forced(p, pins)
 
 
 def _decimals(values: dict, precision: int) -> dict:
@@ -151,17 +167,18 @@ def _db4(x):
     return "undefined" if x is None else f"{float(x):.4f}"
 
 
-def _write_outputs(args, rows, header, sidecar, p):
-    """CSV to --out (or stdout) plus a .json sidecar next to it."""
+def _write_outputs(args, p, rows, header, sidecar) -> int:
+    """CSV to --out (or stdout) plus a .json sidecar next to it, stamped
+    with the command, engine version and parameters; exit 2 if --out
+    cannot be written, else 0."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
     csv_text = buf.getvalue()
-    sidecar = dict(sidecar)
-    sidecar["engine_version"] = __version__
-    sidecar["parameters"] = _decimals(vars(p), p.precision)
+    sidecar = {**sidecar, "command": args.command, "engine_version": __version__,
+               "parameters": _decimals(vars(p), p.precision)}
     json_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     if args.out:
         out = Path(args.out)
@@ -178,8 +195,7 @@ def _write_outputs(args, rows, header, sidecar, p):
     return EXIT_OK
 
 
-def cmd_lod(args) -> int:
-    p = _build_params(args)
+def cmd_lod(args, p):
     circuit = args.circuit
     rep = report(circuit, p)
     lod = rep.lod_db
@@ -195,27 +211,22 @@ def cmd_lod(args) -> int:
     cells = _decimals({**vars(rep), "lod_db": lod}, p.precision)
     rows = [[circuit, cells["variance"]["re"], cells["dj_dphi_sq"],
              cells["lod_db"] or "undefined"]]
-    sidecar = {"command": "lod", "circuit": circuit, "report": cells}
-    code = _write_outputs(args, rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"],
-                          sidecar, p)
-    # a failed write outranks the undefined LOD
-    return EXIT_UNDEFINED if code == EXIT_OK and lod is None else code
+    sidecar = {"circuit": circuit, "report": cells}
+    return (rows, ["circuit", "variance", "dj_dphi_sq", "lod_db"], sidecar,
+            EXIT_UNDEFINED if lod is None else EXIT_OK)
 
 
-def cmd_lodi(args) -> int:
-    p = _build_params(args)
+def cmd_lodi(args, p):
     rep = lodi_db(p)
     print(f"lod_tsu11_db   : {_db4(rep.lod_tsu11_db)}")
     print(f"lod_classical  : {_db4(rep.lod_classical_db)}")
     print(f"lodi_db        : {_db4(rep.lodi_db)}")
     cells = _decimals(vars(rep), p.precision)
     header = ["lod_tsu11_db", "lod_classical_db", "lodi_db"]
-    sidecar = {"command": "lodi", **cells}
-    return _write_outputs(args, [[cells[key] for key in header]], header, sidecar, p)
+    return [[cells[key] for key in header]], header, cells, EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    p = _build_params(args)
+def cmd_optimize(args, p):
     target, circuit = args.target, args.circuit
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
@@ -227,10 +238,10 @@ def cmd_optimize(args) -> int:
     print(f"stop_reason    : {result.stop_reason}")
     cells = _decimals(vars(result), p.precision)
     rows = [[cells["phi_p"], cells["phi_c"], cells["value_db"]]]
-    sidecar = {"command": "optimize", "target": target, **cells}
+    sidecar = {"target": target, **cells}
     if target == "lodi":
         sidecar["lodi_db"] = cells["value_db"]
-    return _write_outputs(args, rows, ["phi_p", "phi_c", f"{target}_db"], sidecar, p)
+    return rows, ["phi_p", "phi_c", f"{target}_db"], sidecar, EXIT_OK
 
 
 def _parse_axis(spec: str) -> AxisSpec:
@@ -259,8 +270,7 @@ def _sweep_cells(rows, axes, precision) -> list[list[str]]:
     return [[c[ax.name] for ax in axes] + [c["value"] or "", c["error"]] for c in cells]
 
 
-def cmd_sweep(args) -> int:
-    p = _build_params(args)
+def cmd_sweep(args, p):
     if not args.axis:
         raise ConfigError("sweep requires at least one --axis")
     axes = tuple(_parse_axis(a) for a in args.axis)
@@ -272,15 +282,14 @@ def cmd_sweep(args) -> int:
     raw = run_sweep(grid)
     rows = _sweep_cells(raw, axes, p.precision)
     digits = [row["check_digits"] for row in raw if row["route"] == "interpolant"]
-    sidecar = {"command": "sweep", "target": grid.target, "circuit": grid.circuit,
+    sidecar = {"target": grid.target, "circuit": grid.circuit,
                "axes": [vars(ax) for ax in axes], "points": len(rows),
                "route": "interpolant" if digits else "engine",
                "check_digits": min(digits, default=None)}
-    return _write_outputs(args, rows, header, sidecar, p)
+    return rows, header, sidecar, EXIT_OK
 
 
-def cmd_vacuum(args) -> int:
-    p = _build_params(args)
+def cmd_vacuum(args, p):
     axis_specs = args.axis or ["phi:-0.05:0.05:41", "phi_p:-0.05:0.05:5"]
     if len(axis_specs) != 2:
         raise ConfigError("vacuum expects exactly two --axis specs")
@@ -292,11 +301,10 @@ def cmd_vacuum(args) -> int:
     header = [axes[0].name, axes[1].name, "variance", "error"]
     rows = _sweep_cells(rows_raw, axes, p.precision)
     sidecar = {
-        "command": "vacuum",
         "axes": [vars(ax) for ax in axes],
         "minima": [_decimals(m, p.precision) for m in minima],
     }
-    return _write_outputs(args, rows, header, sidecar, p)
+    return rows, header, sidecar, EXIT_OK
 
 
 def _add_common(sub):
@@ -348,7 +356,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         try:
-            return args.fn(args)
+            p = _build_params(args)
+            rows, header, sidecar, code = args.fn(args, p)
+            # a failed write outranks the undefined LOD
+            return _write_outputs(args, p, rows, header, sidecar) or code
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -38,19 +38,33 @@ PARAM_ALIASES = {
 }
 
 
+def expand(items) -> dict:
+    """Field values of (name, value) ``items``: a shorthand of
+    ``PARAM_ALIASES`` sets each field it names.  Two items that set one
+    field, directly or through a shorthand, are a ValueError, so no
+    field's value depends on the order of the items."""
+    values: dict = {}
+    owner: dict = {}
+    for key, val in items:
+        for f in PARAM_ALIASES.get(key, (key,)):
+            if f in owner:
+                raise ValueError(f"{owner[f]!r} and {key!r} both set {f}")
+            owner[f] = key
+            values[f] = val
+    return values
+
+
 def make_params(preset: str | None = None, **overrides) -> InterferometerParams:
     """Build params from an optional preset plus field overrides.
 
-    Overrides may use the shorthand names of ``PARAM_ALIASES``.
+    Overrides may use the shorthand names of ``PARAM_ALIASES``; a None
+    override is skipped, and two that set one field (``eta`` and
+    ``eta_p1``) are a ValueError (``expand``).
     """
     values: dict = {}
     if preset is not None:
         if preset not in PRESETS:
             raise KeyError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
         values.update(PRESETS[preset])
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        for f in PARAM_ALIASES.get(key, (key,)):
-            values[f] = val
+    values.update(expand((k, v) for k, v in overrides.items() if v is not None))
     return InterferometerParams(**values)

@@ -46,7 +46,7 @@ from .metrology import (
     report,
     variance,
 )
-from .presets import PARAM_ALIASES
+from .presets import PARAM_ALIASES, expand
 
 SWEEP_TARGETS = ("lod", "lodi", "variance")
 
@@ -99,19 +99,15 @@ class SweepGrid:
             raise ValueError(f"unknown sweep target {self.target!r}")
         if self.circuit not in CIRCUITS:
             raise ValueError(f"unknown circuit {self.circuit!r}")
-        self.owner = {}
         for ax in self.axes:
             if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
                 raise ValueError(f"unknown sweep axis {ax.name!r}")
-            for f in PARAM_ALIASES.get(ax.name, (ax.name,)):
-                if f in FORCED[self.circuit]:
-                    raise ValueError(f"the {self.circuit} circuit forces {f} = "
-                                     f"{FORCED[self.circuit][f]}: sweep axis {ax.name!r} "
-                                     "would not move it")
-                if f in self.owner:
-                    raise ValueError(f"sweep axes {self.owner[f]!r} and {ax.name!r} "
-                                     f"both set {f}")
-                self.owner[f] = ax.name
+        self.owner = expand((ax.name, ax.name) for ax in self.axes)
+        for f, name in self.owner.items():
+            if f in FORCED[self.circuit]:
+                raise ValueError(f"the {self.circuit} circuit forces {f} = "
+                                 f"{FORCED[self.circuit][f]}: sweep axis {name!r} "
+                                 "would not move it")
 
 
 def _evaluate_target(grid: SweepGrid, p: InterferometerParams):

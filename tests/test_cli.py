@@ -188,6 +188,37 @@ class TestForcedFields:
         assert code == EXIT_OK
 
 
+class TestVacuumSeeds:
+    """The vacuum circuit is unseeded by definition: it drops the preset
+    seeds, and a nonzero seed by flag or config file exits 2 as a value
+    for a forced field does."""
+
+    VACUUM_COMMANDS = [argv for argv, circuit in FORCING_COMMANDS if circuit == "vacuum"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("argv", VACUUM_COMMANDS)
+    def test_seed_exit_2(self, capsys, tmp_path, argv, field, source):
+        if source == "flag":
+            given = [f"--{field}", "3"]
+        else:
+            conf = tmp_path / "seeded.conf"
+            conf.write_text(f"{field} = 3\n")
+            given = ["--config", str(conf)]
+        code, out, err = run_cli(capsys, *argv, "--preset", "paper-start", *given)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (f"error: the vacuum circuit forces {field} = 0: "
+                       f"{field} = 3 would not move it\n")
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("argv", VACUUM_COMMANDS)
+    def test_zero_seed_is_accepted(self, capsys, argv, field):
+        dropped = run_cli(capsys, *argv, "--preset", "paper-start")
+        assert dropped[0] != EXIT_CONFIG
+        assert run_cli(capsys, *argv, "--preset", "paper-start", f"--{field}", "0") == dropped
+
+
 class TestOptimizeEndsCleanly:
     """optimize exits 2 or 3 where it would end in a traceback or +inf."""
 
@@ -280,6 +311,15 @@ class TestConfigFile:
         assert from_file == from_flag
         assert '"arms": "probe-only"' in from_file
 
+    def test_repeated_key_exit_2(self, capsys, tmp_path):
+        # no line order decides a value
+        conf = tmp_path / "twice.conf"
+        conf.write_text("preset = paper-start\nr = 0.5\nr = 0.9\n")
+        code, out, err = run_cli(capsys, "lod", "--config", str(conf))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {conf}:3: key 'r' given twice\n"
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("volume = 11\n")
@@ -313,6 +353,46 @@ class TestConfigFile:
         conf.write_text("r 0.5\n")
         code, _, err = run_cli(capsys, "lod", "--config", str(conf))
         assert code == EXIT_CONFIG
+
+
+class TestShorthands:
+    """A shorthand and a field it sets, from one source, exit 2 in either
+    order; between the file and the flags, a flag overrides the file
+    field by field."""
+
+    def test_flag_and_its_field_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "lod", "--preset", "paper-start",
+                                 "--eta", "0.5", "--eta_p1", "0.9")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "both set eta_p1" in err
+
+    @pytest.mark.parametrize("lines", [["eta = 0.5", "eta_c1 = 0.9"],
+                                       ["eta_c1 = 0.9", "eta = 0.5"]])
+    def test_file_with_both_exit_2(self, capsys, tmp_path, lines):
+        conf = tmp_path / "both.conf"
+        conf.write_text("\n".join(["preset = paper-start", *lines]) + "\n")
+        code, out, err = run_cli(capsys, "lod", "--config", str(conf))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "both set eta_c1" in err
+
+    @pytest.mark.parametrize("in_file,flag,fields", [
+        ("eta_p1 = 0.9", ["--eta", "0.8"], ["--eta_p1", "0.8", "--eta_c1", "0.8"]),
+        ("eta = 0.8", ["--eta_p1", "0.9"], ["--eta_p1", "0.9", "--eta_c1", "0.8"]),
+    ])
+    def test_flag_overrides_file_field_by_field(self, capsys, tmp_path, in_file, flag,
+                                                fields):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"preset = paper-start\n{in_file}\n")
+        code, merged, _ = run_cli(capsys, "lodi", "--config", str(conf), *flag)
+        assert code == EXIT_OK
+        assert run_cli(capsys, "lodi", "--preset", "paper-start", *fields) == (
+            EXIT_OK, merged, "")
+
+    def test_make_params_refuses_both(self):
+        with pytest.raises(ValueError, match="both set eta_p1"):
+            make_params("paper-start", eta="0.5", eta_p1="0.9")
 
 
 class TestSweepCommand:
@@ -593,6 +673,32 @@ class TestVacuumCommand:
         assert len(lines) == 1 + 9 * 3
         sidecar = json.loads(out.with_suffix(".csv.json").read_text())
         assert len(sidecar["minima"]) == 3
+
+
+#: each command at its cheapest
+COMMANDS = {
+    "lod": ["lod"],
+    "lodi": ["lodi"],
+    "optimize": ["optimize", "--grid", "2"],
+    "sweep": ["sweep", *GOOD_AXES["sweep"]],
+    "vacuum": ["vacuum", *GOOD_AXES["vacuum"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_writes_through_main(capsys, tmp_path, command):
+    # one writer: an unwritable --out exits 2 and every sidecar is stamped
+    argv = [*COMMANDS[command], "--preset", "paper-start"]
+    code, _, err = run_cli(capsys, *argv, "--out", "/nonexistent-dir/x.csv")
+    assert code == EXIT_CONFIG
+    assert "error: cannot write" in err
+    out = tmp_path / "x.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == EXIT_OK
+    sidecar = json.loads(out.with_suffix(".csv.json").read_text())
+    assert sidecar["command"] == command
+    assert sidecar["engine_version"] == tsu11.__version__
+    assert sidecar["parameters"]["alpha"] == ("0.0" if command == "vacuum" else "2000000.0")
 
 
 @pytest.mark.parametrize("argv", [
