@@ -24,7 +24,12 @@ the operator: each LO mode reaches the detectors only as g e^{i phi_p}
 state {g: gamma} equal those of the bare chain on {g: gamma e^{i phi_p}}.
 J and dJ therefore depend only on the fields outside ``STATE_FIELDS``.
 The last four (J, dJ) pairs are memoised on those fields, so a change of
-seed, LO amplitude or LO phase alone builds nothing.
+seed, LO amplitude or LO phase alone builds nothing.  The half of the
+chain that r does not touch is memoised on the same fields less r, so a
+new r builds only its squeezer and the port rows: each port stays a
+plain dict of terms until the homodynes, which form its product with
+the LO by ``mul``, and J and dJ are bit for bit those of a chain of
+expressions.
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 from mpmath import exp, isfinite, mp, mpc, mpf, sqrt, workdps
 from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
-from .algebra import DEFAULT_DPS, OperatorExpr, adjoint, ladder, mul, zero
+from .algebra import DEFAULT_DPS, OperatorExpr, _merge, _sum, adjoint, ladder, mul
 from .jones import sampling_phase
 
 ARMS_BOTH = "both"
@@ -123,31 +129,72 @@ OPERATOR_FIELDS = tuple(f.name for f in fields(InterferometerParams)
 _operator_key = operator.attrgetter(*OPERATOR_FIELDS)
 
 
-def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, lo: OperatorExpr, eta3):
+#: the r-free half's key: ``OPERATOR_FIELDS`` less r, the first field
+_R_FREE_FIELDS = OPERATOR_FIELDS[1:]
+
+
+def _scaled(x: dict, c, dps: int) -> dict:
+    """The terms of x * c for terms x and an mpc c, cut as ``_merge`` cuts."""
+    return _merge({f: v * c for f, v in x.items()}, dps)
+
+
+def _plus(x: dict, y: dict, dps: int) -> dict:
+    """The terms of x + y, y's new keys after x's, cut as ``_merge`` cuts."""
+    return _merge(_sum([*x.items(), *y.items()]), dps)
+
+
+def _dagger(x: dict) -> dict:
+    """The terms of x's adjoint: its magnitudes, so ``_merge``'s cut, stay."""
+    return {tuple((m, not d) for m, d in reversed(f)): v.conjugate() for f, v in x.items()}
+
+
+def _squeeze(x: dict, y: dict, ch, sh, dps: int):
+    """Two-mode squeezer: x -> x cosh + y' sinh, y -> x' sinh + y cosh."""
+    return (_plus(_scaled(x, ch, dps), _scaled(_dagger(y), sh, dps), dps),
+            _plus(_scaled(_dagger(x), sh, dps), _scaled(y, ch, dps), dps))
+
+
+def _cosh_sinh(x):
+    """mpc(cosh x), mpc(sinh x) from one ``mpf_cosh_sinh`` at the working precision."""
+    return [mpc(mp.make_mpf(v)) for v in mpf_cosh_sinh(x._mpf_, mp.prec, round_nearest)]
+
+
+class _Arm(NamedTuple):
+    """The r-free stages of one arm; every scalar an mpc, as
+    ``OperatorExpr.scaled`` takes it, and None for a skipped stage."""
+
+    weight: mpc  # e^{i phi} sqrt(eta1), with no e^{i phi} on an unsampled arm
+    dweight: mpc | None  # its phi derivative; None on an unsampled arm
+    loss: dict | None  # the internal loss port's term
+    external: tuple | None  # sqrt(eta2) and the external loss port's term
+    lo: OperatorExpr  # the bare LO mode
+    mixed: OperatorExpr  # lo weighted 2itl by the homodyne splitter
+    k: mpc | None  # t^2 - l^2; None where balanced
+
+
+def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, arm: _Arm):
     """Balanced-detector difference af'.af - an'.an for one homodyne.
 
     af = sig*t + i*lo*l and an = lo*t + i*sig*l with t = sqrt(eta3) and
     l = sqrt(1-eta3) reduce to (t^2-l^2)(sig'.sig - lo'.lo) + 2itl(sig'.lo
     - lo'.sig), so a balanced splitter needs no sig'.sig product.  Returns
-    (J, dJ), where dJ follows from the signal derivative ``dsig``.
+    the terms of (J, dJ), where dJ follows from the signal derivative
+    ``dsig``.
     """
-    with workdps(sig.dps):
-        t, l = sqrt(eta3), sqrt(1 - eta3)
-        cross = mul(adjoint(sig), lo) * mpc(0, 2 * t * l)
-        dcross = mul(adjoint(dsig), lo) * mpc(0, 2 * t * l)
-        J, dJ = cross + adjoint(cross), dcross + adjoint(dcross)
-        if t != l:
-            k = t * t - l * l
-            dn = mul(adjoint(dsig), sig)
-            J = J + (mul(adjoint(sig), sig) - mul(adjoint(lo), lo)) * k
-            dJ = dJ + (dn + adjoint(dn)) * k
+    dps, lo, k = sig.dps, arm.lo, arm.k
+
+    def difference(x):
+        # (sig'.lo) 2itl as sig'.(lo 2itl): lo's unit weight multiplies exactly
+        cross = mul(adjoint(x), arm.mixed)._terms
+        return {**cross, **_dagger(cross)}
+
+    J, dJ = difference(sig), difference(dsig)
+    if k is None:
         return J, dJ
-
-
-def _squeeze(x: OperatorExpr, y: OperatorExpr, r):
-    """Two-mode squeezer: x -> x cosh r + y' sinh r, y -> x' sinh r + y cosh r."""
-    ch, sh = map(mp.make_mpf, mpf_cosh_sinh(r._mpf_, mp.prec, round_nearest))
-    return x * ch + adjoint(y) * sh, adjoint(x) * sh + y * ch
+    dn = mul(adjoint(dsig), sig)
+    J = OperatorExpr(J, dps, _trusted=True) + (mul(adjoint(sig), sig) - mul(adjoint(lo), lo)) * k
+    dJ = OperatorExpr(dJ, dps, _trusted=True) + (dn + adjoint(dn)) * k
+    return J._terms, dJ._terms
 
 
 def _chain(p: InterferometerParams):
@@ -157,46 +204,68 @@ def _chain(p: InterferometerParams):
 
 
 @functools.lru_cache(maxsize=4)
-def _operators(key):
-    """(J, dJ) of a, b through squeezer r, the sample phase and internal
-    loss, squeezer s, external loss and the two homodynes with the bare LO
-    modes g, h, for the ``OPERATOR_FIELDS`` values ``key``.  A stage at
-    r = 0, s = 0 or eta = 1 would add only exact zeros, which ``_merge``
-    drops, so skipping it leaves J and dJ bit for bit unchanged, provided
-    the other stages keep their order of operations.  Expressions are
-    immutable, so every caller may share the memoised pair."""
-    p = InterferometerParams(**dict(zip(OPERATOR_FIELDS, key)))
+def _r_free(key):
+    """The half of the chain that r does not touch, for the
+    ``_R_FREE_FIELDS`` values ``key``: (precision, the second squeezer's
+    mpc (cosh s, sinh s) or None, the probe and conjugate ``_Arm``)."""
+    p = InterferometerParams(**dict(zip(_R_FREE_FIELDS, key)))
     dps = p.precision
     with workdps(dps):
         i = mpc(0, 1)
-        phi = sampling_phase(p.theta_f, dps)
-        both = p.arms == ARMS_BOTH
+        phase = exp(i * sampling_phase(p.theta_f, dps))
+        arms = []
+        for e1, e2, e3, (c, e, g), sampled in (
+                (p.eta_p1, p.eta_p2, p.eta_p3, "ceg", True),
+                (p.eta_c1, p.eta_c2, p.eta_c3, "dfh", p.arms == ARMS_BOTH)):
+            w, lo = mpc((phase if sampled else mpf(1)) * sqrt(e1)), ladder(g, False, 1, dps)
+            t, l = sqrt(e3), sqrt(1 - e3)
+            arms.append(_Arm(
+                w, i * w if sampled else None,
+                {((c, False),): i * sqrt(1 - e1)} if e1 != 1 else None,
+                (mpc(sqrt(e2)), {((e, False),): i * sqrt(1 - e2)}) if e2 != 1 else None,
+                lo, lo * mpc(0, 2 * t * l), mpc(t * t - l * l) if t != l else None))
+        return dps, (_cosh_sinh(p.s) if p.s else None), arms
 
-        def op(m):
-            return ladder(m, False, 1, dps)
 
-        u, v = op("a"), op("b")
-        if p.r:
-            u, v = _squeeze(u, v, p.r)
-        eu = exp(i * phi) * sqrt(p.eta_p1)
-        ev = (exp(i * phi) if both else mpf(1)) * sqrt(p.eta_c1)
-        w, z = u * eu, v * ev
-        dw, dz = u * (i * eu), (v * (i * ev) if both else zero(dps))
-        if p.eta_p1 != 1:
-            w = op("c") * (i * sqrt(1 - p.eta_p1)) + w
-        if p.eta_c1 != 1:
-            z = op("d") * (i * sqrt(1 - p.eta_c1)) + z
-        if p.s:
-            (w, z), (dw, dz) = _squeeze(w, z, p.s), _squeeze(dw, dz, p.s)
-        if p.eta_p2 != 1:
-            w = w * sqrt(p.eta_p2) + op("e") * (i * sqrt(1 - p.eta_p2))
-            dw = dw * sqrt(p.eta_p2)
-        if p.eta_c2 != 1:
-            z = z * sqrt(p.eta_c2) + op("f") * (i * sqrt(1 - p.eta_c2))
-            dz = dz * sqrt(p.eta_c2)
-        Jm, dJm = _homodyne_difference(w, dw, op("g"), p.eta_p3)
-        Jn, dJn = _homodyne_difference(z, dz, op("h"), p.eta_c3)
-    return Jm + Jn, dJm + dJn
+@functools.lru_cache(maxsize=4)
+def _operators(key):
+    """(J, dJ) of a, b through squeezer r, the sample phase and internal
+    loss, squeezer s, external loss and the two homodynes with the bare LO
+    modes g, h, for the ``OPERATOR_FIELDS`` values ``key``.
+
+    What r does not touch comes from ``_r_free``, memoised on the other
+    fields, so a new r costs its squeezer weights and the rows: each port
+    is a row of terms over (mode, dagger) until the homodynes, which take
+    its product with the LO by ``mul``.  Every stage cuts as ``_merge``
+    cuts where a chain of expressions would, in the same order of
+    operations, so the terms, their order and their bits are those of
+    that chain.  A stage at r = 0, s = 0 or eta = 1 would add only exact
+    zeros, which ``_merge`` drops, so skipping it leaves J and dJ bit for
+    bit unchanged.  Expressions are immutable, so every caller may share
+    the memoised pair."""
+    dps, second, arms = _r_free(key[1:])
+    with workdps(dps):
+        one = mpc(1)
+        u, v = {(("a", False),): one}, {(("b", False),): one}
+        if key[0]:
+            u, v = _squeeze(u, v, *_cosh_sinh(key[0]), dps)
+        ports = []
+        for x, arm in zip((u, v), arms):
+            y = _scaled(x, arm.weight, dps)
+            ports.append((_plus(arm.loss, y, dps) if arm.loss else y,
+                          _scaled(x, arm.dweight, dps) if arm.dweight is not None else {}))
+        (w, dw), (z, dz) = ports
+        if second:
+            (w, z), (dw, dz) = _squeeze(w, z, *second, dps), _squeeze(dw, dz, *second, dps)
+        J, dJ = {}, {}
+        for x, dx, arm in zip((w, z), (dw, dz), arms):
+            if arm.external:
+                t, port = arm.external
+                x, dx = _plus(_scaled(x, t, dps), port, dps), _scaled(dx, t, dps)
+            Jx, dJx = _homodyne_difference(OperatorExpr(x, dps, _trusted=True),
+                                           OperatorExpr(dx, dps, _trusted=True), arm)
+            J, dJ = _sum([*J.items(), *Jx.items()]), _sum([*dJ.items(), *dJx.items()])
+        return OperatorExpr(J, dps, _trusted=True), OperatorExpr(dJ, dps, _trusted=True)
 
 
 #: circuit name -> the fields its builder forces, so ignores, and their
@@ -204,6 +273,16 @@ def _operators(key):
 #: the homodyne imbalance
 _TRUNCATED = {"s": 0, "eta_p2": 1, "eta_c2": 1, "eta_p3": 0.5, "eta_c3": 0.5}
 FORCED = {"classical": _TRUNCATED, "tsu11": _TRUNCATED, "su11": {}, "vacuum": _TRUNCATED}
+#: the seeds the vacuum circuit pins beyond ``FORCED``: it is unseeded by
+#: definition.  Not in ``FORCED``, whose fields the r interpolant pins on
+#: its nodes: a seeded library sweep of it must stay refused by the engine
+UNSEEDED = {"alpha": 0, "beta": 0}
+
+
+def pinned(circuit: str) -> dict:
+    """The fields a run of ``circuit`` pins, and their values: its
+    ``FORCED`` fields and, for the vacuum circuit, the seeds."""
+    return {**FORCED[circuit], **(UNSEEDED if circuit == "vacuum" else {})}
 
 
 def forced(p: InterferometerParams, values: dict) -> InterferometerParams:

@@ -33,8 +33,7 @@ from pathlib import Path
 from mpmath import isfinite, mp, mpc, mpf, workdps
 
 from . import __version__
-from .circuits import (ARMS_PROBE, CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams,
-                       forced)
+from .circuits import ARMS_PROBE, CIRCUITS, NUMERIC_FIELDS, InterferometerParams, forced, pinned
 from .metrology import ConsistencyError, UndefinedLodError, lodi_db, report
 from .optimize import OPTIMIZE_TARGETS, optimize_phases
 from .sweep import SWEEP_TARGETS, AxisSpec, SweepGrid, run_sweep, vacuum_noise_map
@@ -65,10 +64,6 @@ _COMMAND_OPTIONS = {
 
 #: the circuit of each command that takes no --circuit: lodi compares tsu11
 _COMMAND_CIRCUIT = {"lodi": "tsu11", "vacuum": "vacuum"}
-#: what the vacuum circuit pins beyond ``FORCED``: it is unseeded by
-#: definition.  Not in ``FORCED``, whose fields the r interpolant pins on
-#: its nodes: a seeded library sweep of it must stay refused by the engine
-_UNSEEDED = {"alpha": 0, "beta": 0}
 
 #: keys a config file may carry
 _CONFIG_KEYS = frozenset(_PARAM_FIELDS + _PARAM_FLAGS + ("preset", "circuit", "target"))
@@ -122,8 +117,8 @@ def _build_params(args) -> InterferometerParams:
     """The command's parameters: the preset, then the config file, then
     the flags, each source's shorthands expanded on their own so that a
     flag overrides the file field by field; the command's circuit then
-    pins its ``FORCED`` fields (and the vacuum circuit its seeds), and a
-    given value that would not hold is a ConfigError."""
+    pins its fields (``circuits.pinned``), and a given value that would
+    not hold is a ConfigError."""
     file_values = _parse_config_file(args.config) if args.config else {}
     from_file = file_values.pop("preset", None)
     preset = args.preset or from_file
@@ -139,7 +134,7 @@ def _build_params(args) -> InterferometerParams:
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     circuit = _COMMAND_CIRCUIT.get(args.command) or args.circuit
-    pins = {**FORCED[circuit], **(_UNSEEDED if circuit == "vacuum" else {})}
+    pins = pinned(circuit)
     for name, value in pins.items():
         if name in overrides and getattr(p, name) != value:
             raise ConfigError(f"the {circuit} circuit forces {name} = {value}: "

@@ -17,12 +17,13 @@ LO-phase landscape is checked, and a miss raises ``ConsistencyError``.
 A run's rows are one pass on raw mpf tuples (``AxisLandscape.values``):
 past z = e^{step r}, rounded at the guard precision, a row is Horner in
 integers, one rounded division and the LOD, rounded to working precision.
-An axis over a field the circuit's builder forces (``FORCED``) is
-refused.  The per-point engine still evaluates every other axis,
-out-of-domain points, runs of no more in-domain points than a fit's
-reports (4 or 10), runs whose span needs more than ``MAX_GUARD_DPS``
-guard digits, and rows whose interpolated derivative is at its rounding
-floor, so an undefined LOD keeps the engine's message.
+An axis over a field the circuit pins (``circuits.pinned``: the fields
+its builder forces, and the vacuum circuit's seeds) is refused.  The
+per-point engine still evaluates every other axis, out-of-domain
+points, runs of no more in-domain points than a fit's reports (4 or
+10), runs whose span needs more than ``MAX_GUARD_DPS`` guard digits,
+and rows whose interpolated derivative is at its rounding floor, so an
+undefined LOD keeps the engine's message.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from mpmath import exp, mp, mpf, workdps
 from mpmath.libmp import dps_to_prec, mpf_exp, mpf_mul_int, mpf_pos, round_nearest
 
-from .circuits import CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams, forced
+from .circuits import CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams, forced, pinned
 from .interpolants import (agreement_digits, check_fit, fixed, horner, lagrange_lifts,
                            monomials, node_scales, quotient, tolerance)
 from .metrology import (
@@ -103,11 +104,11 @@ class SweepGrid:
             if ax.name not in NUMERIC_FIELDS and ax.name not in PARAM_ALIASES:
                 raise ValueError(f"unknown sweep axis {ax.name!r}")
         self.owner = expand((ax.name, ax.name) for ax in self.axes)
+        pins = pinned(self.circuit)
         for f, name in self.owner.items():
-            if f in FORCED[self.circuit]:
-                raise ValueError(f"the {self.circuit} circuit forces {f} = "
-                                 f"{FORCED[self.circuit][f]}: sweep axis {name!r} "
-                                 "would not move it")
+            if f in pins:
+                raise ValueError(f"the {self.circuit} circuit forces {f} = {pins[f]}: "
+                                 f"sweep axis {name!r} would not move it")
 
 
 def _evaluate_target(grid: SweepGrid, p: InterferometerParams):

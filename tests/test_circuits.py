@@ -25,8 +25,9 @@ from tsu11 import (
     report,
     variance,
 )
-from tsu11.circuits import NUMERIC_FIELDS, _operators, classical_seeds
+from tsu11.circuits import FORCED, NUMERIC_FIELDS, _operators, _r_free, classical_seeds, forced
 
+from chain_oracle import chain
 from conftest import expr_close, rel_diff
 
 
@@ -400,7 +401,46 @@ def test_operator_memo_key_is_complete(circuit):
         report(circuit, base)
         warm = _report_or_error(circuit, q)
         _operators.cache_clear()
+        _r_free.cache_clear()
         assert warm == _report_or_error(circuit, q), name
+
+
+#: the chain each builder takes at p: its forced fields set (the classical
+#: circuit also drops the squeezer and the internal loss)
+BUILT_AT = {"classical": {**FORCED["classical"], "r": 0, "eta_p1": 1, "eta_c1": 1},
+            **{name: FORCED[name] for name in ("tsu11", "su11", "vacuum")}}
+#: 1 - 1e-41 and 1 - 1e-60, exact at 120 digits, and 1e-30
+ETA_EDGES = ["0", "1", "0." + "9" * 41, "0." + "9" * 60, "1e-30"]
+
+
+def _bits(x: OperatorExpr):
+    return [(factors, c._mpc_) for factors, c in x.terms()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CIRCUITS)), st.sampled_from(["both", "probe-only"]),
+       st.one_of(st.sampled_from(["0", "1e-70"]), st.floats(0, 100)),
+       st.one_of(st.just(0), st.floats(0, 3)),
+       st.lists(st.one_of(st.sampled_from(ETA_EDGES), st.floats(0, 1)), min_size=6, max_size=6),
+       st.floats(-10, 10), st.integers(30, 120))
+@example("su11", "both", "1e-70", 0, ["1"] * 4 + ["0.5"] * 2, 0.1, 60)
+@example("tsu11", "both", 58.5, 0, ["0." + "9" * 60] * 2 + ["1"] * 2 + ["0.5"] * 2, 0.1, 60)
+@example("su11", "probe-only", 100, 3, ["0.3", "1e-30", "0", "0.9", "0.2", "1"], 7.5, 120)
+def test_rows_match_the_expression_chain_bit_for_bit_property(circuit, arms, r, s, etas,
+                                                               theta_f, dps):
+    # the builders carry ports as rows; J and dJ must keep the keys, the
+    # term order and the bits of the chain built one OperatorExpr per
+    # stage, whose _merge cuts drop terms at r = 1e-70 and at large r
+    # beside a loss port of 1 - eta = 1e-60
+    p = InterferometerParams(r=r, s=s, theta_f=theta_f, arms=arms, precision=dps,
+                             **dict(zip(("eta_p1", "eta_c1", "eta_p2", "eta_c2", "eta_p3",
+                                         "eta_c3"), etas)))
+    _operators.cache_clear()
+    _r_free.cache_clear()
+    J, dJ, _ = CIRCUITS[circuit](p)
+    J0, dJ0 = chain(forced(p, BUILT_AT[circuit]))
+    assert _bits(J) == _bits(J0)
+    assert _bits(dJ) == _bits(dJ0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -428,6 +428,17 @@ class TestSweepCommand:
         assert out.splitlines()[1].startswith("1.0e-400,")
         assert '"lo": "1e-400"' in out
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_vacuum_seed_axis_exit_2(self, capsys, field):
+        # the vacuum circuit pins its seeds at 0 as it pins its forced
+        # fields, so an axis over one exits 2 and writes no error rows
+        code, out, err = run_cli(capsys, "sweep", "--preset", "paper-start",
+                                 "--circuit", "vacuum", "--axis", f"{field}:0:1:3")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (f"error: the vacuum circuit forces {field} = 0: "
+                       f"sweep axis '{field}' would not move it\n")
+
     @pytest.mark.parametrize("circuit", ["tsu11", "vacuum", "classical"])
     @pytest.mark.parametrize("field", ["s", "eta_p2", "eta_c2", "eta_p3", "eta_c3"])
     def test_axis_over_a_forced_field_exit_2(self, capsys, circuit, field):

@@ -31,7 +31,7 @@ from tsu11 import (
     vacuum_noise_map,
     variance,
 )
-from tsu11.circuits import LO_MODES, InterferometerParams, _operators
+from tsu11.circuits import LO_MODES, InterferometerParams, _operators, _r_free
 from tsu11.interpolants import CHECK_MARGIN, check_fit, node_scales, tolerance
 from tsu11.metrology import classical_point, lod_from_ratio
 from tsu11.optimize import (
@@ -498,6 +498,21 @@ def test_optimize_builds_each_operator_once():
     assert info.hits > 0
 
 
+@pytest.mark.parametrize("preset,halves", [("g15", 2), ("paper-start", 1)])
+def test_r_sweep_builds_each_r_free_half_once(preset, halves):
+    # a tsu11 LODI sweep off r = 0 builds 5 operators, its 3 nodes, its
+    # check and the classical chain at r = 0, on one r-free half per
+    # circuit, tsu11 and classical: a new r costs only its squeezer
+    # weights.  Without internal loss the classical chain, which drops the
+    # squeezer and the loss, shares the tsu11 chain's half
+    _operators.cache_clear()
+    _r_free.cache_clear()
+    run_sweep(SweepGrid(axes=(AxisSpec("r", "0.01", 3, 61),), base=make_params(preset),
+                        target="lodi"))
+    assert _operators.cache_info().misses == 5
+    assert _r_free.cache_info().misses == halves
+
+
 def _count_fdot(monkeypatch):
     """A list whose length counts the working-precision ``mp.fdot`` calls
     made from here on."""
@@ -741,6 +756,18 @@ class TestSweep:
                       base=make_params("paper-start"), circuit="nope")
         with pytest.raises(KeyError):
             make_params("nope")
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_vacuum_seed_axis_is_refused(self, field):
+        # the vacuum circuit is unseeded, so a seed axis would write error
+        # rows; every other circuit sweeps the seed
+        p = make_params("paper-start", alpha=0, beta=0)
+        axes = (AxisSpec(field, 0, 1, 3),)
+        with pytest.raises(ValueError, match=f"^the vacuum circuit forces {field} = 0: "
+                                             f"sweep axis '{field}' would not move it$"):
+            SweepGrid(axes=axes, base=p, target="variance", circuit="vacuum")
+        for circuit in ("classical", "tsu11", "su11"):
+            SweepGrid(axes=axes, base=p, target="variance", circuit=circuit)
 
     def test_deterministic(self):
         p = make_params("paper-start", precision=40, phi_p="0.001", phi_c="0.001")
