@@ -12,13 +12,14 @@ commute; same-mode factors obey [a, a'] = 1.
 
 Expressions are immutable after construction and all operations are pure
 functions, so evaluation is safe to run in parallel across parameter
-points.  The one thing an expression stores after construction is its
-normal form: ``normal_order`` computes it on the first call and returns
-the stored form on later ones, and a normal form is its own.
+points.  What an expression stores after construction is derived from it
+once: its normal form (``normal_order``; a normal form is its own), and
+that form as exact triples for the kernel.
 
 The coherent-state kernel works on exact integer triples and rounds each
 value it returns once; only terms more than 2 prec + 64 bits apart (prec
-the working precision in bits) are truncated to that gap (``_add``).
+the working precision in bits) are truncated to that gap (``_add``).  A
+report sets the kernel up once (``amplitudes``) for <J>, var J and <dJ>.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from mpmath import mp, mpc, workdps
-from mpmath.libmp import dps_to_prec, from_man_exp, mpc_pos, round_nearest
+from mpmath.libmp import (dps_to_prec, from_man_exp, mpc_add, mpc_conjugate, mpc_mul, mpc_pos,
+                          round_nearest)
 
 #: (mode label, dagger flag); dagger=True is a creation operator.
 Factor = tuple[str, bool]
@@ -84,27 +86,35 @@ def _reorder(factors: tuple[Factor, ...]) -> tuple[tuple[tuple[Factor, ...], int
     return ((ordered, 1),)
 
 
-def _top_bit(c: mpc):
-    """Binary exponent of the leading bit of max(|re|, |im|); -inf for 0."""
+def _top_bit(c: tuple):
+    """Binary exponent of the leading bit of max(|re|, |im|) of the raw
+    mpc ``c``; -inf for 0."""
     # an mpf tuple is (sign, mantissa, exponent, bit count of the mantissa)
-    (_, re_man, re_exp, re_bc), (_, im_man, im_exp, im_bc) = c._mpc_
+    (_, re_man, re_exp, re_bc), (_, im_man, im_exp, im_bc) = c
     top = re_exp + re_bc if re_man else _NO_BITS
     if im_man and im_exp + im_bc > top:
         top = im_exp + im_bc
     return top
 
 
-def _merge(raw: dict[tuple[Factor, ...], mpc], dps: int) -> dict[tuple[Factor, ...], mpc]:
-    """Drop coefficients whose leading bit lies more than
-    (dps - ZERO_MARGIN) decimal digits' worth of bits below the largest
-    one's, and exact zeros.  Reads the binary exponents of the mpmath
-    values directly, so no arithmetic is done."""
-    tops = [_top_bit(c) for c in raw.values()]
+def _cut(terms: dict, dps: int, tops: list | None = None) -> dict:
+    """Drop the terms whose leading bit lies more than (dps - ZERO_MARGIN)
+    decimal digits' worth of bits below the largest one's, and exact
+    zeros.  Reads the binary exponents of the values, raw mpc tuples (or
+    ``tops`` gives their leading bits in order), so no arithmetic is done.
+    A cut dict is its own cut."""
+    if tops is None:
+        tops = [_top_bit(v) for v in terms.values()]
     largest = max(tops, default=_NO_BITS)
     if largest == _NO_BITS:
         return {}
     cut = largest - int((dps - ZERO_MARGIN) * _LOG2_10)
-    return {k: c for (k, c), top in zip(raw.items(), tops) if top >= cut}
+    return {k: c for (k, c), top in zip(terms.items(), tops) if top >= cut}
+
+
+def _merge(terms: dict[tuple[Factor, ...], mpc], dps: int) -> dict[tuple[Factor, ...], mpc]:
+    """``_cut`` of terms whose values are mpc."""
+    return _cut(terms, dps, [_top_bit(c._mpc_) for c in terms.values()])
 
 
 class OperatorExpr:
@@ -113,10 +123,10 @@ class OperatorExpr:
     No two stored terms share a factor sequence and coefficients that are
     zero at working precision are dropped.  The empty factor tuple is the
     identity operator.  ``_normal`` holds the normal form once
-    ``normal_order`` has taken it.
+    ``normal_order`` has taken it, ``_exact`` the kernel's form of it.
     """
 
-    __slots__ = ("_terms", "dps", "_normal")
+    __slots__ = ("_terms", "dps", "_normal", "_exact")
 
     def __init__(
         self,
@@ -125,7 +135,7 @@ class OperatorExpr:
         _trusted: bool = False,
     ):
         self.dps = int(dps)
-        self._normal = None
+        self._normal = self._exact = None
         if not terms:
             self._terms = {}
             return
@@ -137,6 +147,14 @@ class OperatorExpr:
             raw = _sum((tuple((str(m), bool(d)) for (m, d) in fac), mpc(c))
                        for fac, c in terms.items())
         self._terms = _merge(raw, self.dps)
+
+    @classmethod
+    def _of_cut(cls, terms: dict[tuple[Factor, ...], mpc], dps: int) -> "OperatorExpr":
+        """An expression of canonical terms at ``dps`` that ``_merge`` has
+        cut already, taken as they are."""
+        x = cls.__new__(cls)
+        x.dps, x._terms, x._normal, x._exact = dps, terms, None, None
+        return x
 
     # -- inspection ------------------------------------------------------
 
@@ -199,20 +217,28 @@ def zero(dps: int = DEFAULT_DPS) -> OperatorExpr:
 
 
 def mul(lhs: OperatorExpr, rhs: OperatorExpr) -> OperatorExpr:
-    """Distributed product; factor sequences concatenate, no reordering."""
+    """Distributed product; factor sequences concatenate, no reordering.
+    Each product and sum is rounded as mpc's, on raw tuples."""
     lhs._check(rhs)
-    with workdps(lhs.dps):
-        acc = _sum((fa + fb, ca * cb) for fa, ca in lhs._terms.items()
-                   for fb, cb in rhs._terms.items())
-    return OperatorExpr(acc, lhs.dps, _trusted=True)
+    prec = dps_to_prec(lhs.dps)
+    acc: dict[tuple[Factor, ...], tuple] = {}
+    for fa, ca in lhs._terms.items():
+        a = ca._mpc_
+        for fb, cb in rhs._terms.items():
+            key, v = fa + fb, mpc_mul(a, cb._mpc_, prec, round_nearest)
+            acc[key] = mpc_add(acc[key], v, prec, round_nearest) if key in acc else v
+    return OperatorExpr._of_cut({f: mp.make_mpc(v) for f, v in _cut(acc, lhs.dps).items()},
+                                lhs.dps)
 
 
 def adjoint(x: OperatorExpr) -> OperatorExpr:
-    """Hermitian conjugate: conjugate coefficients, reverse factors, flip daggers."""
-    with workdps(x.dps):
-        acc = _sum((tuple((m, not d) for (m, d) in reversed(fac)), c.conjugate())
-                   for fac, c in x._terms.items())
-    return OperatorExpr(acc, x.dps, _trusted=True)
+    """Hermitian conjugate: conjugate coefficients, reverse factors, flip
+    daggers.  Every magnitude stays, so x's cut terms need no new cut."""
+    prec = dps_to_prec(x.dps)
+    return OperatorExpr._of_cut(
+        {tuple((m, not d) for (m, d) in reversed(fac)):
+         mp.make_mpc(mpc_conjugate(c._mpc_, prec, round_nearest))
+         for fac, c in x._terms.items()}, x.dps)
 
 
 def normal_order(x: OperatorExpr) -> OperatorExpr:
@@ -222,9 +248,14 @@ def normal_order(x: OperatorExpr) -> OperatorExpr:
     returns the stored form, whose own normal form is itself (reordering
     canonical terms changes no key and no coefficient)."""
     if x._normal is None:
+        pairs = [(c, _reorder(fac)) for fac, c in x._terms.items()]
+        if all(len(r) == 1 and r[0][1] == 1 and r[0][0] == fac
+               for fac, (_, r) in zip(x._terms, pairs)):
+            # every term canonical: the form has x's terms, which are cut
+            x._normal = x
+            return x
         with workdps(x.dps):
-            acc = _sum((key, c if mult == 1 else c * mult) for fac, c in x._terms.items()
-                       for key, mult in _reorder(fac))
+            acc = _sum((key, c if mult == 1 else c * mult) for c, r in pairs for key, mult in r)
         x._normal = form = OperatorExpr(acc, x.dps, _trusted=True)
         form._normal = form
     return x._normal
@@ -260,38 +291,87 @@ def _product(weight: tuple, factors: tuple[Factor, ...], amp: dict):
     return weight
 
 
-def _kernel(x: OperatorExpr, state: Mapping[str, object]):
-    """(x's precision in bits, the ``_add`` limit: twice those plus 64, the
-    triple of each factor's eigenvalue on the coherent state, x's normal
-    form as (factors, triple)), triples read exactly from the mpf tuples
-    (sign, mantissa, exponent, bits); a zero amplitude is left out."""
-    prec = dps_to_prec(x.dps)
+def _triple(c: tuple, limit: int) -> tuple:
+    """The exact triple of the raw mpc ``c`` (mpf tuples: sign, mantissa, exponent, bits)."""
+    (rs, rm, re, _), (is_, im, ie, _) = c
+    return _add((-rm if rs else rm, 0, re), (0, -im if is_ else im, ie), limit)
+
+
+class Amplitudes(NamedTuple):
+    """Coherent amplitudes set up for the kernel at ``dps`` digits: the bits,
+    the ``_add`` limit 2 prec + 64, each factor's eigenvalue as a triple."""
+
+    dps: int
+    prec: int
+    limit: int
+    amp: dict[Factor, tuple]
+
+
+def amplitudes(state: Mapping[str, object], dps: int) -> Amplitudes:
+    """The kernel's set-up of ``state`` (mode label -> amplitude) at ``dps``
+    digits, each amplitude rounded as mpc(v) there, a zero one left out.
+    The kernel takes it in place of the mapping, so it converts once."""
+    prec = dps_to_prec(dps)
     limit = 2 * prec + 64
-
-    def triple(c):
-        (rs, rm, re, _), (is_, im, ie, _) = c
-        return _add((-rm if rs else rm, 0, re), (0, -im if is_ else im, ie), limit)
-
     amp: dict[Factor, tuple] = {}
     for m, v in state.items():
-        # an amplitude rounded to x's precision, as mpc(v) there would be
         if isinstance(v, mpc):
             v = mpc_pos(v._mpc_, prec, round_nearest)
         else:
-            with workdps(x.dps):
+            with workdps(dps):
                 v = mpc(v)._mpc_
-        re, im, e = triple(v)
+        re, im, e = _triple(v, limit)
         if re or im:
             amp[(m, False)], amp[(m, True)] = (re, im, e), (re, -im, e)
-    return prec, limit, amp, [(fac, triple(c._mpc_)) for fac, c in normal_order(x).terms()]
+    return Amplitudes(dps, prec, limit, amp)
+
+
+@functools.lru_cache(maxsize=None)
+def _parts(fac: tuple[Factor, ...]):
+    """The ``cre`` and ``ann`` halves of a normal-ordered term for
+    ``coherent_moments``: (the factors that become amplitudes, the other
+    group, and per non-empty multiset M of it kept as operators (M's modes,
+    the factors dropped, how many subsets keep M)), M in the order that
+    displacing the group factor by factor, kept before dropped, reaches
+    it.  The subsets of one M have equal values, so they add to that count
+    times one.  Cached, as it depends on the factors alone."""
+    n_cre = sum(d for _, d in fac)
+    groups = fac[:n_cre], fac[n_cre:]
+    parts = []
+    for replaced, ops in (groups[::-1], groups):
+        partial = {(): ((), 1)}
+        for op in ops:
+            nxt: dict = {}
+            for key, (dropped, n) in partial.items():
+                for k, d in ((key + (op[0],), dropped), (key, dropped + (op,))):
+                    nxt[k] = (d, nxt[k][1] + n) if k in nxt else (d, n)
+            partial = nxt
+        parts.append((replaced, ops, tuple((k, d, n) for k, (d, n) in partial.items() if k)))
+    return tuple(parts)
+
+
+def _set_up(x: OperatorExpr, state):
+    """(``amplitudes`` of ``state`` at x's precision, x's normal form as
+    (factors, triple, ``_parts``), converted on the first call and stored
+    on x); amplitudes at another precision raise ``PrecisionMismatch``."""
+    if not isinstance(state, Amplitudes):
+        state = amplitudes(state, x.dps)
+    elif state.dps != x.dps:
+        raise PrecisionMismatch(f"amplitudes at {state.dps} digits for an expression "
+                                f"at {x.dps}")
+    if x._exact is None:
+        x._exact = [(fac, _triple(c._mpc_, state.limit), _parts(fac))
+                    for fac, c in normal_order(x).terms()]
+    return state, x._exact
 
 
 def _rounded(acc: dict, prec: int, phased: tuple[str, ...]):
     """Each triple of ``acc`` rounded once, to nearest at ``prec`` bits:
     {charge: value}, or without phased modes the value of charge ()."""
-    values = {q: mp.make_mpc(tuple(from_man_exp(m, t[2], prec, round_nearest) for m in t[:2]))
-              for q, t in acc.items()}
-    return values if phased else values.get((), mpc(0))
+    values = {q: mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
+                              from_man_exp(im, e, prec, round_nearest)))
+              for q, (re, im, e) in (acc.items() if phased else [((), acc.get((), _ZERO))])}
+    return values if phased else values[()]
 
 
 def _charge(fac: tuple[Factor, ...], phased: tuple[str, ...]) -> tuple[int, ...]:
@@ -300,12 +380,13 @@ def _charge(fac: tuple[Factor, ...], phased: tuple[str, ...]) -> tuple[int, ...]
     return tuple(sum(-1 if d else 1 for m, d in fac if m == pm) for pm in phased)
 
 
-def coherent_expectation(x: OperatorExpr, state: Mapping[str, object],
+def coherent_expectation(x: OperatorExpr, state: Mapping[str, object] | Amplitudes,
                          phased: tuple[str, ...] = ()):
     """Expectation value over a product of coherent states.
 
-    ``state`` maps mode labels to complex eigenvalues; absent modes are
-    vacuum.  After normal ordering, each creation factor of mode m becomes
+    ``state`` maps mode labels to complex eigenvalues, or is their
+    ``amplitudes`` set-up at x's precision; absent modes are vacuum.
+    After normal ordering, each creation factor of mode m becomes
     conj(state[m]) and each annihilation factor becomes state[m].  Sums
     and products are exact on integer triples and each value returned is
     rounded once.
@@ -316,13 +397,14 @@ def coherent_expectation(x: OperatorExpr, state: Mapping[str, object],
     q_k its annihilators of p_k less its creators of p_k, zero products
     included, and the coefficients come back as {charge: value}.
     """
-    prec, limit, amp, terms = _kernel(x, state)
+    state, terms = _set_up(x, state)
+    limit, amp = state.limit, state.amp
     acc: dict[tuple[int, ...], tuple] = {}
-    for fac, c in terms:
+    for fac, c, _ in terms:
         # with no phased modes every term has the charge ()
         q = phased and _charge(fac, phased)
         acc[q] = _add(acc.get(q, _ZERO), _product(c, fac, amp) or _ZERO, limit)
-    return _rounded(acc, prec, phased)
+    return _rounded(acc, state.prec, phased)
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,29 +413,7 @@ def _fock_norm(modes: tuple[str, ...]) -> int:
     return math.prod(math.factorial(modes.count(m)) for m in set(modes))
 
 
-def _displace(table: dict, ops: tuple[Factor, ...], weight: tuple, amp: dict,
-              limit: int) -> None:
-    """Add the operator part of weight * prod over ops of (op + amp[op]) to
-    ``table``, keyed by the sorted mode labels of the operators kept (at
-    least one); absent modes have amplitude 0.  The constant part, every
-    factor replaced by its amplitude, is not formed: it belongs to <x>."""
-    partial = {(): weight}
-    last = len(ops) - 1
-    for i, op in enumerate(ops):
-        a = amp.get(op)
-        nxt: dict[tuple[str, ...], tuple] = {}
-        for key, w in partial.items():
-            kept = key + (op[0],)
-            nxt[kept] = _add(nxt.get(kept, _ZERO), w, limit)
-            if a and (key or i < last):
-                nxt[key] = _add(nxt.get(key, _ZERO), _mul(w, a), limit)
-        partial = nxt
-    for key, w in partial.items():
-        if key:
-            table[key] = _add(table.get(key, _ZERO), w, limit)
-
-
-def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
+def coherent_moments(x: OperatorExpr, state: Mapping[str, object] | Amplitudes,
                      phased: tuple[str, ...] = ()):
     """(<x>, <x.x> - <x>^2) over a product of coherent states, exactly.
 
@@ -369,12 +429,12 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
 
         var = sum over M of cre[M] ann[M] prod n_m!.
 
-    The constant term left out of both tables is <x>, which is taken by
-    ``coherent_expectation``, the engine's one route to a mean.  No
-    product x.x is formed and nothing cancels; Hermiticity is not assumed.
-    As there, all is exact until each value is rounded once, so var of a
-    Hermitian x is exactly real.  ``state`` maps mode labels to
-    amplitudes, absent modes are vacuum.
+    A term adds one entry per M (``_parts``).  The constant term left out
+    of both tables is <x>, taken by ``coherent_expectation``, the engine's
+    one route to a mean, on the same set-up (``_set_up``).  No product x.x
+    is formed and nothing cancels; Hermiticity is not assumed.  As there,
+    all is exact until each value is rounded once, so var of a Hermitian x
+    is exactly real.  ``state`` is as there.
 
     With ``phased`` modes both moments come back as {charge: coefficient}
     Laurent polynomials, as in ``coherent_expectation``.  The terms of
@@ -383,23 +443,36 @@ def coherent_moments(x: OperatorExpr, state: Mapping[str, object],
     keeping the annihilator drops +1 from ann[M], so cre[M] ann[M] from
     tables of charges q, q' carries the charge q + q' whatever M is.
     """
-    prec, limit, amp, terms = _kernel(x, state)
+    state, terms = _set_up(x, state)
+    limit, amp = state.limit, state.amp
     cre: dict[tuple, dict[tuple[str, ...], tuple]] = {}
     ann: dict[tuple, dict[tuple[str, ...], tuple]] = {}
-    for fac, c in terms:
+    for fac, c, parts in terms:
         q = phased and _charge(fac, phased)
-        n_cre = sum(d for _, d in fac)
-        creators, annihilators = fac[:n_cre], fac[n_cre:]
-        for table, ops, w in ((cre, creators, _product(c, annihilators, amp)),
-                              (ann, annihilators, _product(c, creators, amp))):
-            if w and (w[0] or w[1]):
-                _displace(table.setdefault(q, {}), ops, w, amp, limit)
+        for tables, (replaced, ops, subsets) in zip((cre, ann), parts):
+            if not ops:
+                # nothing kept: the part only opens its charge's table
+                if all(f in amp for f in replaced):
+                    tables.setdefault(q, {})
+                continue
+            w = _product(c, replaced, amp)
+            if w is None:
+                continue
+            table = tables.setdefault(q, {})
+            for key, dropped, n in subsets:
+                v = _product(w, dropped, amp) if dropped else w
+                if v is not None:
+                    table[key] = _add(table.get(key, _ZERO),
+                                      v if n == 1 else (n * v[0], n * v[1], v[2]), limit)
     var: dict[tuple[int, ...], tuple] = {}
     for (q, cre_q), (q2, ann_q) in itertools.product(cre.items(), ann.items()):
         k = tuple(map(operator.add, q, q2))
-        var[k] = var.get(k, _ZERO)
+        acc = var.get(k, _ZERO)
         for key, c in cre_q.items():
-            if key in ann_q:
-                re, im, e = _mul(c, ann_q[key])
-                var[k] = _add(var[k], (re * _fock_norm(key), im * _fock_norm(key), e), limit)
-    return coherent_expectation(x, state, phased), _rounded(var, prec, phased)
+            d = ann_q.get(key)
+            if d is not None:
+                re, im, e = _mul(c, d)
+                n = _fock_norm(key)
+                acc = _add(acc, (re * n, im * n, e), limit)
+        var[k] = acc
+    return coherent_expectation(x, state, phased), _rounded(var, state.prec, phased)

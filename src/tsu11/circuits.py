@@ -39,9 +39,11 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 from mpmath import exp, isfinite, mp, mpc, mpf, sqrt, workdps
-from mpmath.libmp import mpf_cosh_sinh, round_nearest
+from mpmath.libmp import (dps_to_prec, fone, fzero, mpc_add, mpc_conjugate, mpc_mul,
+                          mpc_mul_mpf, mpf_cos_sin, mpf_cosh_sinh, mpf_mul, mpf_sqrt,
+                          round_nearest)
 
-from .algebra import DEFAULT_DPS, OperatorExpr, _merge, _sum, adjoint, ladder, mul
+from .algebra import DEFAULT_DPS, OperatorExpr, _cut, _sum, adjoint, ladder, mul
 from .jones import sampling_phase
 
 ARMS_BOTH = "both"
@@ -103,12 +105,18 @@ class InterferometerParams:
 
     def replace(self, **changes) -> "InterferometerParams":
         """``dataclasses.replace``, which converts and checks every field;
-        a change of numeric fields alone converts and checks only those."""
-        if not changes.keys() <= _NUMERIC:
+        a change of numeric fields alone converts and checks only those,
+        and a rise of the precision alone none: every field is exact, and
+        valid, at a higher precision."""
+        if changes.keys() <= _NUMERIC:
+            names = [name for name in NUMERIC_FIELDS if name in changes]
+        elif changes.keys() == {"precision"} and changes["precision"] >= self.precision:
+            names = []
+        else:
             return replace(self, **changes)
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, **changes)
-        new._check([name for name in NUMERIC_FIELDS if name in changes])
+        new._check(names)
         return new
 
 
@@ -133,68 +141,87 @@ _operator_key = operator.attrgetter(*OPERATOR_FIELDS)
 _R_FREE_FIELDS = OPERATOR_FIELDS[1:]
 
 
-def _scaled(x: dict, c, dps: int) -> dict:
-    """The terms of x * c for terms x and an mpc c, cut as ``_merge`` cuts."""
-    return _merge({f: v * c for f, v in x.items()}, dps)
+def _scaled(x: dict, c: tuple, prec: int, dps: int) -> dict:
+    """The terms of x * c for raw terms x and a raw mpc c, each product
+    rounded at ``prec`` bits as mpc's ``*`` rounds it, cut as ``_merge``
+    cuts.  A real c multiplies each part once, which rounds alike."""
+    if c[1] == fzero:
+        c = c[0]
+        return _cut({f: mpc_mul_mpf(v, c, prec, round_nearest) for f, v in x.items()}, dps)
+    return _cut({f: mpc_mul(v, c, prec, round_nearest) for f, v in x.items()}, dps)
 
 
-def _plus(x: dict, y: dict, dps: int) -> dict:
+def _plus(x: dict, y: dict, prec: int, dps: int) -> dict:
     """The terms of x + y, y's new keys after x's, cut as ``_merge`` cuts."""
-    return _merge(_sum([*x.items(), *y.items()]), dps)
+    acc = dict(x)
+    for f, v in y.items():
+        acc[f] = mpc_add(acc[f], v, prec, round_nearest) if f in acc else v
+    return _cut(acc, dps)
 
 
-def _dagger(x: dict) -> dict:
+def _dagger(x: dict, prec: int) -> dict:
     """The terms of x's adjoint: its magnitudes, so ``_merge``'s cut, stay."""
-    return {tuple((m, not d) for m, d in reversed(f)): v.conjugate() for f, v in x.items()}
+    return {tuple((m, not d) for m, d in reversed(f)): mpc_conjugate(v, prec, round_nearest)
+            for f, v in x.items()}
 
 
-def _squeeze(x: dict, y: dict, ch, sh, dps: int):
+def _squeeze(x: dict, y: dict, ch: tuple, sh: tuple, prec: int, dps: int):
     """Two-mode squeezer: x -> x cosh + y' sinh, y -> x' sinh + y cosh."""
-    return (_plus(_scaled(x, ch, dps), _scaled(_dagger(y), sh, dps), dps),
-            _plus(_scaled(_dagger(x), sh, dps), _scaled(y, ch, dps), dps))
+    return (_plus(_scaled(x, ch, prec, dps), _scaled(_dagger(y, prec), sh, prec, dps), prec, dps),
+            _plus(_scaled(_dagger(x, prec), sh, prec, dps), _scaled(y, ch, prec, dps), prec, dps))
 
 
-def _cosh_sinh(x):
-    """mpc(cosh x), mpc(sinh x) from one ``mpf_cosh_sinh`` at the working precision."""
-    return [mpc(mp.make_mpf(v)) for v in mpf_cosh_sinh(x._mpf_, mp.prec, round_nearest)]
+#: the raw mpc 1
+_ONE = (fone, fzero)
+
+
+def _cosh_sinh(x, prec: int):
+    """Raw mpc (cosh x, sinh x) from one ``mpf_cosh_sinh`` at ``prec`` bits."""
+    return [(v, fzero) for v in mpf_cosh_sinh(x._mpf_, prec, round_nearest)]
 
 
 class _Arm(NamedTuple):
-    """The r-free stages of one arm; every scalar an mpc, as
-    ``OperatorExpr.scaled`` takes it, and None for a skipped stage."""
+    """The r-free stages of one arm; every scalar a raw mpc, and None for a
+    skipped stage."""
 
-    weight: mpc  # e^{i phi} sqrt(eta1), with no e^{i phi} on an unsampled arm
-    dweight: mpc | None  # its phi derivative; None on an unsampled arm
+    weight: tuple  # e^{i phi} sqrt(eta1), with no e^{i phi} on an unsampled arm
+    dweight: tuple | None  # its phi derivative; None on an unsampled arm
     loss: dict | None  # the internal loss port's term
     external: tuple | None  # sqrt(eta2) and the external loss port's term
     lo: OperatorExpr  # the bare LO mode
     mixed: OperatorExpr  # lo weighted 2itl by the homodyne splitter
-    k: mpc | None  # t^2 - l^2; None where balanced
+    k: mpc | None  # t^2 - l^2, as ``OperatorExpr.scaled`` takes it; None where balanced
 
 
-def _homodyne_difference(sig: OperatorExpr, dsig: OperatorExpr, arm: _Arm):
+def _homodyne_difference(x: dict, dx: dict, arm: _Arm, prec: int, dps: int):
     """Balanced-detector difference af'.af - an'.an for one homodyne.
 
     af = sig*t + i*lo*l and an = lo*t + i*sig*l with t = sqrt(eta3) and
     l = sqrt(1-eta3) reduce to (t^2-l^2)(sig'.sig - lo'.lo) + 2itl(sig'.lo
     - lo'.sig), so a balanced splitter needs no sig'.sig product.  Returns
-    the terms of (J, dJ), where dJ follows from the signal derivative
-    ``dsig``.
+    the terms of (J, dJ) for the signal's cut row x, where dJ follows from
+    the row of the signal derivative, dx.
     """
-    dps, lo, k = sig.dps, arm.lo, arm.k
+    lo, k = arm.lo, arm.k
 
-    def difference(x):
+    def difference(row):
         # (sig'.lo) 2itl as sig'.(lo 2itl): lo's unit weight multiplies exactly
-        cross = mul(adjoint(x), arm.mixed)._terms
-        return {**cross, **_dagger(cross)}
+        cross = mul(_expr(_dagger(row, prec), dps), arm.mixed)
+        return {**cross._terms, **adjoint(cross)._terms}
 
-    J, dJ = difference(sig), difference(dsig)
+    J, dJ = difference(x), difference(dx)
     if k is None:
         return J, dJ
+    sig, dsig = _expr(x, dps), _expr(dx, dps)
     dn = mul(adjoint(dsig), sig)
-    J = OperatorExpr(J, dps, _trusted=True) + (mul(adjoint(sig), sig) - mul(adjoint(lo), lo)) * k
-    dJ = OperatorExpr(dJ, dps, _trusted=True) + (dn + adjoint(dn)) * k
+    J = OperatorExpr._of_cut(J, dps) + (mul(adjoint(sig), sig) - mul(adjoint(lo), lo)) * k
+    dJ = OperatorExpr._of_cut(dJ, dps) + (dn + adjoint(dn)) * k
     return J._terms, dJ._terms
+
+
+def _expr(x: dict, dps: int) -> OperatorExpr:
+    """The expression of the cut raw row x, its values as mpc."""
+    return OperatorExpr._of_cut({f: mp.make_mpc(v) for f, v in x.items()}, dps)
 
 
 def _chain(p: InterferometerParams):
@@ -207,7 +234,7 @@ def _chain(p: InterferometerParams):
 def _r_free(key):
     """The half of the chain that r does not touch, for the
     ``_R_FREE_FIELDS`` values ``key``: (precision, the second squeezer's
-    mpc (cosh s, sinh s) or None, the probe and conjugate ``_Arm``)."""
+    raw (cosh s, sinh s) or None, the probe and conjugate ``_Arm``)."""
     p = InterferometerParams(**dict(zip(_R_FREE_FIELDS, key)))
     dps = p.precision
     with workdps(dps):
@@ -220,11 +247,12 @@ def _r_free(key):
             w, lo = mpc((phase if sampled else mpf(1)) * sqrt(e1)), ladder(g, False, 1, dps)
             t, l = sqrt(e3), sqrt(1 - e3)
             arms.append(_Arm(
-                w, i * w if sampled else None,
-                {((c, False),): i * sqrt(1 - e1)} if e1 != 1 else None,
-                (mpc(sqrt(e2)), {((e, False),): i * sqrt(1 - e2)}) if e2 != 1 else None,
+                w._mpc_, (i * w)._mpc_ if sampled else None,
+                {((c, False),): (i * sqrt(1 - e1))._mpc_} if e1 != 1 else None,
+                ((sqrt(e2)._mpf_, fzero), {((e, False),): (i * sqrt(1 - e2))._mpc_})
+                if e2 != 1 else None,
                 lo, lo * mpc(0, 2 * t * l), mpc(t * t - l * l) if t != l else None))
-        return dps, (_cosh_sinh(p.s) if p.s else None), arms
+        return dps, (_cosh_sinh(p.s, mp.prec) if p.s else None), arms
 
 
 @functools.lru_cache(maxsize=4)
@@ -235,35 +263,40 @@ def _operators(key):
 
     What r does not touch comes from ``_r_free``, memoised on the other
     fields, so a new r costs its squeezer weights and the rows: each port
-    is a row of terms over (mode, dagger) until the homodynes, which take
-    its product with the LO by ``mul``.  Every stage cuts as ``_merge``
-    cuts where a chain of expressions would, in the same order of
-    operations, so the terms, their order and their bits are those of
-    that chain.  A stage at r = 0, s = 0 or eta = 1 would add only exact
-    zeros, which ``_merge`` drops, so skipping it leaves J and dJ bit for
-    bit unchanged.  Expressions are immutable, so every caller may share
-    the memoised pair."""
+    is a row of terms over (mode, dagger), values raw mpc tuples rounded
+    as mpc arithmetic rounds them, until the homodynes, which take its
+    product with the LO by ``mul``.  Every stage cuts as ``_merge`` cuts
+    where a chain of expressions would, in the same order of operations,
+    so the terms, their order and their bits are those of that chain; a
+    cut row and its adjoint are not cut again, and the first squeezer,
+    which meets unit weights, multiplies nothing.  A stage at r = 0, s = 0
+    or eta = 1 would add only exact zeros, which ``_merge`` drops, so
+    skipping it leaves J and dJ bit for bit unchanged.  Expressions are
+    immutable, so every caller may share the memoised pair."""
     dps, second, arms = _r_free(key[1:])
+    prec = dps_to_prec(dps)
+    if key[0]:
+        ch, sh = _cosh_sinh(key[0], prec)
+        u, v = _cut({(("a", False),): ch, (("b", True),): sh}, dps), \
+            _cut({(("a", True),): sh, (("b", False),): ch}, dps)
+    else:
+        u, v = {(("a", False),): _ONE}, {(("b", False),): _ONE}
+    ports = []
+    for x, arm in zip((u, v), arms):
+        y = _scaled(x, arm.weight, prec, dps)
+        ports.append((_plus(arm.loss, y, prec, dps) if arm.loss else y,
+                      _scaled(x, arm.dweight, prec, dps) if arm.dweight is not None else {}))
+    (w, dw), (z, dz) = ports
+    if second:
+        (w, z), (dw, dz) = (_squeeze(w, z, *second, prec, dps),
+                            _squeeze(dw, dz, *second, prec, dps))
+    J, dJ = {}, {}
     with workdps(dps):
-        one = mpc(1)
-        u, v = {(("a", False),): one}, {(("b", False),): one}
-        if key[0]:
-            u, v = _squeeze(u, v, *_cosh_sinh(key[0]), dps)
-        ports = []
-        for x, arm in zip((u, v), arms):
-            y = _scaled(x, arm.weight, dps)
-            ports.append((_plus(arm.loss, y, dps) if arm.loss else y,
-                          _scaled(x, arm.dweight, dps) if arm.dweight is not None else {}))
-        (w, dw), (z, dz) = ports
-        if second:
-            (w, z), (dw, dz) = _squeeze(w, z, *second, dps), _squeeze(dw, dz, *second, dps)
-        J, dJ = {}, {}
         for x, dx, arm in zip((w, z), (dw, dz), arms):
             if arm.external:
                 t, port = arm.external
-                x, dx = _plus(_scaled(x, t, dps), port, dps), _scaled(dx, t, dps)
-            Jx, dJx = _homodyne_difference(OperatorExpr(x, dps, _trusted=True),
-                                           OperatorExpr(dx, dps, _trusted=True), arm)
+                x, dx = _plus(_scaled(x, t, prec, dps), port, prec, dps), _scaled(dx, t, prec, dps)
+            Jx, dJx = _homodyne_difference(x, dx, arm, prec, dps)
             J, dJ = _sum([*J.items(), *Jx.items()]), _sum([*dJ.items(), *dJx.items()])
         return OperatorExpr(J, dps, _trusted=True), OperatorExpr(dJ, dps, _trusted=True)
 
@@ -293,13 +326,17 @@ def forced(p: InterferometerParams, values: dict) -> InterferometerParams:
 
 
 def _state(p: InterferometerParams, alpha, beta):
-    """Coherent assignment: seeds alpha, beta on a, b and the LOs
-    gamma e^{i phi_p}, kappa e^{i phi_c} on g, h.  The LO phases live here
-    and not in the operators; a zero phase leaves the amplitude exact."""
-    with workdps(p.precision):
-        g = exp(mpc(0, p.phi_p))
-        h = g if p.phi_c == p.phi_p else exp(mpc(0, p.phi_c))
-        return {"a": mpc(alpha), "b": mpc(beta), "g": p.gamma * g, "h": p.kappa * h}
+    """Coherent assignment: seeds alpha, beta (mpf at p's precision) on a,
+    b and the LOs gamma e^{i phi_p}, kappa e^{i phi_c} on g, h, each
+    rounded as mpc arithmetic at p's precision rounds it (e^{i phi} is
+    mpc_exp's cos and sin of phi).  The LO phases live here and not in the
+    operators; a zero phase leaves the amplitude exact."""
+    prec = dps_to_prec(p.precision)
+    g = mpf_cos_sin(p.phi_p._mpf_, prec, round_nearest)
+    h = g if p.phi_c == p.phi_p else mpf_cos_sin(p.phi_c._mpf_, prec, round_nearest)
+    return {"a": mp.make_mpc((alpha._mpf_, fzero)), "b": mp.make_mpc((beta._mpf_, fzero)),
+            "g": mp.make_mpc(mpc_mul_mpf(g, p.gamma._mpf_, prec, round_nearest)),
+            "h": mp.make_mpc(mpc_mul_mpf(h, p.kappa._mpf_, prec, round_nearest))}
 
 
 def build_su11_J(p: InterferometerParams):
@@ -333,10 +370,17 @@ def build_vacuum_J(p: InterferometerParams):
 def classical_seeds(p: InterferometerParams):
     """Photon-matched classical seeds alpha*sqrt(eta_p1)*cosh(r) and
     alpha*sqrt(eta_c1)*sinh(r): the mean fields the squeezed circuit puts
-    on its sampled arms."""
-    with workdps(p.precision):
-        ch, sh = map(mp.make_mpf, mpf_cosh_sinh(p.r._mpf_, mp.prec, round_nearest))
-        return p.alpha * sqrt(p.eta_p1) * ch, p.alpha * sqrt(p.eta_c1) * sh
+    on its sampled arms, rounded as mpf arithmetic at p's precision
+    rounds them."""
+    prec = dps_to_prec(p.precision)
+    return tuple(mp.make_mpf(mpf_mul(mpf_mul(p.alpha._mpf_, mpf_sqrt(eta._mpf_, prec, round_nearest),
+                                             prec, round_nearest), c, prec, round_nearest))
+                 for eta, c in zip((p.eta_p1, p.eta_c1),
+                                   mpf_cosh_sinh(p.r._mpf_, prec, round_nearest)))
+
+
+#: the fields the classical chain sets beyond ``FORCED``: no squeezer and no internal loss
+_CLASSICAL = {**FORCED["classical"], "r": 0, "eta_p1": 1, "eta_c1": 1}
 
 
 def build_classical_J(p: InterferometerParams):
@@ -345,9 +389,12 @@ def build_classical_J(p: InterferometerParams):
     The chain with no squeezing and no loss: each seeded arm meets its LO
     on a balanced beamsplitter read out by a balanced detector pair.  The
     seeds are rescaled by ``classical_seeds`` so the photon numbers on the
-    sampled arms match the squeezed circuit at p.  Returns (J, dJ, state).
+    sampled arms match the squeezed circuit at p.  The chain's memo key is
+    p's with those settings in place, so no parameters are built for it.
+    Returns (J, dJ, state).
     """
-    J, dJ = _chain(forced(p, {**FORCED["classical"], "r": 0, "eta_p1": 1, "eta_c1": 1}))
+    J, dJ = _operators(tuple(_CLASSICAL.get(name, v)
+                             for name, v in zip(OPERATOR_FIELDS, _operator_key(p))))
     return J, dJ, _state(p, *classical_seeds(p))
 
 

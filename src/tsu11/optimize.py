@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import log10, mp, mpf, pi, workdps
 
-from .algebra import _sum, coherent_expectation, coherent_moments
+from .algebra import _sum, amplitudes, coherent_expectation, coherent_moments
 from .circuits import CIRCUITS, LO_MODES, InterferometerParams
 from .interpolants import agreement_digits, check_fit, tolerance
 from .metrology import ConsistencyError, classical_lod, defined_lod, lod_from_ratio, report
@@ -142,7 +142,8 @@ class PhaseLandscape:
     The circuit is built once at phi_p = phi_c = 0, where the LO
     amplitudes are exactly gamma and kappa.  One pass of
     ``coherent_moments`` over J and one of ``coherent_expectation`` over
-    dJ, graded by the LO charges of ``LO_MODES``, give the Laurent
+    dJ, on one kernel set-up of the state (``amplitudes``) as a report
+    takes them, graded by the LO charges of ``LO_MODES``, give the Laurent
     coefficients of <J>, var(J) and D = <dJ/dphi>; |D|^2 takes the charge
     q - q' from D_q conj(D_q').  Their real parts are mapped onto the
     real basis (1, cos, sin, cos 2, sin 2) of each phase.  ``_values``
@@ -164,6 +165,7 @@ class PhaseLandscape:
         self.tol = tolerance(dps)
         with workdps(dps):
             J, dJ, state = CIRCUITS[circuit](p.replace(phi_p=0, phi_c=0))
+            state = amplitudes(state, dps)
             mean, var = coherent_moments(J, state, LO_MODES)
             deriv = coherent_expectation(dJ, state, LO_MODES).items()
             dsq = _sum(((a - a2, b - b2), d * d2.conjugate())

@@ -33,7 +33,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from mpmath import exp, mp, mpf, workdps
-from mpmath.libmp import dps_to_prec, mpf_exp, mpf_mul_int, mpf_pos, round_nearest
+from mpmath.libmp import (dps_to_prec, from_int, mpf_add, mpf_div, mpf_exp, mpf_mul_int,
+                          mpf_pos, round_nearest)
 
 from .circuits import CIRCUITS, FORCED, NUMERIC_FIELDS, InterferometerParams, forced, pinned
 from .interpolants import (agreement_digits, check_fit, fixed, horner, lagrange_lifts,
@@ -75,12 +76,17 @@ class AxisSpec:
             raise ValueError("log axis requires positive bounds")
 
     def points(self, dps: int):
+        """The axis points at ``dps`` digits, lo + (hi - lo) k / (count - 1)
+        (in log10 on a log axis), each formed by the three roundings of
+        that mpf expression on raw tuples.  They are monotone in k."""
         with workdps(dps):
             lo, hi = mpf(str(self.lo)), mpf(str(self.hi))
             if self.log:
                 lo, hi = mp.log10(lo), mp.log10(hi)
-            width, n = hi - lo, self.count
-            xs = [lo + width * k / (n - 1) for k in range(n)]
+            prec, lo, width, n = mp.prec, lo._mpf_, (hi - lo)._mpf_, from_int(self.count - 1)
+            xs = [mp.make_mpf(mpf_add(lo, mpf_div(mpf_mul_int(width, k, prec, round_nearest), n,
+                                                  prec, round_nearest), prec, round_nearest))
+                  for k in range(self.count)]
             return [mpf(10) ** x for x in xs] if self.log else xs
 
 
@@ -311,7 +317,9 @@ def run_sweep(grid: SweepGrid) -> list[dict]:
     names, dps = [ax.name for ax in grid.axes], grid.base.precision
     *outer, inner = grid.axes
     points = inner.points(dps)
-    span = (min(points), max(points)) if inner.name == "r" else None
+    # monotone points: the ends hold the least and the largest
+    ends = points[0], points[-1]
+    span = (min(ends), max(ends)) if inner.name == "r" else None
     rows = []
     for head in itertools.product(*(ax.points(dps) for ax in outer)):
         run = [dict(zip(names, head + (x,))) for x in points]

@@ -30,6 +30,7 @@ from tsu11 import (
 from tsu11 import algebra
 from tsu11.algebra import ZERO_MARGIN, _reorder, _sum
 
+import kernel_oracle
 from conftest import random_expr, random_state
 from fock_oracle import factored_expectation
 
@@ -452,6 +453,65 @@ def test_kernel_rounds_the_exact_moments_once_property(dps, terms, amplitudes, p
             for q in got.keys() | want.keys():
                 _assert_rounded_once(got.get(q, mpc(0)), want.get(q, (0, 0)), mass, prec,
                                      truncated)
+
+
+def kernel_bits(value):
+    """The raw tuples of a kernel value, or of each coefficient of a graded
+    one in its charge order."""
+    if isinstance(value, dict):
+        return [(q, c._mpc_) for q, c in value.items()]
+    return value._mpc_
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(30, 120),
+    st.dictionaries(mode3_term_st, coeff_st, min_size=1, max_size=5),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), amplitude_st),
+    st.sampled_from([(), ("a",), ("a", "b"), ("c", "a")]),
+    st.booleans(),
+)
+# repeated factors kept and dropped, beside amplitudes 1e200 apart, which
+# the alignment bound truncates
+@example(30, {(("a", True), ("a", True), ("a", False), ("a", False)): 1,
+              (("a", True), ("b", True), ("b", False)): 1j, (): 1},
+         {"a": (0.5, 100), "b": (1j, -100), "c": 0}, ("a",), True)
+def test_one_set_up_is_the_three_set_up_route_property(dps, terms, amplitudes, phased, prepared):
+    # the moments from one set-up, given as a mapping or as its
+    # ``amplitudes``, are those of the route that converts the amplitudes
+    # and the normal form on every call and displaces each term through
+    # subset tables (``kernel_oracle``): the same charges in the same order
+    # and the same bits, on expressions with repeated factors and
+    # amplitudes from 1e-100 to 1e100, zero or absent
+    x = OperatorExpr(terms, dps=dps)
+    with workdps(dps):
+        state = {m: a and mpc(a[0]) * mpf(10) ** a[1] for m, a in amplitudes.items()}
+    given = algebra.amplitudes(state, dps) if prepared else state
+    for got, want in zip(coherent_moments(x, given, phased),
+                         kernel_oracle.moments(x, state, phased)):
+        assert kernel_bits(got) == kernel_bits(want)
+    assert (kernel_bits(coherent_expectation(x, given, phased))
+            == kernel_bits(kernel_oracle.expectation(x, state, phased)))
+
+
+def test_table_order_is_kept_where_the_alignment_bound_truncates():
+    # var = cre[a,b] ann[a,b] + cre[a] ann[a] + cre[b] ann[b] = 1 - 2^1000
+    # + 2^1000, in the order the terms first reach each key: the 1 meets
+    # -2^1000 first and is truncated away, so the kernel's var is 0.
+    # Keys reached in another order would give 1
+    x = OperatorExpr({(("a", True), ("b", True)): 1, (("a", False), ("b", False)): 1,
+                      (("a", True), ("c", False)): 1}, dps=30)
+    with workdps(30):
+        state = {"a": mpf(2) ** 500, "b": mpf(2) ** 500, "c": -mpf(2) ** 501}
+    got, want = coherent_moments(x, state), kernel_oracle.moments(x, state)
+    assert [kernel_bits(v) for v in got] == [kernel_bits(v) for v in want]
+    assert got[1] == 0
+
+
+def test_amplitudes_at_another_precision_are_refused():
+    x = mul(ladder("a", dagger=True, dps=40), ladder("a", dps=40))
+    with pytest.raises(PrecisionMismatch):
+        coherent_moments(x, algebra.amplitudes({"a": 2}, 60))
 
 
 @pytest.mark.parametrize("dps,ref_dps", [(30, 120), (120, 240)])

@@ -25,7 +25,8 @@ from tsu11 import (
     report,
     variance,
 )
-from tsu11.circuits import FORCED, NUMERIC_FIELDS, _operators, _r_free, classical_seeds, forced
+from tsu11.circuits import (FORCED, NUMERIC_FIELDS, _operators, _r_free, _state, classical_seeds,
+                            forced)
 
 from chain_oracle import chain
 from conftest import expr_close, rel_diff
@@ -452,3 +453,45 @@ def test_classical_seeds_are_the_cosh_sinh_route_property(dps, r, eta_p1, eta_c1
     with workdps(dps):
         want = (p.alpha * sqrt(p.eta_p1) * cosh(p.r), p.alpha * sqrt(p.eta_c1) * sinh(p.r))
     assert [x._mpf_ for x in classical_seeds(p)] == [x._mpf_ for x in want]
+
+
+#: points far apart in size: every numeric field at 0 and 1, or spread by decades
+_FIELD_ST = st.one_of(st.sampled_from(["0", "1", "0.5", "1e-200", "0." + "9" * 90]),
+                      st.floats(0, 1), st.floats(0, 400))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(30, 240), st.integers(30, 240),
+       st.lists(_FIELD_ST, min_size=len(NUMERIC_FIELDS), max_size=len(NUMERIC_FIELDS)),
+       st.sampled_from(["both", "probe-only"]))
+@example(30, 240, ["0." + "9" * 90] * len(NUMERIC_FIELDS), "both")
+@example(240, 30, ["0." + "9" * 90] * len(NUMERIC_FIELDS), "probe-only")
+def test_precision_change_is_dataclasses_replace_property(dps, new_dps, values, arms):
+    # a rise of the precision keeps every field as it is, a fall rounds
+    # each one: field for field the bits of dataclasses.replace
+    fields = dict(zip(NUMERIC_FIELDS, values))
+    fields.update({name: min(float(v), 1) if isinstance(v, float) else v
+                   for name, v in fields.items() if name.startswith("eta")})
+    p = InterferometerParams(arms=arms, precision=dps, **fields)
+    got, want = p.replace(precision=new_dps), dataclasses.replace(p, precision=new_dps)
+    assert (got.precision, got.arms) == (want.precision, want.arms)
+    assert [getattr(got, n)._mpf_ for n in NUMERIC_FIELDS] == \
+        [getattr(want, n)._mpf_ for n in NUMERIC_FIELDS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(30, 240), st.floats(-10, 10), st.floats(-10, 10),
+       st.sampled_from(["0", "1e-200", "3", "1e160"]), st.sampled_from(["0", "0.25", "1e5"]))
+@example(60, 0, 0, "1e160", "0")
+@example(60, 0.3, 0.3, "3", "1e5")
+def test_state_is_the_mpc_route_property(dps, phi_p, phi_c, gamma, alpha):
+    # the coherent assignment on raw tuples rounds as the mpc expression
+    # mpc(alpha), gamma exp(i phi_p), kappa exp(i phi_c) at the precision
+    p = InterferometerParams(alpha=alpha, beta=alpha, gamma=gamma, kappa=gamma,
+                             phi_p=phi_p, phi_c=phi_c, precision=dps)
+    with workdps(dps):
+        want = {"a": mpc(p.alpha), "b": mpc(p.beta), "g": p.gamma * exp(mpc(0, p.phi_p)),
+                "h": p.kappa * exp(mpc(0, p.phi_c))}
+    got = _state(p, p.alpha, p.beta)
+    assert list(got) == list(want)
+    assert [v._mpc_ for v in got.values()] == [v._mpc_ for v in want.values()]

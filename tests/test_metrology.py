@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,10 +27,17 @@ from tsu11 import (
     report,
     variance,
 )
+import tsu11.algebra
+import tsu11.metrology
+import tsu11.optimize
+from tsu11.circuits import CIRCUITS, LO_MODES
 from tsu11.cli import _decimals
 from tsu11.metrology import lod_from_ratio
+from tsu11.optimize import PhaseLandscape
 
+import kernel_oracle
 from conftest import rel_diff
+from test_algebra import kernel_bits
 from test_circuits import random_params
 
 # engine regression anchors, frozen from 60-digit runs
@@ -325,3 +333,101 @@ def test_lod_from_ratio_is_mpmaths_route_bit_for_bit_property(dps, decade, manti
         assert lod_from_ratio(ratio)._mpf_ == (10 * log10(sqrt(ratio)))._mpf_
         for special in (mpf(0), mp.inf, mpf(1), mpf(10)):
             assert lod_from_ratio(special) == 10 * log10(sqrt(special))
+
+
+def _outcome(route, *args):
+    """What ``route(*args)`` returns, or the type and message of what it
+    raises."""
+    try:
+        return route(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _report_bits(rep):
+    if isinstance(rep, tuple):
+        return rep
+    return (rep.mean_j._mpc_, rep.second_moment._mpc_, rep.variance._mpc_,
+            rep.dj_dphi_sq._mpf_, rep.source, rep.precision)
+
+
+def _landscape_bits(land):
+    if isinstance(land, tuple):
+        return land
+    return ([[c._mpf_ for c in row] for coef in land._coefs for row in coef],
+            [x._mpf_ for x in land._noise + [land.var_scale, land.dsq_scale, land.dsq_floor]])
+
+
+#: the landscape's kernel calls taken by the three-set-up route
+_ORACLE_LANDSCAPE = {"amplitudes": lambda state, dps: state,
+                     "coherent_moments": kernel_oracle.moments,
+                     "coherent_expectation": kernel_oracle.expectation}
+
+_EXTREMES = {"alpha": "1e-200", "gamma": "1e160", "kappa": "1e160"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CIRCUITS)), st.sampled_from(["both", "probe-only"]),
+       st.integers(30, 120),
+       st.one_of(st.just(0), st.floats(0, 400)), st.one_of(st.just(0), st.floats(0, 3)),
+       st.fixed_dictionaries({name: st.sampled_from(["0", "3", "1e5", value])
+                              for name, value in _EXTREMES.items()}),
+       st.lists(st.one_of(st.sampled_from(["0", "1", "0.5"]), st.floats(0, 1)),
+                min_size=6, max_size=6),
+       st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+       st.sets(st.sampled_from(["a", "b", "g", "h"])))
+@example("tsu11", "both", 60, 0.88, 0, {"alpha": "1e5", "gamma": "1e160", "kappa": "1e160"},
+         ["1"] * 4 + ["0.5"] * 2, [0.001, 0.3, -0.2], set())
+@example("classical", "probe-only", 30, 2.4, 0, {"alpha": "1e-200", "gamma": "3", "kappa": "3"},
+         ["0.8"] * 4 + ["0.5"] * 2, [0.001, 1, 2], {"a"})
+@example("su11", "both", 120, 400, 0.3, {"alpha": "3", "gamma": "1e5", "kappa": "0"},
+         ["0.9", "0.7", "0.93", "0.97", "0.45", "0.55"], [0.2, 0.3, -0.7], {"b", "h"})
+@example("vacuum", "both", 45, 400, 0, {"alpha": "0", "gamma": "1e160", "kappa": "1e160"},
+         ["1"] * 4 + ["0.5"] * 2, [0.001, 0, 0], {"a", "b"})
+def test_reports_and_landscapes_match_the_three_set_up_route_property(
+        circuit, arms, dps, r, s, amps, etas, phases, absent):
+    # one kernel set-up per report and per landscape: every report field,
+    # every graded moment and every landscape coefficient is that of the
+    # route that sets the kernel up for each moment (``kernel_oracle``),
+    # with both arms settings, zero and absent amplitudes, gamma = kappa =
+    # 1e160, alpha = 1e-200 and r up to 400
+    theta_f, phi_p, phi_c = phases
+    p = InterferometerParams(
+        r=r, s=s, beta=0 if circuit == "vacuum" else amps["alpha"], arms=arms, precision=dps,
+        theta_f=theta_f, phi_p=phi_p, phi_c=phi_c,
+        **{**amps, **({"alpha": 0} if circuit == "vacuum" else {})},
+        **dict(zip(("eta_p1", "eta_c1", "eta_p2", "eta_c2", "eta_p3", "eta_c3"), etas)))
+    assert (_report_bits(_outcome(report, circuit, p))
+            == _report_bits(_outcome(kernel_oracle.report, circuit, p)))
+
+    J, dJ, state = CIRCUITS[circuit](p)
+    state = {m: v for m, v in state.items() if m not in absent}
+    for phased in ((), LO_MODES):
+        given = tsu11.algebra.amplitudes(state, dps)
+        for got, want in zip(tsu11.algebra.coherent_moments(J, given, phased),
+                             kernel_oracle.moments(J, state, phased)):
+            assert kernel_bits(got) == kernel_bits(want)
+        assert (kernel_bits(coherent_expectation(dJ, given, phased))
+                == kernel_bits(kernel_oracle.expectation(dJ, state, phased)))
+
+    land = _outcome(PhaseLandscape, p, circuit)
+    with mock.patch.multiple(tsu11.optimize, **_ORACLE_LANDSCAPE):
+        oracle_land = _outcome(PhaseLandscape, p, circuit)
+    assert _landscape_bits(land) == _landscape_bits(oracle_land)
+
+
+def test_one_amplitude_conversion_per_report(monkeypatch):
+    # a report converts the coherent state once for <J>, var J and <dJ>
+    calls, convert = [], tsu11.algebra.amplitudes
+
+    def counted(state, dps):
+        calls.append(dps)
+        return convert(state, dps)
+
+    monkeypatch.setattr(tsu11.algebra, "amplitudes", counted)
+    monkeypatch.setattr(tsu11.metrology, "amplitudes", counted)
+    for circuit in sorted(CIRCUITS):
+        p = make_params("paper-start", **({"alpha": 0, "beta": 0} if circuit == "vacuum" else {}))
+        calls.clear()
+        report(circuit, p)
+        assert calls == [p.precision], circuit

@@ -546,8 +546,8 @@ def test_working_precision_dot_products_are_pinned(monkeypatch):
 
 def test_r_sweep_row_work_is_pinned(monkeypatch):
     # a landscape builds parameters for its precision, the classical LO
-    # phases, its 2 x (3 nodes + check) reports and the classical builds,
-    # which set r = 0, off the node at r = 0: 13.  A 61-point r run adds
+    # phases and its 2 x (3 nodes + check) reports: 10.  The classical
+    # builds key their chain without parameters.  A 61-point r run adds
     # one, its lowest point's, and none per row; it takes one exp per row
     # and one for the check
     p = make_params("paper-start")
@@ -558,18 +558,19 @@ def test_r_sweep_row_work_is_pinned(monkeypatch):
     monkeypatch.setattr(tsu11.sweep, "mpf_exp", lambda *args: exps.append(args) or mpf_exp(*args))
     AxisLandscape(p, (2, 1), (mpf(0), mpf(3)),
                   [("tsu11", lambda q: q), ("classical", classical_point)]).check()
-    assert (len(replaces), len(exps)) == (13, 1)
+    assert (len(replaces), len(exps)) == (10, 1)
     replaces.clear()
     exps.clear()
     rows = run_sweep(SweepGrid(axes=(AxisSpec("r", 0, 3, 61),), base=p, target="lodi"))
     assert {row["route"] for row in rows} == {"interpolant"}
-    assert (len(replaces), len(exps)) == (14, 62)
+    assert (len(replaces), len(exps)) == (11, 62)
 
 
 def test_each_expression_is_normal_ordered_once(monkeypatch):
-    # a run's 15 normal_order calls meet 4 distinct expressions, J and dJ
-    # of the tsu11 and the classical operator, and each is ordered on its
-    # first call only
+    # a run meets 4 distinct expressions, J and dJ of the tsu11 and the
+    # classical operator; the kernel orders each once, on its first
+    # report, and stores its exact form, so a run makes 4 normal_order
+    # calls
     forms, normal_order = [], tsu11.algebra.normal_order
 
     def recorded(x):
@@ -579,7 +580,7 @@ def test_each_expression_is_normal_ordered_once(monkeypatch):
     monkeypatch.setattr(tsu11.algebra, "normal_order", recorded)
     _operators.cache_clear()
     optimize_phases(make_params("paper-start"), grid_n=16)
-    assert len(forms) == 15
+    assert len(forms) == 4
     assert len({id(form) for form in forms}) == 4
 
 

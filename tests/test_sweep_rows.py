@@ -196,3 +196,27 @@ def test_rows_at_the_floor_keep_the_engine_result(overrides, error):
                      base=make_params("paper-start", **overrides), target="lodi")
     rows = _assert_rows_match_per_row_route(grid)
     assert {(row["route"], row["error"]) for row in rows} == {("engine", error)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0, 5), st.floats(0, 5), st.integers(2, 61), st.booleans(), st.integers(30, 120))
+@example(3.0, 0.0, 31, False, 60)
+@example(3.0, 0.01, 31, True, 60)
+@example(0.5, 0.5, 5, False, 30)
+def test_axis_points_and_span_are_the_mpf_route_property(lo, hi, count, log, dps):
+    # linear, log and reversed axes: each point is lo + (hi - lo) k / (n - 1)
+    # of mpf arithmetic (in log10 on a log axis), and the run's span from
+    # the two ends is the least and largest point
+    if log and min(lo, hi) <= 0:
+        lo, hi = lo + 0.01, hi + 0.01
+    axis = AxisSpec("r", repr(lo), repr(hi), count, log=log)
+    with workdps(dps):
+        a, b = mpf(repr(lo)), mpf(repr(hi))
+        if log:
+            a, b = mp.log10(a), mp.log10(b)
+        xs = [a + (b - a) * k / (count - 1) for k in range(count)]
+        want = [mpf(10) ** x for x in xs] if log else xs
+    points = axis.points(dps)
+    assert [x._mpf_ for x in points] == [x._mpf_ for x in want]
+    ends = points[0], points[-1]
+    assert (min(ends)._mpf_, max(ends)._mpf_) == (min(want)._mpf_, max(want)._mpf_)
